@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,7 +33,8 @@ from .equiv import (
     topalov_sinjukov,
 )
 from .errors import ExprError, GeoequivError
-from .fields import Chart, MetricField, VectorField, christoffel, nijenhuis, sample_points
+from .fields import (Chart, MetricField, VectorField, christoffel, nijenhuis,
+                     nondegenerate, sample_points)
 from .oracle import geodesic_defect_report
 from .smallmat import ScalarFunction, eigen, frob
 
@@ -51,8 +53,15 @@ class SceneError(Exception):
 
 def tolerance_ladder():
     """Tolerances for dual-exact, one-FD-layer and two-FD-layer chains,
-    scaled uniformly by the GEQ_TOL_SCALE environment variable."""
-    scale = float(os.environ.get("GEQ_TOL_SCALE", "1"))
+    scaled uniformly by the GEQ_TOL_SCALE environment variable, which must
+    be a finite positive number."""
+    text = os.environ.get("GEQ_TOL_SCALE", "1")
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise SceneError(f"not a finite positive number: {text!r}", "GEQ_TOL_SCALE")
     return {
         "dual": 1e-9 * scale,
         "fd1": 1e-5 * scale,
@@ -117,8 +126,7 @@ def load_scene(path):
     g = MetricField.from_exprs(chart, _expr_matrix(data["g"], dim, "g"))
     gbar = MetricField.from_exprs(chart, _expr_matrix(data["gbar"], dim, "gbar"))
     for key, fld in (("g", g), ("gbar", gbar)):
-        det = float(np.linalg.det(fld.value(chart.base_point)))
-        if abs(det) <= 1e-10:
+        if not nondegenerate(fld.value(chart.base_point)):
             raise SceneError("metric degenerate at the base point", key)
 
     vfield = None
@@ -280,8 +288,7 @@ def cmd_split(args) -> int:
     for p in pts:
         hv = sr.h.value(p)
         hbv = sr.hbar.value(p)
-        nondeg &= abs(np.linalg.det(hv)) > 1e-10
-        nondeg &= abs(np.linalg.det(hbv)) > 1e-10
+        nondeg &= nondegenerate(hv) and nondegenerate(hbv)
         sym_dev.append(
             max(frob(hv - hv.T), frob(hbv - hbv.T)) / (1.0 + frob(hv))
         )
@@ -461,6 +468,14 @@ class _Parser(argparse.ArgumentParser):
         raise SceneError(message, "arguments")
 
 
+def _count(text):
+    """argparse type for sample and trajectory counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="geoequiv",
@@ -470,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, points_default=100):
-        p.add_argument("--points", type=int, default=points_default,
+        p.add_argument("--points", type=_count, default=points_default,
                        help="number of deterministic sample points")
         p.add_argument("--seed", type=int, default=42, help="sampling seed")
 
@@ -492,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="glue two factor scenes")
     p.add_argument("scene1")
     p.add_argument("scene2")
-    p.add_argument("--trajectories", type=int, default=5)
+    p.add_argument("--trajectories", type=_count, default=5)
     p.add_argument("--export", help="write glued g, gbar on a lattice to PATH")
     p.add_argument("--grid", type=int, default=9)
     common(p, points_default=50)
@@ -513,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="geodesic defect check for a scene")
     p.add_argument("scene")
-    p.add_argument("--trajectories", type=int, default=20)
+    p.add_argument("--trajectories", type=_count, default=20)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_oracle)
 

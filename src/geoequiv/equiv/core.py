@@ -17,29 +17,60 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateMetric, SingularL, ZeroInImage
+from ..errors import DegenerateMetric, DomainViolation, SingularL, ZeroInImage
 from ..fields import (
     MetricField,
     OperatorField,
     VectorField,
+    central_difference,
     covariant_derivative_op,
     lie_derivative_metric,
+    nondegenerate,
     sample_points,
 )
 from ..smallmat import ScalarFunction, char_poly, eigen, frob, matrix_function
 
-EPS_DEG = 1e-10
 
+def _pair_tensor(gv, gbv, p, dgv=None, dgbv=None):
+    """Pair tensor from metric values: ``(L, dL, flipped)``.
 
-def _dets_or_raise(gv, gbv, p):
+    The single implementation behind ``compute_L`` and both closures of
+    ``l_tensor_field``, so L has the same bits on every path.  ``dL`` is
+    None unless the metric derivatives are given; ``flipped`` reports the
+    sign flip of g (see ``compute_L``).
+    """
+    n = len(gv)
     dg = float(np.linalg.det(gv))
     dgb = float(np.linalg.det(gbv))
-    if abs(dg) <= EPS_DEG or abs(dgb) <= EPS_DEG:
+    if not (nondegenerate(gv, dg) and nondegenerate(gbv, dgb)):
         raise DegenerateMetric(
             f"metric degenerate at {np.asarray(p)} (dets {dg:.3e}, {dgb:.3e})",
             point=p,
         )
-    return dg, dgb
+    ratio = dgb / dg
+    flipped = (n + 1) % 2 == 0 and ratio < 0.0
+    if flipped:
+        gv, dg, ratio = -gv, -dg, -ratio
+        if dgv is not None:
+            dgv = -dgv
+    rho = np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1))
+    gbinv = np.linalg.inv(gbv)
+    core = gbinv @ gv
+    lv = rho * core
+    if dgv is None:
+        return lv, None, flipped
+    # d det A = det A * tr(A^{-1} dA)
+    ddg = dg * np.einsum("ij,kji->k", np.linalg.inv(gv), dgv)
+    ddgb = dgb * np.einsum("ij,kji->k", gbinv, dgbv)
+    dratio = (ddgb * dg - dgb * ddg) / dg**2
+    drho = rho * dratio / ((n + 1) * ratio)
+    dgbinv = -np.einsum("ij,kjl,lm->kim", gbinv, dgbv, gbinv)
+    dl = (
+        np.einsum("k,ij->kij", drho, core)
+        + rho * np.einsum("kij,jl->kil", dgbinv, gv)
+        + rho * np.einsum("ij,kjl->kil", gbinv, dgv)
+    )
+    return lv, dl, flipped
 
 
 def compute_L(g: MetricField, gbar: MetricField, p, return_flag: bool = False):
@@ -51,21 +82,7 @@ def compute_L(g: MetricField, gbar: MetricField, p, return_flag: bool = False):
     flip happened.
     """
     p = np.asarray(p, dtype=float)
-    n = g.chart.dim
-    gv = g.value(p)
-    gbv = gbar.value(p)
-    dg, dgb = _dets_or_raise(gv, gbv, p)
-    ratio = dgb / dg
-    flipped = False
-    if (n + 1) % 2 == 0 and ratio < 0.0:
-        gv = -gv
-        ratio = -ratio
-        flipped = True
-    if (n + 1) % 2 == 1:
-        rho = np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1))
-    else:
-        rho = ratio ** (1.0 / (n + 1))
-    lv = rho * np.linalg.solve(gbv, gv)
+    lv, _, flipped = _pair_tensor(g.value(p), gbar.value(p), p)
     if return_flag:
         return lv, flipped
     return lv
@@ -81,43 +98,16 @@ def l_tensor_field(g: MetricField, gbar: MetricField) -> OperatorField:
     base point.
     """
     chart = g.chart
-    n = chart.dim
 
     def value_and_jac(p):
         gv, dgv = g.value_and_derivative(p)
         gbv, dgbv = gbar.value_and_derivative(p)
-        dg, dgb = _dets_or_raise(gv, gbv, p)
-        ratio = dgb / dg
-        if (n + 1) % 2 == 0 and ratio < 0.0:
-            gv, dgv = -gv, -dgv
-            dg = float(np.linalg.det(gv))
-            ratio = -ratio
-        ginv = np.linalg.inv(gv)
-        gbinv = np.linalg.inv(gbv)
-        # d det A = det A * tr(A^{-1} dA)
-        ddg = dg * np.einsum("ij,kji->k", ginv, dgv)
-        ddgb = dgb * np.einsum("ij,kji->k", gbinv, dgbv)
-        dratio = (ddgb * dg - dgb * ddg) / dg**2
-        if (n + 1) % 2 == 1:
-            rho = np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1))
-        else:
-            rho = ratio ** (1.0 / (n + 1))
-        drho = rho * dratio / ((n + 1) * ratio)
-        core = gbinv @ gv
-        lv = rho * core
-        dgbinv = -np.einsum("ij,kjl,lm->kim", gbinv, dgbv, gbinv)
-        dl = (
-            np.einsum("k,ij->kij", drho, core)
-            + rho * np.einsum("kij,jl->kil", dgbinv, gv)
-            + rho * np.einsum("ij,kjl->kil", gbinv, dgv)
-        )
-        return lv, dl
+        return _pair_tensor(gv, gbv, p, dgv, dgbv)[:2]
 
     field = OperatorField.from_function(
         chart, lambda p: compute_L(g, gbar, p), jac=value_and_jac
     )
-    _, flipped = compute_L(g, gbar, chart.base_point, return_flag=True)
-    field.sign_flipped = flipped
+    _, field.sign_flipped = compute_L(g, gbar, chart.base_point, return_flag=True)
     return field
 
 
@@ -126,7 +116,7 @@ def reconstruct_gbar(g: MetricField, L: OperatorField, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     lv = L.value(p)
     det = float(np.linalg.det(lv))
-    if abs(det) <= EPS_DEG:
+    if not nondegenerate(lv, det):
         raise SingularL(f"operator singular at {p} (det {det:.3e})", point=p)
     gb = g.value(p) @ np.linalg.inv(lv) / det
     return 0.5 * (gb + gb.T)
@@ -177,6 +167,11 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction,
     def f_of_l(p):
         lv = L.value(p)
         spec = eigen(lv)
+        for z, _ in spec.entries:
+            if not f.domain_ok(z):
+                raise DomainViolation(
+                    f"eigenvalue {z} outside the domain of {f.name} at {np.asarray(p)}"
+                )
         scale = 1.0 + max(abs(f.value(z)) for z, _ in spec.entries)
         for z, _ in spec.entries:
             if abs(f.value(z)) <= 1e-10 * scale:
@@ -217,13 +212,7 @@ def charpoly_differential_residual(L: OperatorField, t: float, p) -> np.ndarray:
     def coeffs_at(q):
         return np.array(char_poly(L.value(q)).coeffs)
 
-    steps = 6e-6 * (1.0 + np.abs(p))
-    dcoeffs = np.empty((n, n))  # [coord, coefficient index]
-    for k in range(n):
-        pp, pm = p.copy(), p.copy()
-        pp[k] += steps[k]
-        pm[k] -= steps[k]
-        dcoeffs[k] = (coeffs_at(pp) - coeffs_at(pm)) / (2.0 * steps[k])
+    dcoeffs = central_difference(coeffs_at, p)  # [coord, coefficient index]
     powers = np.array([t**j for j in range(n)])
     dchi = dcoeffs @ powers
     lv, dl = L.value_and_derivative(p)
@@ -240,8 +229,7 @@ def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:
 
     def fn(p):
         gv = g.value(p)
-        det = float(np.linalg.det(gv))
-        if abs(det) <= EPS_DEG:
+        if not nondegenerate(gv):
             raise DegenerateMetric(f"metric degenerate at {np.asarray(p)}", point=p)
         a = np.linalg.solve(gv, lie_derivative_metric(v, g, p))
         return a - (np.trace(a) / (n + 1)) * np.eye(n)
@@ -252,21 +240,18 @@ def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:
 def shift_to_nondegenerate(L: OperatorField, points=None, det_tol: float = 1e-6):
     """Shift L by c * Id when it is singular somewhere on the samples.
 
-    Returns ``(shifted_field, c)`` with c = 0 when no shift was needed and
+    L counts as singular where ``fields.nondegenerate`` with threshold
+    ``det_tol`` fails.  Returns ``(shifted_field, c)`` with c = 0 when no shift was needed and
     c = 1 + max ||L|| otherwise.  Compatibility with any metric is
     preserved under the shift.
     """
     chart = L.chart
     if points is None:
         points = np.vstack([sample_points(chart, 20, 42), [chart.base_point]])
-    norms, mindet = [], np.inf
-    for p in points:
-        lv = L.value(p)
-        norms.append(frob(lv))
-        mindet = min(mindet, abs(float(np.linalg.det(lv))))
-    if mindet > det_tol:
+    values = [L.value(p) for p in points]
+    if all(nondegenerate(lv, tol=det_tol) for lv in values):
         return L, 0.0
-    c = 1.0 + max(norms)
+    c = 1.0 + max(frob(lv) for lv in values)
     n = chart.dim
 
     def fn(p):

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import AdmissibilityViolation, ConjugationViolation
 from ..fields import OperatorField
-from ..smallmat import MonicPoly, frob
+from ..smallmat import MonicPoly, frob, unpaired_conjugate
 
 
 def _paired_eigvals(a: np.ndarray) -> np.ndarray:
@@ -117,13 +117,11 @@ def _check_step(values, labels, q, eps_gap):
     if all_real:
         return min_gap
     for grp in groups:
-        for z in grp:
-            if abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
-                continue
-            if not np.any(np.abs(grp - z.conjugate()) <= 1e-8 * (1.0 + abs(z))):
-                raise ConjugationViolation(
-                    f"conjugate of {z} left its group near {q}", point=q
-                )
+        z = unpaired_conjugate(grp, 1e-8, real_tol=1e-12)
+        if z is not None:
+            raise ConjugationViolation(
+                f"conjugate of {z} left its group near {q}", point=q
+            )
     return min_gap
 
 
@@ -210,13 +208,11 @@ def admissible_factorization(
     g1 = values[labels == 0]
     g2 = values[labels == 1]
     for name, grp in (("first", g1), ("second", g2)):
-        for z in grp:
-            if abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
-                continue
-            if not np.any(np.abs(grp - z.conjugate()) <= 1e-9 * (1.0 + abs(z))):
-                raise ConjugationViolation(
-                    f"{name} group splits the conjugate pair of {z}"
-                )
+        z = unpaired_conjugate(grp, 1e-9, real_tol=1e-12)
+        if z is not None:
+            raise ConjugationViolation(
+                f"{name} group splits the conjugate pair of {z}"
+            )
     gap = float(np.min(np.abs(g1[:, None] - g2[None, :])))
     if gap < eps_gap:
         raise AdmissibilityViolation(

@@ -33,7 +33,7 @@ from ..errors import (
     NonPositiveWeight,
 )
 from ..exprdsl import Div, Mul, Neg, Num, Pow, Sub
-from ..fields import Chart, MetricField, sample_points
+from ..fields import Chart, MetricField, nondegenerate, sample_points
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,7 @@ def levi_civita_pair(spec: LeviCivitaSpec, collision_tol: float = 1e-6,
 
     for p in pts:
         for name, fld in (("g", g), ("gbar", gbar)):
-            det = float(np.linalg.det(fld.value(p)))
-            if abs(det) <= 1e-10:
+            if not nondegenerate(fld.value(p)):
                 raise DegenerateMetric(f"{name} degenerate at {p}", point=p)
         gw = np.array([exprdsl.eval_dual(w, p).value for w in g_weights])
         if np.any(np.sign(gw) != np.array(signs, dtype=float)):

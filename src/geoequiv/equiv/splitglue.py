@@ -29,9 +29,16 @@ from ..errors import (
     SpectraOverlap,
     ZeroChiAtZero,
 )
-from ..fields import Chart, MetricField, OperatorField, sample_points
-from ..smallmat import MonicPoly, char_poly, frob, indicator_function, matrix_function
-from .core import EPS_DEG, compatibility_residual, l_tensor_field
+from ..fields import Chart, MetricField, OperatorField, nondegenerate, sample_points
+from ..smallmat import (
+    MonicPoly,
+    char_poly,
+    cluster_indices as _base_clusters,
+    frob,
+    indicator_function,
+    matrix_function,
+)
+from .core import compatibility_residual, l_tensor_field
 from .factorization import (
     FactorizationResult,
     _paired_eigvals,
@@ -48,6 +55,14 @@ def _sym_checked(m: np.ndarray, p, what: str) -> np.ndarray:
             point=p,
         )
     return 0.5 * (m + m.T)
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    r = len(a)
+    out = np.zeros((r + len(b),) * 2)
+    out[:r, :r] = a
+    out[r:, r:] = b
+    return out
 
 
 def _chi_zero_checked(chi: MonicPoly, groups, p, label: str) -> float:
@@ -105,7 +120,7 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult,
                      [chart.base_point]])
     for p in pts:
         for name, m in (("h", h.value(p)), ("hbar", hbar.value(p))):
-            if abs(np.linalg.det(m)) <= EPS_DEG:
+            if not nondegenerate(m):
                 raise DegenerateMetric(
                     f"split metric {name} degenerate at {p}", point=p
                 )
@@ -124,7 +139,7 @@ def _orientation_sign(h: MetricField, hbar: MetricField, L: OperatorField) -> fl
     hbv = hbar.value(p0)
     lv = L.value(p0)
     det = float(np.linalg.det(lv))
-    if abs(det) <= EPS_DEG:
+    if not nondegenerate(lv, det):
         raise ZeroChiAtZero(
             "factor tensor singular at its base point; shift it by c * Id",
             point=p0,
@@ -186,21 +201,24 @@ class GlueInput:
         pts2 = np.vstack([sample_points(self.chart2, samples, seed + 1),
                           [self.chart2.base_point]])
         for x, y in zip(pts1, pts2):
-            for xx in (pts1[0], x):
-                self._gap_at(xx, y)
-            self._gap_at(x, pts2[0])
+            for xx, yy in ((pts1[0], y), (x, y), (x, pts2[0])):
+                _separated_eigvals(self.L1.value(xx), self.L2.value(yy),
+                                   self.eps_gap, np.concatenate([xx, yy]))
 
-    def _gap_at(self, x, y):
-        w1 = np.linalg.eigvals(self.L1.value(x))
-        w2 = np.linalg.eigvals(self.L2.value(y))
-        gap = float(np.min(np.abs(w1[:, None] - w2[None, :])))
-        if gap < self.eps_gap:
-            raise SpectraOverlap(
-                f"factor spectra gap {gap:.3e} below {self.eps_gap:.3e} "
-                f"at ({x}, {y})",
-                witness=gap,
-                point=np.concatenate([x, y]),
-            )
+
+def _separated_eigvals(lv1, lv2, eps_gap, p):
+    """Eigenvalues of the two factor tensors at the product point p;
+    raises SpectraOverlap when the spectra come closer than ``eps_gap``."""
+    w1 = np.linalg.eigvals(lv1)
+    w2 = np.linalg.eigvals(lv2)
+    gap = float(np.min(np.abs(w1[:, None] - w2[None, :])))
+    if gap < eps_gap:
+        raise SpectraOverlap(
+            f"factor spectra gap {gap:.3e} below {eps_gap:.3e} at {p}",
+            witness=gap,
+            point=p,
+        )
+    return w1, w2
 
 
 def glue(inp: GlueInput, p):
@@ -215,29 +233,18 @@ def glue(inp: GlueInput, p):
     lv2 = inp.L2.value(y)
     chi1 = char_poly(lv1)
     chi2 = char_poly(lv2)
-    w1 = np.linalg.eigvals(lv1)
-    w2 = np.linalg.eigvals(lv2)
-    gap = float(np.min(np.abs(w1[:, None] - w2[None, :])))
-    if gap < inp.eps_gap:
-        raise SpectraOverlap(
-            f"factor spectra gap {gap:.3e} below {inp.eps_gap:.3e}",
-            witness=gap,
-            point=p,
-        )
+    w1, w2 = _separated_eigvals(lv1, lv2, inp.eps_gap, p)
     c10 = _chi_zero_checked(chi1, w1, p, "chi1")
     c20 = _chi_zero_checked(chi2, w2, p, "chi2")
     a = chi2.eval_matrix(lv1)
     b = chi1.eval_matrix(lv2)
-    n = inp.product_chart.dim
-    gv = np.zeros((n, n))
-    gbv = np.zeros((n, n))
-    gv[:r, :r] = _sym_checked(inp.h1.value(x) @ a, p, "glued g block 1")
-    gv[r:, r:] = _sym_checked(inp.h2.value(y) @ b, p, "glued g block 2")
-    gbv[:r, :r] = _sym_checked(inp.hbar1.value(x) @ a, p, "glued gbar block 1") / c20
-    gbv[r:, r:] = (
+    gv = _block_diag(_sym_checked(inp.h1.value(x) @ a, p, "glued g block 1"),
+                     _sym_checked(inp.h2.value(y) @ b, p, "glued g block 2"))
+    gbv = _block_diag(
+        _sym_checked(inp.hbar1.value(x) @ a, p, "glued gbar block 1") / c20,
         inp.block2_sign
         * _sym_checked(inp.hbar2.value(y) @ b, p, "glued gbar block 2")
-        / c10
+        / c10,
     )
     return gv, gbv
 
@@ -257,19 +264,14 @@ def glue_fields(inp: GlueInput, check_samples: int = 30, seed: int = 42):
 
     def l_val(p):
         p = np.asarray(p, dtype=float)
-        lv = np.zeros((n, n))
-        lv[:r, :r] = inp.L1.value(p[:r])
-        lv[r:, r:] = inp.L2.value(p[r:])
-        return lv
+        return _block_diag(inp.L1.value(p[:r]), inp.L2.value(p[r:]))
 
     def l_jac(p):
         p = np.asarray(p, dtype=float)
         x, y = p[:r], p[r:]
         lv1, dl1 = inp.L1.value_and_derivative(x)
         lv2, dl2 = inp.L2.value_and_derivative(y)
-        lv = np.zeros((n, n))
-        lv[:r, :r] = lv1
-        lv[r:, r:] = lv2
+        lv = _block_diag(lv1, lv2)
         dl = np.zeros((n, n, n))
         dl[:r, :r, :r] = dl1
         dl[r:, r:, r:] = dl2
@@ -345,29 +347,6 @@ class DecompositionFactor:
     l_block: OperatorField
     base_eigenvalues: tuple
     residual_max: float = 0.0
-
-
-def _base_clusters(values: np.ndarray, radius: float):
-    """Cluster base eigenvalues into real groups / conjugate-pair groups,
-    each kept conjugation-closed."""
-    clusters = []
-    used = np.zeros(len(values), dtype=bool)
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    for i in order:
-        if used[i]:
-            continue
-        members = [i]
-        used[i] = True
-        for j in order:
-            if used[j]:
-                continue
-            near = abs(values[j] - values[i]) <= radius
-            near_conj = abs(values[j] - values[i].conjugate()) <= radius
-            if near or near_conj:
-                members.append(j)
-                used[j] = True
-        clusters.append(tuple(members))
-    return clusters
 
 
 def full_decompose(g: MetricField, gbar: MetricField,

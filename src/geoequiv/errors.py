@@ -1,13 +1,18 @@
 """Exception hierarchy shared across the toolkit.
 
-Every error carries a human-readable message; errors that point at a
-specific chart location also carry the offending point (``.point``) and,
-where useful, a witness value (``.witness``).
+Every error carries a human-readable message, the offending chart point
+(``.point``) and a witness value (``.witness``); both are None where the
+error has none.
 """
 
 
 class GeoequivError(Exception):
     """Base class for all toolkit errors."""
+
+    def __init__(self, message, point=None, witness=None):
+        super().__init__(message)
+        self.point = point
+        self.witness = witness
 
 
 class DimensionCap(GeoequivError):
@@ -24,11 +29,6 @@ class NoConvergence(GeoequivError):
 
 class SpectraOverlap(GeoequivError):
     """Two spectra that must be disjoint come closer than the gap tolerance."""
-
-    def __init__(self, message, witness=None, point=None):
-        super().__init__(message)
-        self.witness = witness
-        self.point = point
 
 
 class DomainViolation(GeoequivError):
@@ -56,39 +56,32 @@ class NotConjugationClosed(GeoequivError):
 
 
 class ExprError(GeoequivError):
-    """Base class for expression parsing/evaluation errors."""
+    """Base class for expression parsing/evaluation errors; ``.offset``
+    is the byte offset and ``.expr`` the offending subtree, when known."""
+
+    def __init__(self, message, offset=None, expr=None):
+        super().__init__(message)
+        self.offset = offset
+        self.expr = expr
 
 
 class ExprSyntaxError(ExprError):
     """Malformed expression text; ``.offset`` is the byte offset."""
 
     def __init__(self, message, offset):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+        super().__init__(f"{message} (at offset {offset})", offset)
 
 
 class UnknownSymbol(ExprError):
     """Identifier is neither a coordinate nor a known function."""
 
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
-
 
 class IndexOutOfRange(ExprError):
     """Coordinate index is not smaller than the chart dimension."""
 
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
-
 
 class DomainError(ExprError):
     """Evaluation hit a singularity; ``.expr`` is the offending subtree."""
-
-    def __init__(self, message, expr=None):
-        super().__init__(message)
-        self.expr = expr
 
 
 # ---------------------------------------------------------------------------
@@ -98,75 +91,37 @@ class DomainError(ExprError):
 class DegenerateMetric(GeoequivError):
     """Metric determinant below the degeneracy threshold at a point."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class SingularL(GeoequivError):
     """Operator must be invertible at the given point but is not."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class AdmissibilityViolation(GeoequivError):
     """Eigenvalue groups collide somewhere on the sampled chart."""
 
-    def __init__(self, message, point=None, witness=None):
-        super().__init__(message)
-        self.point = point
-        self.witness = witness
-
 
 class ConjugationViolation(GeoequivError):
     """A tracked eigenvalue group split a complex-conjugate pair."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class ZeroChiAtZero(GeoequivError):
     """A factor polynomial vanishes at zero (operator block is singular)."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class NonSymmetricResult(GeoequivError):
     """Internal consistency failure: a constructed metric is not symmetric."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class ZeroInImage(GeoequivError):
     """A scalar function maps some eigenvalue to (numerically) zero."""
 
-    def __init__(self, message, witness=None, point=None):
-        super().__init__(message)
-        self.witness = witness
-        self.point = point
-
 
 class EigenvalueCollision(GeoequivError):
     """Eigenvalue functions of a normal-form spec collide on the box."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class NonPositiveWeight(GeoequivError):
     """A normal-form weight cannot be kept positive on the box."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class NotAdapted(GeoequivError):
@@ -183,10 +138,6 @@ class StepFailure(GeoequivError):
 
 class LeftChart(GeoequivError):
     """Initial point of a trajectory lies outside the chart box."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class ZeroVelocity(GeoequivError):

@@ -352,11 +352,6 @@ def eval_dual(e: Expr, p) -> DualScalar:
     return DualScalar(v, np.array(g))
 
 
-def eval_value(e: Expr, p) -> float:
-    """Value only (still checks expression domains)."""
-    return eval_dual(e, p).value
-
-
 # ---------------------------------------------------------------------------
 # compiled fast path
 #
@@ -500,14 +495,8 @@ def shift_coords(e: Expr, offset: int) -> Expr:
         return e
     if isinstance(e, Coord):
         return Coord(e.index + offset)
-    if isinstance(e, Add):
-        return Add(shift_coords(e.lhs, offset), shift_coords(e.rhs, offset))
-    if isinstance(e, Sub):
-        return Sub(shift_coords(e.lhs, offset), shift_coords(e.rhs, offset))
-    if isinstance(e, Mul):
-        return Mul(shift_coords(e.lhs, offset), shift_coords(e.rhs, offset))
-    if isinstance(e, Div):
-        return Div(shift_coords(e.lhs, offset), shift_coords(e.rhs, offset))
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(shift_coords(e.lhs, offset), shift_coords(e.rhs, offset))
     if isinstance(e, Neg):
         return Neg(shift_coords(e.operand, offset))
     if isinstance(e, Pow):

@@ -8,6 +8,7 @@ matrix calculus can also carry an explicit jacobian closure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,23 @@ from . import exprdsl
 from .errors import DegenerateMetric, DimensionCap
 from .smallmat import DIM_CAP
 
-EPS_DEG = 1e-10
+DEG_TOL = 1e-10
 FD_STEP = 6e-6
+
+
+def nondegenerate(m, det=None, tol: float = DEG_TOL) -> bool:
+    """Scale-relative nondegeneracy test, the only one in the package.
+
+    Passes when |det M| exceeds ``tol`` times the product of M's row
+    norms (Hadamard's bound on |det M|) and every row norm exceeds
+    ``tol``: a row that small counts as a zero row.  ``det`` may be
+    passed when the caller has it already.
+    """
+    m = np.asarray(m, dtype=float)
+    if det is None:
+        det = np.linalg.det(m)
+    rows = [math.hypot(*row) for row in m.tolist()]
+    return bool(min(rows) > tol and abs(det) > tol * math.prod(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +118,18 @@ def sample_points(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
 # field backings
 
 
-def _fd_steps(p: np.ndarray) -> np.ndarray:
-    return FD_STEP * (1.0 + np.abs(p))
+def central_difference(fn, p: np.ndarray) -> np.ndarray:
+    """Central differences of fn at p; out[k] = d fn / d x_k, with step
+    ``FD_STEP * (1 + |x_k|)`` per coordinate."""
+    steps = FD_STEP * (1.0 + np.abs(p))
+    out = []
+    for k in range(len(p)):
+        pp = p.copy()
+        pm = p.copy()
+        pp[k] += steps[k]
+        pm[k] -= steps[k]
+        out.append((fn(pp) - fn(pm)) / (2.0 * steps[k]))
+    return np.array(out)
 
 
 _compile_cache: dict = {}
@@ -120,27 +146,29 @@ class _Backing:
     """Shared machinery: value/derivative for a matrix- or vector-valued
     function of the chart point."""
 
-    def __init__(self, chart, shape, exprs=None, fn=None, jac=None, cache=True):
+    def __init__(self, chart, shape, exprs=None, fn=None, jac=None):
         self.chart = chart
         self.shape = shape
         self._fn = fn
         self._jac = jac
         self._exprs = exprs
-        self._cache = {} if cache else None
+        self._cache = {}
         if exprs is not None:
             flat = []
             for row in exprs:
                 flat.extend(row if isinstance(row, tuple) else (row,))
             self._compiled = [_compiled(e, chart.dim) for e in flat]
 
+    def _expr_table(self, p: np.ndarray) -> np.ndarray:
+        """Row 0: the component values; row 1 + k: their derivatives along
+        x_k.  C-contiguous, so reshaped rows keep the layout einsum sums in."""
+        return np.array([fn(p) for fn in self._compiled]).T.copy()
+
     def value(self, p: np.ndarray) -> np.ndarray:
         if self._exprs is not None:
-            out = np.empty(int(np.prod(self.shape)))
-            for i, fn in enumerate(self._compiled):
-                out[i] = fn(p)[0]
-            return out.reshape(self.shape)
-        key = p.tobytes() if self._cache is not None else None
-        if key is not None and key in self._cache:
+            return self._expr_table(p)[0].reshape(self.shape)
+        key = p.tobytes()
+        if key in self._cache:
             return self._cache[key][0]
         if self._fn is not None:
             val, jac = np.asarray(self._fn(p), dtype=float), None
@@ -148,55 +176,56 @@ class _Backing:
             val, jac = self._jac(p)
             val = np.asarray(val, dtype=float)
             jac = np.asarray(jac, dtype=float)
-        if key is not None:
-            self._cache[key] = (val, jac)
+        self._cache[key] = (val, jac)
         return val
 
     def value_and_derivative(self, p: np.ndarray):
-        n = self.chart.dim
         if self._exprs is not None:
-            flatv = np.empty(int(np.prod(self.shape)))
-            flatd = np.empty((n, int(np.prod(self.shape))))
-            for i, fn in enumerate(self._compiled):
-                res = fn(p)
-                flatv[i] = res[0]
-                for k in range(n):
-                    flatd[k, i] = res[1 + k]
-            return flatv.reshape(self.shape), flatd.reshape((n,) + self.shape)
+            table = self._expr_table(p)
+            deriv = table[1:].reshape((self.chart.dim,) + self.shape)
+            return table[0].reshape(self.shape), deriv
         if self._jac is not None:
-            key = p.tobytes() if self._cache is not None else None
-            if key is not None and key in self._cache and self._cache[key][1] is not None:
+            key = p.tobytes()
+            if key in self._cache and self._cache[key][1] is not None:
                 return self._cache[key]
             val, jac = self._jac(p)
             val = np.asarray(val, dtype=float)
             jac = np.asarray(jac, dtype=float)
-            if key is not None:
-                self._cache[key] = (val, jac)
+            self._cache[key] = (val, jac)
             return val, jac
-        # central finite differences of the closure
-        val = self.value(p)
-        steps = _fd_steps(p)
-        deriv = np.empty((n,) + self.shape)
-        for k in range(n):
-            pp = p.copy()
-            pm = p.copy()
-            pp[k] += steps[k]
-            pm[k] -= steps[k]
-            deriv[k] = (self.value(pp) - self.value(pm)) / (2.0 * steps[k])
-        return val, deriv
+        return self.value(p), central_difference(self.value, p)
 
 
 # ---------------------------------------------------------------------------
 # fields
 
 
-class MetricField:
-    """Symmetric-matrix-valued field with first-derivative access."""
+class _Field:
+    """Field on a chart with first-derivative access through a backing."""
 
     def __init__(self, chart: Chart, backing: _Backing, exprs_matrix=None):
         self.chart = chart
         self._backing = backing
         self.component_exprs = exprs_matrix  # n x n tuple of Expr, or None
+
+    @classmethod
+    def from_function(cls, chart: Chart, fn, jac=None):
+        n = chart.dim
+        return cls(chart, _Backing(chart, (n, n), fn=fn, jac=jac))
+
+    def value(self, p) -> np.ndarray:
+        return self._backing.value(np.asarray(p, dtype=float))
+
+    def derivative(self, p) -> np.ndarray:
+        """d[k, i, j] = derivative of entry (i, j) along x_k."""
+        return self.value_and_derivative(p)[1]
+
+    def value_and_derivative(self, p):
+        return self._backing.value_and_derivative(np.asarray(p, dtype=float))
+
+
+class MetricField(_Field):
+    """Symmetric-matrix-valued field with first-derivative access."""
 
     @classmethod
     def from_exprs(cls, chart: Chart, rows) -> "MetricField":
@@ -216,33 +245,18 @@ class MetricField:
         backing = _Backing(chart, (n, n), exprs=exprs)
         return cls(chart, backing, exprs_matrix=exprs)
 
-    @classmethod
-    def from_function(cls, chart: Chart, fn, jac=None, cache=True) -> "MetricField":
-        n = chart.dim
-        return cls(chart, _Backing(chart, (n, n), fn=fn, jac=jac, cache=cache))
-
     def value(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        v = self._backing.value(p)
+        v = super().value(p)
         return 0.5 * (v + v.T)
 
-    def derivative(self, p) -> np.ndarray:
-        """d[k, i, j] = d g_ij / d x_k."""
-        return self.value_and_derivative(p)[1]
-
     def value_and_derivative(self, p):
-        p = np.asarray(p, dtype=float)
-        v, d = self._backing.value_and_derivative(p)
+        v, d = super().value_and_derivative(p)
         return 0.5 * (v + v.T), 0.5 * (d + np.swapaxes(d, 1, 2))
 
 
-class OperatorField:
-    """(1,1)-tensor field: matrix-valued function of the chart point."""
-
-    def __init__(self, chart: Chart, backing: _Backing, exprs_matrix=None):
-        self.chart = chart
-        self._backing = backing
-        self.component_exprs = exprs_matrix
+class OperatorField(_Field):
+    """(1,1)-tensor field: matrix-valued function of the chart point;
+    derivative d[k, i, j] = d L^i_j / d x_k."""
 
     @classmethod
     def from_exprs(cls, chart: Chart, rows) -> "OperatorField":
@@ -256,26 +270,11 @@ class OperatorField:
         return cls(chart, _Backing(chart, (n, n), exprs=parsed), exprs_matrix=parsed)
 
     @classmethod
-    def from_function(cls, chart: Chart, fn, jac=None, cache=True) -> "OperatorField":
-        n = chart.dim
-        return cls(chart, _Backing(chart, (n, n), fn=fn, jac=jac, cache=cache))
-
-    @classmethod
     def constant(cls, chart: Chart, matrix) -> "OperatorField":
         m = np.array(matrix, dtype=float)
         n = chart.dim
         zero = np.zeros((n, n, n))
         return cls.from_function(chart, lambda p: m, jac=lambda p: (m, zero))
-
-    def value(self, p) -> np.ndarray:
-        return self._backing.value(np.asarray(p, dtype=float))
-
-    def derivative(self, p) -> np.ndarray:
-        """d[k, i, j] = d L^i_j / d x_k."""
-        return self.value_and_derivative(p)[1]
-
-    def value_and_derivative(self, p):
-        return self._backing.value_and_derivative(np.asarray(p, dtype=float))
 
 
 class VectorField:
@@ -289,22 +288,14 @@ class VectorField:
         )
         if len(self.component_exprs) != n:
             raise ValueError("vector field needs one component per coordinate")
-        self._compiled = [_compiled(e, n) for e in self.component_exprs]
+        self._backing = _Backing(chart, (n,), exprs=self.component_exprs)
 
     def value(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return np.array([fn(p)[0] for fn in self._compiled])
+        return self._backing.value(np.asarray(p, dtype=float))
 
     def derivative(self, p) -> np.ndarray:
         """d[k, i] = d v^i / d x_k."""
-        p = np.asarray(p, dtype=float)
-        n = self.chart.dim
-        out = np.empty((n, n))
-        for i, fn in enumerate(self._compiled):
-            res = fn(p)
-            for k in range(n):
-                out[k, i] = res[1 + k]
-        return out
+        return self._backing.value_and_derivative(np.asarray(p, dtype=float))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +307,7 @@ def christoffel(g: MetricField, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     gv, dg = g.value_and_derivative(p)
     det = np.linalg.det(gv)
-    if abs(det) <= EPS_DEG:
+    if not nondegenerate(gv, det):
         raise DegenerateMetric(f"metric degenerate at {p} (det {det:.3e})", point=p)
     ginv = np.linalg.inv(gv)
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})

@@ -161,40 +161,50 @@ class Spectrum:
     def values(self) -> list:
         return [z for z, _ in self.entries]
 
-    def is_conjugation_closed(self, tol: float = 1e-12) -> bool:
-        vals = self.entries
-        for z, m in vals:
-            if abs(z.imag) <= tol:
-                continue
-            ok = any(
-                abs(w - z.conjugate()) <= tol * (1.0 + abs(z)) and mm == m
-                for w, mm in vals
-            )
-            if not ok:
-                return False
-        return True
 
+def unpaired_conjugate(values, tol: float, real_tol: float, scale=None):
+    """First value of the multiset whose conjugate is missing, or None.
 
-def _cluster_values(values: np.ndarray, radius: float) -> list:
-    """Greedy clustering of complex values; returns lists of members.
-
-    Values are visited in canonical order, so the result is deterministic.
+    The conjugation-closure test shared by every caller.  A value z counts
+    as real when ``|Im z| <= real_tol * s`` and is skipped; otherwise the
+    values within ``tol * s`` of conj(z) must be as many as those within
+    ``tol * s`` of z.  ``s`` is ``scale`` when given, else ``1 + |z|``.
     """
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    clusters: list[list[complex]] = []
-    reps: list[complex] = []
-    for i in order:
-        z = complex(values[i])
-        placed = False
-        for c, rep in enumerate(reps):
-            if abs(z - rep) <= radius:
-                clusters[c].append(z)
-                reps[c] = sum(clusters[c]) / len(clusters[c])
-                placed = True
-                break
-        if not placed:
-            clusters.append([z])
-            reps.append(z)
+    vals = [complex(v) for v in values]
+    for z in vals:
+        s = 1.0 + abs(z) if scale is None else scale
+        if abs(z.imag) <= real_tol * s:
+            continue
+        near_conj = sum(abs(w - z.conjugate()) <= tol * s for w in vals)
+        if near_conj != sum(abs(w - z) <= tol * s for w in vals):
+            return z
+    return None
+
+
+def cluster_indices(values, radius: float) -> list:
+    """Greedy conjugation-closed clustering of complex values.
+
+    Values are visited in canonical (real, imag) order; each value not yet
+    placed seeds a cluster that takes every unplaced value within
+    ``radius`` of the seed or of its conjugate.  Returns the clusters as
+    tuples of indices into ``values``, members in canonical order, so the
+    result is deterministic.
+    """
+    vals = [complex(v) for v in values]
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    placed = set()
+    clusters = []
+    for pos, i in enumerate(order):
+        if i in placed:
+            continue
+        seed, mirror = vals[i], vals[i].conjugate()
+        members = tuple(
+            j for j in order[pos:]
+            if j not in placed
+            and (abs(vals[j] - seed) <= radius or abs(vals[j] - mirror) <= radius)
+        )
+        placed.update(members)
+        clusters.append(members)
     return clusters
 
 
@@ -233,8 +243,8 @@ def eigen(a, tol: float = 1e-9, cluster_tol: float | None = None) -> Spectrum:
         upper = np.array([], dtype=complex)
 
     entries = []
-    for members in _cluster_values(reals.astype(complex), cluster_tol):
-        entries.append((complex(np.mean([m.real for m in members]), 0.0), len(members)))
+    for members in cluster_indices(reals, cluster_tol):
+        entries.append((complex(np.mean([reals[i] for i in members]), 0.0), len(members)))
     # pair each upper-half value with its nearest lower-half partner and
     # average so the stored pair is exactly conjugate
     lower_left = list(lower)
@@ -243,8 +253,8 @@ def eigen(a, tol: float = 1e-9, cluster_tol: float | None = None) -> Spectrum:
         j = min(range(len(lower_left)), key=lambda j: abs(lower_left[j].conjugate() - z))
         zb = lower_left.pop(j)
         paired.append(0.5 * (z + zb.conjugate()))
-    for members in _cluster_values(np.asarray(paired, dtype=complex), cluster_tol):
-        rep = sum(members) / len(members)
+    for members in cluster_indices(paired, cluster_tol):
+        rep = sum(paired[i] for i in members) / len(members)
         entries.append((rep, len(members)))
         entries.append((rep.conjugate(), len(members)))
 
@@ -410,13 +420,11 @@ def indicator_function(group1, group2, closure_tol: float = 1e-9) -> ScalarFunct
         raise GroupsNotDisjoint("both eigenvalue groups must be nonempty")
     scale = 1.0 + max(abs(z) for z in g1 + g2)
     for label, grp in (("first", g1), ("second", g2)):
-        for z in grp:
-            if abs(z.imag) <= closure_tol * scale:
-                continue
-            if not any(abs(w - z.conjugate()) <= closure_tol * scale for w in grp):
-                raise NotConjugationClosed(
-                    f"{label} group splits the conjugate pair of {z}"
-                )
+        z = unpaired_conjugate(grp, closure_tol, closure_tol, scale)
+        if z is not None:
+            raise NotConjugationClosed(
+                f"{label} group splits the conjugate pair of {z}"
+            )
     gap = min(abs(z - w) for z in g1 for w in g2)
     if gap <= closure_tol * scale:
         raise GroupsNotDisjoint(f"groups are not disjoint (gap {gap:.3e})")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ ONE_D_SCENE_B = {
     "g": [["1"]],
     "gbar": [["1/((3 + 0.1*x0)^2)"]],
 }
+
+REPO_LC3 = str(Path(__file__).resolve().parents[1] / "scenes" / "lc3.json")
+
+
+def _scaled_identity_scene(n, g_scale, gbar_scale):
+    def diag(c):
+        return [[repr(c) if i == j else "0" for j in range(n)] for i in range(n)]
+
+    return {
+        "dim": n,
+        "box": [[-0.5, 0.5]] * n,
+        "base_point": [0.0] * n,
+        "g": diag(g_scale),
+        "gbar": diag(gbar_scale),
+    }
+
 
 LC3_SCENE = {
     "dim": 3,
@@ -121,6 +138,16 @@ def test_check_fails_on_non_equivalent_pair(tmp_path, capsys):
     assert code == 2
     assert report["pass"] is False
     assert report["checks"]["compatibility_residual"]["max"] > 1e-6
+
+
+@pytest.mark.parametrize("g_scale, gbar_scale", [(1.0, 1e-3), (0.003, 0.003)])
+def test_check_accepts_small_constant_metrics(tmp_path, capsys, g_scale, gbar_scale):
+    # nondegeneracy is scale-relative: a constant multiple of a
+    # nondegenerate metric stays nondegenerate however small its det
+    scene = _write(tmp_path, "small.json", _scaled_identity_scene(4, g_scale, gbar_scale))
+    code, report = _run(capsys, ["check", scene, "--points", "10"])
+    assert code == 0
+    assert report["pass"] is True
 
 
 def test_check_input_error_exit_code(tmp_path, capsys):
@@ -324,6 +351,27 @@ def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
     code, report = _run(capsys, ["check", scene])
     assert code == 0  # enormous scale makes everything pass
     monkeypatch.delenv("GEQ_TOL_SCALE")
+
+
+@pytest.mark.parametrize("argv, tol_scale", [
+    (["check", REPO_LC3, "--points", "0"], None),
+    (["check", REPO_LC3, "--points", "-3"], None),
+    (["oracle", REPO_LC3, "--trajectories", "0"], None),
+    (["check", REPO_LC3, "--points", "5"], "abc"),
+    (["check", REPO_LC3, "--points", "5"], "inf"),
+    (["check", REPO_LC3, "--points", "5"], "nan"),
+    (["ts", REPO_LC3, "--f", "recip:2.0", "--points", "5"], None),
+])
+def test_invalid_input_exits_3_without_report(capsys, monkeypatch, argv, tol_scale):
+    if tol_scale is None:
+        monkeypatch.delenv("GEQ_TOL_SCALE", raising=False)
+    else:
+        monkeypatch.setenv("GEQ_TOL_SCALE", tol_scale)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_bad_arguments_exit_3(capsys):

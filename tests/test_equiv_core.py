@@ -74,6 +74,32 @@ def test_l_field_jacobian_matches_fd(corpus):
         assert frob(fd - dl[k]) <= 1e-7 * (1 + frob(dl[k]))
 
 
+def test_l_value_is_path_independent():
+    # L.value, L.value_and_derivative and compute_L share one routine, so
+    # the value has the same bits whichever path ran first at a point
+    chart = Chart(3, ((-0.4, 0.4),) * 3, (0.0, 0.0, 0.0))
+    g = MetricField.from_exprs(chart, [
+        ["2 + 0.3*sin(x0)", "0.2*x1", "0.1"],
+        [None, "1.5 + 0.1*x2^2", "0.05*x0"],
+        [None, None, "-1 + 0.2*cos(x1)"],
+    ])
+    gbar = MetricField.from_exprs(chart, [
+        ["1 + 0.1*x2", "0.3", "0.1*x0*x1"],
+        [None, "2.5", "0.2*sin(x2)"],
+        [None, None, "-0.7 - 0.1*x0^2"],
+    ])
+    for p in sample_points(chart, 20, seed=5):
+        first_value = l_tensor_field(g, gbar)
+        v1 = first_value.value(p)
+        d1 = first_value.value_and_derivative(p)[0]
+        first_jac = l_tensor_field(g, gbar)
+        d2 = first_jac.value_and_derivative(p)[0]
+        v2 = first_jac.value(p)
+        direct = compute_L(g, gbar, p)
+        for other in (d1, d2, v2, direct):
+            assert other.tobytes() == v1.tobytes()
+
+
 def test_l_self_adjointness(corpus):
     for name, (g, gbar) in corpus.items():
         L = l_tensor_field(g, gbar)

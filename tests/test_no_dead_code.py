@@ -1,0 +1,39 @@
+"""Dead-code guard: every module-level function and class in the package
+is referenced by name somewhere in ``src/`` or ``tests/``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "geoequiv"
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced_names():
+    names = set()
+    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_level_definition_is_referenced():
+    used = _referenced_names()
+    unused = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path, tree in _trees(PACKAGE)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unused == []
