@@ -168,16 +168,30 @@ def parse_function_spec(spec: str) -> ScalarFunction:
 # report helpers
 
 
+def _finite(x):
+    """x as a float, or None (JSON null) when it is NaN or infinite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _stats(values, tol):
+    """Summary of a check's per-sample values.  A non-finite value fails the
+    check: the statistics it spoils become null and ``non_finite`` (present
+    only when above 0) counts such values, so the report stays strict JSON."""
     arr = np.asarray(values, dtype=float)
-    return {
-        "max": float(np.max(arr)),
-        "mean": float(np.mean(arr)),
-        "q50": float(np.percentile(arr, 50)),
-        "q90": float(np.percentile(arr, 90)),
-        "tol": tol,
-        "pass": bool(np.max(arr) <= tol),
-    }
+    non_finite = int(np.count_nonzero(~np.isfinite(arr)))
+    with np.errstate(invalid="ignore"):
+        out = {
+            "max": _finite(np.max(arr)),
+            "mean": _finite(np.mean(arr)),
+            "q50": _finite(np.percentile(arr, 50)),
+            "q90": _finite(np.percentile(arr, 90)),
+            "tol": tol,
+            "pass": bool(non_finite == 0 and np.max(arr) <= tol),
+        }
+    if non_finite:
+        out["non_finite"] = non_finite
+    return out
 
 
 def _spectrum_entry_list(spec):
@@ -201,7 +215,7 @@ def _pair_checks(g, gbar, L, points, tols, residual_tier):
 
 
 def emit(report) -> int:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
 
 
@@ -452,7 +466,7 @@ def cmd_oracle(args) -> int:
         "trajectories": args.trajectories,
         "flags": {"skipped_null": rep.skipped_null, "box_exits": rep.box_exits},
         "checks": checks,
-        "mean_defect": rep.mean_defect,
+        "mean_defect": _finite(rep.mean_defect),
         "pass": _all_pass(checks),
     }
     return emit(report)

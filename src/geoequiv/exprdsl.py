@@ -11,6 +11,11 @@ scene files and the normal-form generator:
 
 with fn in {exp, log, sin, cos, sqrt} and coordinates x0 .. x{dim-1}.
 Evaluation returns the value together with its exact gradient.
+
+``eval_dual`` interprets a tree; ``compile_dual`` generates one flat
+Python function for an expression or for a tuple of them (all components
+of a field), computing each distinct subtree once.  Both give the same
+bits and raise the same ``DomainError``.
 """
 
 from __future__ import annotations
@@ -355,123 +360,115 @@ def eval_dual(e: Expr, p) -> DualScalar:
 # ---------------------------------------------------------------------------
 # compiled fast path
 #
-# Field evaluation sits inside geodesic integration loops, so expression
-# trees are compiled once into flat Python functions returning
-# (value, g0, ..., g{n-1}).  Semantics (including domain errors) match the
-# interpreter above; agreement is covered by tests.
+# Field evaluation sits inside geodesic integration loops, so all component
+# expressions of a field are compiled once into a single flat Python
+# function returning (value, g0, ..., g{n-1}) for each component in turn:
+# one call per field evaluation, with every distinct subtree computed once.
+# Semantics (including domain errors) match the interpreter above;
+# agreement is covered by tests.
 
 
-def compile_dual(e: Expr, dim: int):
-    """Compile an expression into fn(p) -> tuple(value, *gradient)."""
+def compile_dual(e, dim: int):
+    """Compile an expression into fn(p) -> tuple(value, *gradient).
+
+    ``e`` may also be a tuple of expressions; fn(p) then returns
+    (value, *gradient) of each one in turn, flattened into one tuple, and
+    raises the ``DomainError`` that evaluating them one by one, in order,
+    would raise first.  Equal subtrees are emitted once.  Subtrees count as
+    equal when their reprs are: each node is keyed on its operator and the
+    variables of its operands, and a number leaf on the repr of its value,
+    so ``Num(0.0)`` and ``Num(-0.0)`` (equal as dataclasses) never share
+    code.
+    """
+    exprs = e if isinstance(e, tuple) else (e,)
     lines = []
     subexprs = []
-    counter = [0]
+    memo = {}
 
     def fresh():
-        counter[0] += 1
-        return f"v{counter[0]}", [f"v{counter[0]}_g{k}" for k in range(dim)]
+        name = f"v{len(memo)}"
+        return name, [f"{name}_g{k}" for k in range(dim)]
+
+    def guard(test, message, node):
+        lines.append(f"    if {test}:")
+        lines.append(f"        raise _DomainError({message!r}, expr=_sub[{len(subexprs)}])")
+        subexprs.append(node)
 
     def emit(node) -> tuple:
         if isinstance(node, Num):
-            return repr(node.value), ["0.0"] * dim
+            # parenthesized, so a negative literal binds as a unit: -2.0 ** 2
+            # would be -(2.0 ** 2)
+            return f"({node.value!r})", ["0.0"] * dim
         if isinstance(node, Coord):
             g = ["0.0"] * dim
             g[node.index] = "1.0"
             return f"p[{node.index}]", g
-        if isinstance(node, (Add, Sub)):
+        if isinstance(node, (Add, Sub, Mul, Div)):
             va, ga = emit(node.lhs)
             vb, gb = emit(node.rhs)
+            key = (type(node), va, vb)
+        elif isinstance(node, Neg):
+            va, ga = emit(node.operand)
+            key = (Neg, va)
+        elif isinstance(node, Call):
+            va, ga = emit(node.arg)
+            key = (Call, node.fn, va)
+        elif isinstance(node, Pow):
+            va, ga = emit(node.base)
+            key = (Pow, node.exponent, va)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if key in memo:
+            return memo[key]
+        v, g = fresh()
+        memo[key] = v, g
+        if isinstance(node, (Add, Sub)):
             op = "+" if isinstance(node, Add) else "-"
-            v, g = fresh()
             lines.append(f"    {v} = {va} {op} {vb}")
             for k in range(dim):
                 lines.append(f"    {g[k]} = {ga[k]} {op} {gb[k]}")
-            return v, g
-        if isinstance(node, Mul):
-            va, ga = emit(node.lhs)
-            vb, gb = emit(node.rhs)
-            v, g = fresh()
+        elif isinstance(node, Mul):
             lines.append(f"    {v} = {va} * {vb}")
             for k in range(dim):
                 lines.append(f"    {g[k]} = {va} * {gb[k]} + {vb} * {ga[k]}")
-            return v, g
-        if isinstance(node, Div):
-            va, ga = emit(node.lhs)
-            vb, gb = emit(node.rhs)
-            idx = len(subexprs)
-            subexprs.append(node)
-            v, g = fresh()
-            lines.append(f"    if {vb} == 0.0:")
-            lines.append(f"        raise _DomainError('division by zero', expr=_sub[{idx}])")
+        elif isinstance(node, Div):
+            guard(f"{vb} == 0.0", "division by zero", node)
             lines.append(f"    {v}_inv = 1.0 / {vb}")
             lines.append(f"    {v} = {va} * {v}_inv")
             for k in range(dim):
-                lines.append(
-                    f"    {g[k]} = ({ga[k]} - {v} * {gb[k]}) * {v}_inv"
-                )
-            return v, g
-        if isinstance(node, Neg):
-            va, ga = emit(node.operand)
-            v, g = fresh()
+                lines.append(f"    {g[k]} = ({ga[k]} - {v} * {gb[k]}) * {v}_inv")
+        elif isinstance(node, Neg):
             lines.append(f"    {v} = -{va}")
             for k in range(dim):
                 lines.append(f"    {g[k]} = -{ga[k]}")
-            return v, g
-        if isinstance(node, Pow):
-            va, ga = emit(node.base)
+        elif isinstance(node, Pow) and node.exponent == 0:
+            lines.append(f"    {v} = 1.0")
+            for k in range(dim):
+                lines.append(f"    {g[k]} = 0.0")
+        elif isinstance(node, Pow):
             k_exp = node.exponent
-            v, g = fresh()
-            if k_exp == 0:
-                lines.append(f"    {v} = 1.0")
-                for k in range(dim):
-                    lines.append(f"    {g[k]} = 0.0")
-                return v, g
             if k_exp < 0:
-                idx = len(subexprs)
-                subexprs.append(node)
-                lines.append(f"    if {va} == 0.0:")
-                lines.append(
-                    f"        raise _DomainError('zero base with negative exponent',"
-                    f" expr=_sub[{idx}])"
-                )
+                guard(f"{va} == 0.0", "zero base with negative exponent", node)
             lines.append(f"    {v} = {va} ** {k_exp}")
             lines.append(f"    {v}_d = {k_exp} * {va} ** {k_exp - 1}")
             for k in range(dim):
                 lines.append(f"    {g[k]} = {v}_d * {ga[k]}")
-            return v, g
-        if isinstance(node, Call):
-            va, ga = emit(node.arg)
-            v, g = fresh()
+        else:
             if node.fn in ("log", "sqrt"):
-                idx = len(subexprs)
-                subexprs.append(node)
-                lines.append(f"    if {va} <= 0.0:")
-                lines.append(
-                    f"        raise _DomainError('{node.fn} of a non-positive value',"
-                    f" expr=_sub[{idx}])"
-                )
-            if node.fn == "exp":
-                lines.append(f"    {v} = _exp({va})")
-                lines.append(f"    {v}_d = {v}")
-            elif node.fn == "log":
-                lines.append(f"    {v} = _log({va})")
-                lines.append(f"    {v}_d = 1.0 / {va}")
-            elif node.fn == "sin":
-                lines.append(f"    {v} = _sin({va})")
-                lines.append(f"    {v}_d = _cos({va})")
-            elif node.fn == "cos":
-                lines.append(f"    {v} = _cos({va})")
-                lines.append(f"    {v}_d = -_sin({va})")
-            elif node.fn == "sqrt":
-                lines.append(f"    {v} = _sqrt({va})")
-                lines.append(f"    {v}_d = 0.5 / {v}")
+                guard(f"{va} <= 0.0", f"{node.fn} of a non-positive value", node)
+            lines.append(f"    {v} = _{node.fn}({va})")
+            lines.append(f"    {v}_d = {_CALL_DERIVATIVE[node.fn].format(v=v, a=va)}")
             for k in range(dim):
                 lines.append(f"    {g[k]} = {v}_d * {ga[k]}")
-            return v, g
-        raise TypeError(f"not an expression node: {node!r}")
+        return v, g
 
-    v, g = emit(e)
-    src = "def _compiled(p):\n" + "\n".join(lines) + f"\n    return ({v}, {', '.join(g)})\n"
+    out = []
+    for expr in exprs:
+        v, g = emit(expr)
+        out.append(v)
+        out.extend(g)
+    src = ("def _compiled(p):\n" + "\n".join(lines)
+           + f"\n    return ({''.join(x + ', ' for x in out)})\n")
     namespace = {
         "_exp": math.exp,
         "_log": math.log,
@@ -481,8 +478,19 @@ def compile_dual(e: Expr, dim: int):
         "_DomainError": DomainError,
         "_sub": tuple(subexprs),
     }
-    exec(compile(src, f"<expr:{to_text(e)[:40]}>", "exec"), namespace)
+    label = to_text(exprs[0])[:40] if exprs else ""
+    exec(compile(src, f"<expr:{label}>", "exec"), namespace)
     return namespace["_compiled"]
+
+
+# derivative of each builtin, in terms of its value {v} and argument {a}
+_CALL_DERIVATIVE = {
+    "exp": "{v}",
+    "log": "1.0 / {a}",
+    "sin": "_cos({a})",
+    "cos": "-_sin({a})",
+    "sqrt": "0.5 / {v}",
+}
 
 
 # ---------------------------------------------------------------------------

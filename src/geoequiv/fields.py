@@ -4,6 +4,12 @@ Fields are backed either by closed-form expressions (exact forward-mode
 derivatives) or by derived closures (central finite differences, step
 6e-6 * (1 + |x_k|) per coordinate).  Operator fields built from exact
 matrix calculus can also carry an explicit jacobian closure.
+
+An expression-backed field evaluates through one compiled kernel
+(``exprdsl.compile_dual`` over its distinct components, cached per
+process in ``_compile_cache``): one call gives every value and first
+derivative.  Expression-backed metrics mirror their upper triangle, so
+they are symmetric to the bit and are not re-symmetrized.
 """
 
 from __future__ import annotations
@@ -136,7 +142,10 @@ _compile_cache: dict = {}
 
 
 def _compiled(e, dim):
-    key = (e, dim)
+    """Compiled dual kernel of an expression, or of a tuple of them, made
+    once per process.  Keyed on repr, not on ==: dataclass equality has
+    Num(0.0) == Num(-0.0), and the two must not share code."""
+    key = (repr(e), dim)
     if key not in _compile_cache:
         _compile_cache[key] = exprdsl.compile_dual(e, dim)
     return _compile_cache[key]
@@ -144,7 +153,13 @@ def _compiled(e, dim):
 
 class _Backing:
     """Shared machinery: value/derivative for a matrix- or vector-valued
-    function of the chart point."""
+    function of the chart point.
+
+    Expression-backed components are evaluated by one compiled kernel over
+    the distinct components (equal reprs share a slot, so a mirrored
+    entry is computed once); ``_gather`` spreads its output over every
+    entry.
+    """
 
     def __init__(self, chart, shape, exprs=None, fn=None, jac=None):
         self.chart = chart
@@ -154,15 +169,24 @@ class _Backing:
         self._exprs = exprs
         self._cache = {}
         if exprs is not None:
-            flat = []
+            keys, slots, distinct = [], {}, []
             for row in exprs:
-                flat.extend(row if isinstance(row, tuple) else (row,))
-            self._compiled = [_compiled(e, chart.dim) for e in flat]
+                for e in row if isinstance(row, tuple) else (row,):
+                    key = repr(e)
+                    if key not in slots:
+                        slots[key] = len(distinct)
+                        distinct.append(e)
+                    keys.append(key)
+            self._kernel = _compiled(tuple(distinct), chart.dim)
+            width = chart.dim + 1
+            self._gather = np.array(
+                [[slots[key] * width + k for key in keys] for k in range(width)]
+            )
 
     def _expr_table(self, p: np.ndarray) -> np.ndarray:
         """Row 0: the component values; row 1 + k: their derivatives along
         x_k.  C-contiguous, so reshaped rows keep the layout einsum sums in."""
-        return np.array([fn(p) for fn in self._compiled]).T.copy()
+        return np.array(self._kernel(p))[self._gather]
 
     def value(self, p: np.ndarray) -> np.ndarray:
         if self._exprs is not None:
@@ -245,12 +269,20 @@ class MetricField(_Field):
         backing = _Backing(chart, (n, n), exprs=exprs)
         return cls(chart, backing, exprs_matrix=exprs)
 
+    # An expression-backed field is mirrored by construction, so its value
+    # and derivative are symmetric to the bit and symmetrizing would return
+    # the same bits; only function-backed fields are symmetrized.
+
     def value(self, p) -> np.ndarray:
         v = super().value(p)
+        if self.component_exprs is not None:
+            return v
         return 0.5 * (v + v.T)
 
     def value_and_derivative(self, p):
         v, d = super().value_and_derivative(p)
+        if self.component_exprs is not None:
+            return v, d
         return 0.5 * (v + v.T), 0.5 * (d + np.swapaxes(d, 1, 2))
 
 
@@ -311,7 +343,8 @@ def christoffel(g: MetricField, p) -> np.ndarray:
         raise DegenerateMetric(f"metric degenerate at {p} (det {det:.3e})", point=p)
     ginv = np.linalg.inv(gv)
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})
-    term = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
+    term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    # einsum, not a BLAS matmul, which would sum in another order
     return 0.5 * np.einsum("il,ljk->ijk", ginv, term)
 
 

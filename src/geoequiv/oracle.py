@@ -33,6 +33,11 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# the nonzero (j, coefficient) entries of each stage row and of both
+# weight rows, in tableau order
+_DP_A_NZ = [tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _DP_A]
+_DP_B5_NZ = tuple((j, b) for j, b in enumerate(_DP_B5) if b != 0.0)
+_DP_B4_NZ = tuple((j, b) for j, b in enumerate(_DP_B4) if b != 0.0)
 
 
 @dataclass
@@ -41,10 +46,13 @@ class GeodesicTrajectory:
 
     ``states`` rows are (position, velocity); sampling stops early (with
     ``truncated`` set) once the position leaves the chart box.
+    ``accelerations`` rows are x'' = -Gamma(x', x') at the same samples:
+    the right-hand side the integrator already evaluated there (FSAL).
     """
 
     times: np.ndarray
     states: np.ndarray
+    accelerations: np.ndarray
     metric: MetricField
     steps: int
     max_local_error: float
@@ -99,6 +107,7 @@ def integrate_geodesic(
     n = chart.dim
     out_times = np.linspace(0.0, T, samples)
     states = np.empty((samples, 2 * n))
+    accelerations = np.empty((samples, n))
     y = np.concatenate([p0, v0])
     states[0] = y
     kept = 1
@@ -110,6 +119,7 @@ def integrate_geodesic(
     margin = 0.5 * max(hi - lo for lo, hi in chart.box)
     k = [np.zeros(2 * n)] * 7
     f0 = _geodesic_rhs(g, y)
+    accelerations[0] = f0[n:]
     steps = 0
     max_err = 0.0
 
@@ -124,9 +134,7 @@ def integrate_geodesic(
                 # chart; truncate instead of fighting the step size
                 out_of_chart = False
                 for i in range(1, 7):
-                    yi = y + h * sum(
-                        a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0
-                    )
+                    yi = y + h * sum(a * k[j] for j, a in _DP_A_NZ[i])
                     if not chart.contains(yi[:n], margin=margin):
                         out_of_chart = True
                         break
@@ -134,8 +142,8 @@ def integrate_geodesic(
                 if out_of_chart:
                     truncated = True
                     break
-                y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-                y4 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B4) if b != 0.0)
+                y5 = y + h * sum(b * k[j] for j, b in _DP_B5_NZ)
+                y4 = y + h * sum(b * k[j] for j, b in _DP_B4_NZ)
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
                 err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
                 if err <= 1.0:
@@ -158,11 +166,13 @@ def integrate_geodesic(
             truncated = True
             break
         states[kept] = y
+        accelerations[kept] = f0[n:]
         kept += 1
 
     return GeodesicTrajectory(
         times=out_times[:kept],
         states=states[:kept],
+        accelerations=accelerations[:kept],
         metric=g,
         steps=steps,
         max_local_error=max_err,
@@ -173,19 +183,18 @@ def integrate_geodesic(
 def unparam_defect(traj: GeodesicTrajectory, gbar: MetricField) -> DefectReport:
     """Collinearity defect of a trajectory against a second metric.
 
-    At each sample, a = x'' + Gamma_bar(x', x') with x'' taken from the
-    geodesic equation of the generating metric; the defect is the norm of
+    At each sample, a = x'' + Gamma_bar(x', x') with x'' the acceleration
+    the integrator stored for it; the defect is the norm of
     the component of a orthogonal to x' (Euclidean inner product)
     normalized by 1 + ||a||.
     """
     n = traj.dim
     defects = []
-    for y in traj.states:
+    for y, acc in zip(traj.states, traj.accelerations):
         x, v = y[:n], y[n:]
         vnorm2 = float(v @ v)
         if vnorm2 == 0.0:
             raise ZeroVelocity("zero velocity sample in trajectory")
-        acc = -np.einsum("ijk,j,k->i", christoffel(traj.metric, x), v, v)
         a = acc + np.einsum("ijk,j,k->i", christoffel(gbar, x), v, v)
         tangential = (a @ v) / vnorm2 * v
         defect = float(np.linalg.norm(a - tangential)) / (

@@ -394,3 +394,20 @@ def test_load_scene_mirrors_upper_triangle(tmp_path):
     chart, g, gbar, v = load_scene(scene)
     gv = g.value((0.3, 0.1))
     assert gv[1, 0] == gv[0, 1] == pytest.approx(0.03)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("values", [[1e-12, float("nan")], [float("inf")]])
+def test_non_finite_statistics_fail_as_strict_json(values, capsys):
+    from geoequiv.cli import _stats, emit
+
+    checks = {"residual": _stats(values, 1e-9)}
+    code = emit({"checks": checks, "pass": checks["residual"]["pass"]})
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 2 and doc["pass"] is False
+    check = doc["checks"]["residual"]
+    assert check["pass"] is False and check["max"] is None
+    assert check["non_finite"] == 1

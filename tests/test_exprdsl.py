@@ -1,5 +1,7 @@
 """Expression parsing, printing round-trips and dual-number gradients."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from geoequiv.exprdsl import (
     Num,
     Pow,
     Sub,
+    _eval,
     compile_dual,
     eval_dual,
     parse,
@@ -187,6 +190,88 @@ def test_compiled_domain_error_carries_subexpr():
     with pytest.raises(DomainError) as exc:
         fn((1.0,))
     assert exc.value.expr == parse("1/(x0-1)", 1)
+
+
+# ---------------------------------------------------------------------------
+# fused kernels: one compiled function over a tuple of expressions
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _first_error(thunks):
+    for thunk in thunks:
+        try:
+            thunk()
+        except DomainError as exc:
+            return exc
+    return None
+
+
+@st.composite
+def _expr_tuples(draw, dim=2):
+    """Tuples of random trees with repeats and shared subtrees; with
+    ``poles``, some entries divide by, or take the log of, an expression
+    that is zero at the point (0.5, 0.25)."""
+    base = draw(st.lists(_expr_strategy(dim), min_size=1, max_size=4))
+    pool = list(base)
+    pool += [Add(a, b) for a, b in zip(base, base[1:])]
+    pool += [Mul(base[0], Neg(base[-1]))]
+    pool += [
+        Div(base[0], Sub(Coord(0), Num(0.5))),
+        Call("log", Sub(Coord(1), Num(0.25))),
+        Pow(Sub(Num(0.5), Coord(0)), -2),
+        Call("sqrt", Mul(base[-1], Sub(Coord(1), Num(0.25)))),
+    ]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return tuple(pool[i] for i in picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expr_tuples(), st.integers(0, 10_000), st.booleans())
+def test_fused_kernel_matches_single_kernels_and_interpreter(exprs, seed, at_pole):
+    fused = compile_dual(exprs, 2)
+    singles = [compile_dual(e, 2) for e in exprs]
+    if at_pole:
+        p = np.array([0.5, 0.25])
+    else:
+        p = np.random.default_rng(seed).uniform(-1.0, 1.0, size=2)
+    want = _first_error([lambda fn=fn: fn(p) for fn in singles])
+    if want is not None:
+        assert _first_error([lambda e=e: _eval(e, p, 2) for e in exprs]) is not None
+        with pytest.raises(DomainError) as exc:
+            fused(p)
+        got = exc.value
+        assert type(got) is type(want) and str(got) == str(want)
+        assert got.expr == want.expr and repr(got.expr) == repr(want.expr)
+        return
+    got = fused(p)
+    assert _bits(got) == _bits([x for fn in singles for x in fn(p)])
+    reference = []
+    for e in exprs:
+        v, g = _eval(e, p, 2)
+        reference += [v] + g
+    assert _bits(got) == _bits(reference)
+
+
+def test_single_expression_kernel_keeps_its_shape():
+    e = parse("x0*sin(x1)", 2)
+    assert len(compile_dual(e, 2)((0.5, 0.25))) == 3
+    assert compile_dual((e,), 2)((0.5, 0.25)) == compile_dual(e, 2)((0.5, 0.25))
+
+
+def test_fused_kernel_keeps_signed_zero_literals_apart():
+    # Num(0.0) == Num(-0.0) as dataclasses; they must not share code
+    exprs = (Mul(Num(0.0), Coord(0)), Mul(Num(-0.0), Coord(0)))
+    value_pos, _, value_neg, _ = compile_dual(exprs, 1)([2.0])
+    assert math.copysign(1.0, value_pos) == 1.0
+    assert math.copysign(1.0, value_neg) == -1.0
+
+
+def test_compiled_negative_literal_base():
+    e = Pow(Num(-2.0), 2)
+    assert compile_dual(e, 1)([0.5]) == (4.0, _eval(e, [0.5], 1)[1][0])
 
 
 def test_shift_coords():

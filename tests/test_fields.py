@@ -1,6 +1,8 @@
 """Charts, field backings, Christoffel symbols, covariant and Lie
 derivatives, Nijenhuis torsion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,44 @@ def test_metric_compatibility_closure_tolerance():
             "skj,is->kij", gamma, gv
         )
         assert frob(dg - recon) <= 1e-5 * (1 + frob(dg))
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels and symmetry
+
+
+def test_compile_cache_keeps_signed_zeros_apart():
+    # dataclass equality has Num(0.0) == Num(-0.0); the cache must not
+    from geoequiv.exprdsl import Coord, Mul, Num
+    from geoequiv.fields import _compiled
+
+    assert math.copysign(1.0, _compiled(Mul(Num(0.0), Coord(0)), 1)([2.0])[0]) == 1.0
+    assert math.copysign(1.0, _compiled(Mul(Num(-0.0), Coord(0)), 1)([2.0])[0]) == -1.0
+
+
+def test_expr_backed_metric_is_exactly_symmetric():
+    # mirrored by construction, so skipping 0.5 * (v + v.T) changes no bit
+    chart = Chart(3, ((0.5, 1.5), (-0.5, 0.5), (-0.5, 0.5)), (1.0, 0.0, 0.0))
+    g = MetricField.from_exprs(chart, [
+        ["1 + 0.3*x1^2", "0.1*x0*x1", "sin(x2)/(3 + x0)"],
+        [None, "2 + sin(x0)", "-0.0*x1"],
+        [None, None, "exp(0.2*x0*x2)"],
+    ])
+    for p in sample_points(chart, 10, seed=5):
+        v, d = g.value_and_derivative(p)
+        assert np.array_equal(v, v.T) and np.array_equal(d, np.swapaxes(d, 1, 2))
+        assert v.tobytes() == (0.5 * (v + v.T)).tobytes()
+        assert d.tobytes() == (0.5 * (d + np.swapaxes(d, 1, 2))).tobytes()
+        assert g.value(p).tobytes() == v.tobytes()
+
+
+def test_function_backed_metric_is_symmetrized():
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+    g = MetricField.from_function(
+        chart, lambda p: np.array([[2.0, p[0]], [p[0] + 0.5, 3.0]]))
+    p = np.array([0.25, 0.0])
+    want = np.array([[2.0, 0.5], [0.5, 3.0]])
+    assert np.array_equal(g.value(p), want)
+    v, d = g.value_and_derivative(p)
+    assert np.array_equal(v, want)
+    assert np.array_equal(d, np.swapaxes(d, 1, 2))

@@ -5,7 +5,7 @@ import pytest
 
 from geoequiv.equiv import compatibility_residual, l_tensor_field
 from geoequiv.errors import DegenerateMetric, LeftChart
-from geoequiv.fields import Chart, MetricField, sample_points
+from geoequiv.fields import Chart, MetricField, christoffel, sample_points
 from geoequiv.oracle import (
     energy_drift,
     geodesic_defect_report,
@@ -126,3 +126,19 @@ def test_pde_oracle_agreement(corpus, negatives):
     )
     repb = geodesic_defect_report(gb, gbb, trajectories=10, seed=2, T=0.5)
     assert resb > 1e-8 and repb.max_defect > 1e-5
+
+
+def test_stored_accelerations_are_the_geodesic_equation(corpus):
+    # unparam_defect reads x'' from the trajectory instead of recomputing
+    # Gamma_g; the stored rows must equal the recomputation bit for bit
+    g, _ = next(iter(corpus.values()))
+    chart = g.chart
+    p0 = np.array([lo + 0.4 * (hi - lo) for lo, hi in chart.box])
+    v0 = np.ones(chart.dim) / np.sqrt(chart.dim)
+    traj = integrate_geodesic(g, p0, v0, T=0.5)
+    assert traj.accelerations.shape == (len(traj.states), chart.dim)
+    n = chart.dim
+    for y, acc in zip(traj.states, traj.accelerations):
+        x, v = y[:n], y[n:]
+        want = -np.einsum("ijk,j,k->i", christoffel(g, x), v, v)
+        assert acc.tobytes() == want.tobytes()
