@@ -483,7 +483,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text):
-    """argparse type for sample and trajectory counts: an integer >= 1."""
+    """argparse type for sample, trajectory and lattice counts: an
+    integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -514,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base-point eigenvalue grouping, e.g. '0|1,2' "
                    "(indices into the canonically sorted spectrum)")
     p.add_argument("--export", help="write h, hbar, P1 on a lattice to PATH")
-    p.add_argument("--grid", type=int, default=9, help="lattice nodes per axis")
+    p.add_argument("--grid", type=_count, default=9, help="lattice nodes per axis")
     common(p)
     p.set_defaults(fn=cmd_split)
 
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene2")
     p.add_argument("--trajectories", type=_count, default=5)
     p.add_argument("--export", help="write glued g, gbar on a lattice to PATH")
-    p.add_argument("--grid", type=int, default=9)
+    p.add_argument("--grid", type=_count, default=9)
     common(p, points_default=50)
     p.set_defaults(fn=cmd_glue)
 

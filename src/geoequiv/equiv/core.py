@@ -25,6 +25,7 @@ from ..fields import (
     central_difference,
     covariant_derivative_op,
     lie_derivative_metric,
+    metric_pair,
     nondegenerate,
     sample_points,
 )
@@ -182,19 +183,16 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction,
                 )
         return matrix_function(lv, f)
 
-    def make(metric):
-        def fn(p):
-            m = metric.value(p) @ f_of_l(p)
-            return 0.5 * (m + m.T)
+    def pair_fn(p):
+        fl = f_of_l(p)
+        ms = [metric.value(p) @ fl for metric in (g, gbar)]
+        return np.stack([0.5 * (m + m.T) for m in ms])
 
-        return MetricField.from_function(chart, fn)
-
-    gf, gbf = make(g), make(gbar)
+    gf, gbf = metric_pair(chart, pair_fn)
     pts = np.vstack([sample_points(chart, check_points, seed),
                      [chart.base_point]])
     for p in pts:
         gf.value(p)
-        gbf.value(p)
     return gf, gbf
 
 

@@ -29,7 +29,8 @@ from ..errors import (
     SpectraOverlap,
     ZeroChiAtZero,
 )
-from ..fields import Chart, MetricField, OperatorField, nondegenerate, sample_points
+from ..fields import (Chart, MetricField, OperatorField, metric_pair,
+                      nondegenerate, sample_points)
 from ..smallmat import (
     MonicPoly,
     char_poly,
@@ -93,27 +94,23 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult,
           validate_points: int = 30, seed: int = 42) -> SplitResult:
     """Splitting construction for a compatible pair and an admissible
     factorization.  The returned metric fields are derived closures with
-    finite-difference derivative access."""
+    finite-difference derivative access, built from one closure."""
     chart = g.chart
     L = fact.lfield
 
-    def h_fn(p):
-        lv = L.value(p)
-        chi1, chi2 = fact.chi_at(p)
-        m = chi1.eval_matrix(lv) + chi2.eval_matrix(lv)
-        return _sym_checked(g.value(p) @ np.linalg.inv(m), p, "split metric h")
-
-    def hbar_fn(p):
+    def pair_fn(p):
         lv = L.value(p)
         g1, g2 = fact.groups_at(p)
         chi1, chi2 = fact.chi_at(p)
+        a1, a2 = chi1.eval_matrix(lv), chi2.eval_matrix(lv)
+        h = _sym_checked(g.value(p) @ np.linalg.inv(a1 + a2), p, "split metric h")
         c10 = _chi_zero_checked(chi1, g1, p, "chi1")
         c20 = _chi_zero_checked(chi2, g2, p, "chi2")
-        m = chi2.eval_matrix(lv) / c20 + chi1.eval_matrix(lv) / c10
-        return _sym_checked(gbar.value(p) @ np.linalg.inv(m), p, "split metric hbar")
+        m = a2 / c20 + a1 / c10
+        hbar = _sym_checked(gbar.value(p) @ np.linalg.inv(m), p, "split metric hbar")
+        return np.stack([h, hbar])
 
-    h = MetricField.from_function(chart, h_fn)
-    hbar = MetricField.from_function(chart, hbar_fn)
+    h, hbar = metric_pair(chart, pair_fn)
     p1, p2 = projectors(L, fact)
 
     pts = np.vstack([sample_points(chart, validate_points, seed),
@@ -257,9 +254,7 @@ def glue_fields(inp: GlueInput, check_samples: int = 30, seed: int = 42):
     chart = inp.product_chart
     r = inp.chart1.dim
 
-    g = MetricField.from_function(chart, lambda p: glue(inp, p)[0])
-    gbar = MetricField.from_function(chart, lambda p: glue(inp, p)[1])
-
+    g, gbar = metric_pair(chart, lambda p: np.stack(glue(inp, p)))
     n = chart.dim
 
     def l_val(p):
@@ -439,31 +434,25 @@ def full_decompose(g: MetricField, gbar: MetricField,
                 poly = pj if poly is None else poly.multiply(pj)
             return poly
 
-        def h_fn(x, idx=idx, embed=embed, chi_hat_at=chi_hat_at):
+        def pair_fn(x, idx=idx, embed=embed, chi_hat_at=chi_hat_at):
             q = embed(x)
-            lb = L.value(q)[np.ix_(idx, idx)]
-            gb = g.value(q)[np.ix_(idx, idx)]
+            block = np.ix_(idx, idx)
             w = chi_hat_at(q)
-            return _sym_checked(gb @ np.linalg.inv(w.eval_matrix(lb)), x,
-                                "decomposition factor h")
-
-        def hbar_fn(x, idx=idx, embed=embed, chi_hat_at=chi_hat_at):
-            q = embed(x)
-            lb = L.value(q)[np.ix_(idx, idx)]
-            gbb = gbar.value(q)[np.ix_(idx, idx)]
-            w = chi_hat_at(q)
-            c0 = w(0.0)
-            return _sym_checked(c0 * gbb @ np.linalg.inv(w.eval_matrix(lb)), x,
+            winv = np.linalg.inv(w.eval_matrix(L.value(q)[block]))
+            h = _sym_checked(g.value(q)[block] @ winv, x, "decomposition factor h")
+            hbar = _sym_checked(w(0.0) * gbar.value(q)[block] @ winv, x,
                                 "decomposition factor hbar")
+            return np.stack([h, hbar])
 
         def l_fn(x, idx=idx, embed=embed):
             return L.value(embed(x))[np.ix_(idx, idx)]
 
+        h, hbar = metric_pair(sub_chart, pair_fn)
         sub = DecompositionFactor(
             coords=coords,
             chart=sub_chart,
-            h=MetricField.from_function(sub_chart, h_fn),
-            hbar=MetricField.from_function(sub_chart, hbar_fn),
+            h=h,
+            hbar=hbar,
             l_block=OperatorField.from_function(sub_chart, l_fn),
             base_eigenvalues=tuple(values[list(members)]),
         )

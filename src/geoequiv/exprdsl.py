@@ -213,6 +213,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, off = self.next()
         if kind == "num":
+            if not math.isfinite(float(val)):
+                raise ExprSyntaxError(f"number literal {val!r} is not finite", off)
             return Num(float(val))
         if kind == "ident":
             m = re.fullmatch(r"x(\d+)", val)
@@ -249,11 +251,15 @@ _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Coord: 5, Call:
 
 
 def to_text(e: Expr) -> str:
-    """Render an expression; parse(to_text(e), dim) returns an equal tree."""
+    """Render an expression; parse(to_text(e), dim) returns an equal tree,
+    except that a negative number literal comes back as the negation of
+    its magnitude (same value)."""
 
     def wrap(child: Expr, parent_prec: int, right_assoc_same=False) -> str:
         text = to_text(child)
         prec = _PREC[type(child)]
+        if isinstance(child, Num) and math.copysign(1.0, child.value) < 0:
+            prec = _PREC[Neg]  # "-1.5" parses as a negation
         if prec < parent_prec or (right_assoc_same and prec == parent_prec):
             return f"({text})"
         return text

@@ -10,6 +10,12 @@ An expression-backed field evaluates through one compiled kernel
 process in ``_compile_cache``): one call gives every value and first
 derivative.  Expression-backed metrics mirror their upper triangle, so
 they are symmetric to the bit and are not re-symmetrized.
+
+A construction that maps a pair to a pair (split, glue, operator-function
+rescaling, iterated decomposition) builds both metrics with
+``metric_pair`` from one closure returning them stacked: the shared work
+runs once per point, and one backing holds the point cache and the
+finite-difference derivative that both halves read.
 """
 
 from __future__ import annotations
@@ -192,32 +198,42 @@ class _Backing:
         if self._exprs is not None:
             return self._expr_table(p)[0].reshape(self.shape)
         key = p.tobytes()
-        if key in self._cache:
-            return self._cache[key][0]
-        if self._fn is not None:
-            val, jac = np.asarray(self._fn(p), dtype=float), None
-        else:
-            val, jac = self._jac(p)
-            val = np.asarray(val, dtype=float)
-            jac = np.asarray(jac, dtype=float)
-        self._cache[key] = (val, jac)
-        return val
+        if key not in self._cache:
+            self._cache[key] = (np.asarray(self._fn(p), dtype=float), None)
+        return self._cache[key][0]
 
     def value_and_derivative(self, p: np.ndarray):
         if self._exprs is not None:
             table = self._expr_table(p)
             deriv = table[1:].reshape((self.chart.dim,) + self.shape)
             return table[0].reshape(self.shape), deriv
+        key = p.tobytes()
+        if key in self._cache and self._cache[key][1] is not None:
+            return self._cache[key]
         if self._jac is not None:
-            key = p.tobytes()
-            if key in self._cache and self._cache[key][1] is not None:
-                return self._cache[key]
             val, jac = self._jac(p)
             val = np.asarray(val, dtype=float)
             jac = np.asarray(jac, dtype=float)
-            self._cache[key] = (val, jac)
-            return val, jac
-        return self.value(p), central_difference(self.value, p)
+        else:
+            val, jac = self.value(p), central_difference(self.value, p)
+        self._cache[key] = (val, jac)
+        return val, jac
+
+
+class _Part:
+    """Backing of entry ``i`` along the leading axis of a shared backing:
+    value ``[i]``, derivative ``[:, i]``."""
+
+    def __init__(self, backing: _Backing, i: int):
+        self._whole = backing
+        self._i = i
+
+    def value(self, p: np.ndarray) -> np.ndarray:
+        return self._whole.value(p)[self._i]
+
+    def value_and_derivative(self, p: np.ndarray):
+        val, deriv = self._whole.value_and_derivative(p)
+        return val[self._i], deriv[:, self._i]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +300,17 @@ class MetricField(_Field):
         if self.component_exprs is not None:
             return v, d
         return 0.5 * (v + v.T), 0.5 * (d + np.swapaxes(d, 1, 2))
+
+
+def metric_pair(chart: Chart, fn):
+    """Two metric fields from one closure: ``fn(p)`` returns both matrices
+    stacked as a (2, n, n) array.  One backing caches the stack and its
+    central-difference derivative per point, so each half costs nothing
+    once the other has been evaluated there; each half is symmetrized like
+    ``MetricField.from_function``."""
+    n = chart.dim
+    both = _Backing(chart, (2, n, n), fn=fn)
+    return MetricField(chart, _Part(both, 0)), MetricField(chart, _Part(both, 1))
 
 
 class OperatorField(_Field):

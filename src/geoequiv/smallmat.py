@@ -1,9 +1,9 @@
 """Dense linear algebra on small real matrices.
 
-Characteristic polynomials, eigenvalue grouping, Sylvester equations and a
-matrix functional calculus based on Hermite interpolation, sized for
-operator fields on charts of dimension at most 8.  All routines are pure
-functions of their arguments.
+Characteristic polynomials, eigenvalue grouping and a matrix functional
+calculus based on Hermite interpolation, sized for operator fields on
+charts of dimension at most 8.  All routines are pure functions of their
+arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     NoConvergence,
     NotConjugationClosed,
     ResidueTooLarge,
-    SpectraOverlap,
     SymmetryViolation,
 )
 
@@ -262,38 +261,6 @@ def eigen(a, tol: float = 1e-9, cluster_tol: float | None = None) -> Spectrum:
     if spec.dim != n:
         raise NoConvergence("internal inconsistency grouping eigenvalues")
     return spec
-
-
-# ---------------------------------------------------------------------------
-# Sylvester equation
-
-
-def sylvester_solve(l1, l2, c, gap_tol: float | None = None) -> np.ndarray:
-    """Solve X @ L2 - L1 @ X = C by Kronecker linearization.
-
-    Requires the spectra of L1 (r x r) and L2 (s x s) to be disjoint; the
-    system is then uniquely solvable for any right-hand side C (r x s).
-    """
-    l1 = _as_square(l1)
-    l2 = _as_square(l2)
-    c = np.asarray(c, dtype=float)
-    r, s = l1.shape[0], l2.shape[0]
-    if c.shape != (r, s):
-        raise ValueError(f"C must be {r}x{s}, got {c.shape}")
-    if gap_tol is None:
-        gap_tol = 1e-8 * (1.0 + frob(l1) + frob(l2))
-    w1 = np.linalg.eigvals(l1)
-    w2 = np.linalg.eigvals(l2)
-    gap = min(abs(z - w) for z in w1 for w in w2)
-    if gap < gap_tol:
-        raise SpectraOverlap(
-            f"eigenvalue gap {gap:.3e} below tolerance {gap_tol:.3e}",
-            witness=gap,
-        )
-    # row-major vec: vec(X L2) = (I kron L2^T) vec X, vec(L1 X) = (L1 kron I) vec X
-    m = np.kron(np.eye(r), l2.T) - np.kron(l1, np.eye(s))
-    x = np.linalg.solve(m, c.reshape(r * s))
-    return x.reshape(r, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line front end: scenes, reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from geoequiv.cli import main, parse_function_spec, load_scene, SceneError
+from geoequiv.equiv import LeviCivitaSpec, levi_civita_pair
 
 LC_SCENE = {
     "dim": 2,
@@ -56,7 +58,10 @@ ONE_D_SCENE_B = {
     "gbar": [["1/((3 + 0.1*x0)^2)"]],
 }
 
-REPO_LC3 = str(Path(__file__).resolve().parents[1] / "scenes" / "lc3.json")
+REPO_SCENES = Path(__file__).resolve().parents[1] / "scenes"
+REPO_LC3 = str(REPO_SCENES / "lc3.json")
+REPO_FACTOR_A = str(REPO_SCENES / "factor-a.json")
+REPO_FACTOR_B = str(REPO_SCENES / "factor-b.json")
 
 
 def _scaled_identity_scene(n, g_scale, gbar_scale):
@@ -271,6 +276,26 @@ def test_parse_function_spec_errors():
 # generate
 
 
+def test_generate_keeps_negative_block_eigenvalue(tmp_path, capsys):
+    # the constant block writes (-1.5)^2 into gbar; printed as -1.5^2 it
+    # would parse back as -(1.5^2) and flip gbar's sign
+    spec = {
+        "simple": [{"lambda": "1 + 0.1*x0", "interval": [-0.4, 0.4]}],
+        "blocks": [{"lambda": -1.5, "dim": 2,
+                    "metric": [["1", "0"], [None, "1"]],
+                    "intervals": [[-0.4, 0.4], [-0.4, 0.4]]}],
+    }
+    out_path = str(tmp_path / "neg-block.json")
+    assert main(["generate", _write(tmp_path, "neg-spec.json", spec),
+                 "-o", out_path]) == 0
+    capsys.readouterr()
+    g, gbar = levi_civita_pair(LeviCivitaSpec.from_dict(spec))
+    chart, g2, gbar2, _ = load_scene(out_path)
+    p = chart.base_point
+    assert np.array_equal(g2.value(p), g.value(p))
+    assert np.array_equal(gbar2.value(p), gbar.value(p))
+
+
 def test_generate_roundtrips_through_check(tmp_path, capsys):
     scene_path = _lc3_scene(tmp_path, capsys)
     scene = json.loads(open(scene_path).read())
@@ -361,6 +386,12 @@ def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
     (["check", REPO_LC3, "--points", "5"], "inf"),
     (["check", REPO_LC3, "--points", "5"], "nan"),
     (["ts", REPO_LC3, "--f", "recip:2.0", "--points", "5"], None),
+    (["split", REPO_LC3, "--groups", "0|1,2", "--export", os.devnull,
+      "--grid", "-1"], None),
+    (["split", REPO_LC3, "--groups", "0|1,2", "--export", os.devnull,
+      "--grid", "0"], None),
+    (["glue", REPO_FACTOR_A, REPO_FACTOR_B, "--export", os.devnull,
+      "--grid", "0"], None),
 ])
 def test_invalid_input_exits_3_without_report(capsys, monkeypatch, argv, tol_scale):
     if tol_scale is None:
@@ -372,6 +403,15 @@ def test_invalid_input_exits_3_without_report(capsys, monkeypatch, argv, tol_sca
     assert code == 3
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+def test_non_finite_literal_exits_3(tmp_path, capsys):
+    scene = json.loads(Path(REPO_LC3).read_text())
+    scene["g"][0][0] = "1e999*0 + 1"
+    code = main(["check", _write(tmp_path, "inf.json", scene), "--points", "5"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "g[0][0]: number literal '1e999' is not finite (at offset 0)" in err
 
 
 def test_bad_arguments_exit_3(capsys):

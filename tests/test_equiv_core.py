@@ -214,6 +214,23 @@ def test_rescale_by_reciprocal_keeps_compatibility(corpus):
         assert res <= 1e-5
 
 
+def test_rescale_computes_f_of_l_once_per_point(corpus, monkeypatch):
+    # g f(L) and gbar f(L) share one f(L) per point: value and derivative
+    # of both at a fresh point take 2n + 1 matrix functions, not 2 (2n + 1)
+    from geoequiv.equiv import core
+
+    g, gbar = corpus["lc2_sin"]
+    gf, gbf = topalov_sinjukov(g, gbar, ScalarFunction.exponential())
+    calls = []
+    real = core.matrix_function
+    monkeypatch.setattr(core, "matrix_function",
+                        lambda a, f: calls.append(f) or real(a, f))
+    p = np.array([0.11, -0.07])
+    gf.value_and_derivative(p)
+    gbf.value_and_derivative(p)
+    assert len(calls) == 2 * g.chart.dim + 1
+
+
 def test_rescale_zero_in_image(corpus):
     g, gbar = corpus["lc2_sin"]
     # f(z) = z - 2 vanishes on the second eigenvalue branch

@@ -274,6 +274,61 @@ def test_compiled_negative_literal_base():
     assert compile_dual(e, 1)([0.5]) == (4.0, _eval(e, [0.5], 1)[1][0])
 
 
+def _signed_expr_strategy(dim):
+    """Trees whose number literals may be negative (-0.0 included), with
+    some negative literals raised to a power."""
+    literal = st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0).map(lambda v: Num(round(v, 3))),
+        st.just(Num(-0.0)),
+    )
+    leaf = st.one_of(literal, st.integers(0, dim - 1).map(Coord))
+
+    def extend(children):
+        binary = st.tuples(children, children)
+        return st.one_of(
+            binary.map(lambda t: Add(*t)),
+            binary.map(lambda t: Sub(*t)),
+            binary.map(lambda t: Mul(*t)),
+            children.map(Neg),
+            st.tuples(st.one_of(children, literal), st.integers(-3, 3)).map(
+                lambda t: Pow(*t)),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+def _eval_or_error(e, p):
+    try:
+        return _eval(e, p, len(p))
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_expr_strategy(2), st.integers(0, 10_000))
+def test_text_round_trip_keeps_value_with_negative_literals(e, seed):
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0, size=2)
+    want = _eval_or_error(e, p)
+    if isinstance(want, tuple) and not np.all(np.isfinite([want[0]] + want[1])):
+        return
+    assert _eval_or_error(parse(to_text(e), 2), p) == want
+
+
+def test_negative_power_base_is_parenthesized():
+    assert to_text(Pow(Num(-1.5), 2)) == "(-1.5)^2"
+    assert to_text(Pow(Num(-0.0), 3)) == "(-0.0)^3"
+    assert _eval(parse(to_text(Pow(Num(-1.5), 2)), 1), [0.0], 1)[0] == 2.25
+    # a negative literal elsewhere prints as before
+    assert to_text(Mul(Coord(0), Num(-1.5))) == "x0*-1.5"
+
+
+@pytest.mark.parametrize("text, offset", [("1e999*0 + 1", 0), ("x0 - 2e400", 5)])
+def test_parse_rejects_non_finite_literal(text, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text, 1)
+    assert exc.value.offset == offset
+
+
 def test_shift_coords():
     e = parse("sin(x0) + x1^2", 2)
     shifted = shift_coords(e, 2)

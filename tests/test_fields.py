@@ -15,6 +15,7 @@ from geoequiv.fields import (
     christoffel,
     covariant_derivative_op,
     lie_derivative_metric,
+    metric_pair,
     nijenhuis,
     sample_points,
 )
@@ -276,3 +277,30 @@ def test_function_backed_metric_is_symmetrized():
     v, d = g.value_and_derivative(p)
     assert np.array_equal(v, want)
     assert np.array_equal(d, np.swapaxes(d, 1, 2))
+
+
+def test_metric_pair_halves_match_separate_fields():
+    # slices of one stacked backing give the bits of one field per half,
+    # and a half that is not symmetric is still symmetrized
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+
+    def first(p):
+        return np.array([[2.0 + np.sin(p[0]), p[0] * p[1]],
+                         [p[0] * p[1], 3.0 + p[1] ** 2]])
+
+    def second(p):
+        return np.array([[1.0 + p[0] ** 2, np.exp(p[1])], [p[0], 4.0]])
+
+    pair = metric_pair(chart, lambda p: np.stack([first(p), second(p)]))
+    for half, fn in zip(pair, (first, second)):
+        alone = MetricField.from_function(chart, fn)
+        for p in sample_points(chart, 5, seed=9):
+            v, d = half.value_and_derivative(p)
+            want_v, want_d = alone.value_and_derivative(p)
+            assert v.tobytes() == want_v.tobytes()
+            assert d.tobytes() == want_d.tobytes()
+            assert half.value(p).tobytes() == alone.value(p).tobytes()
+            assert np.array_equal(v, v.T)
+            assert np.array_equal(d, np.swapaxes(d, 1, 2))
+    p = np.array([0.5, 0.0])
+    assert pair[1].value(p)[0, 1] == pair[1].value(p)[1, 0] == 0.75

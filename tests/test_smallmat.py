@@ -1,5 +1,5 @@
-"""Dense linear algebra: characteristic polynomials, eigen grouping,
-Sylvester solves and the Hermite functional calculus."""
+"""Dense linear algebra: characteristic polynomials, eigen grouping and
+the Hermite functional calculus."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from geoequiv.errors import (
     DomainViolation,
     GroupsNotDisjoint,
     NotConjugationClosed,
-    SpectraOverlap,
     SymmetryViolation,
 )
 from geoequiv.smallmat import (
@@ -23,7 +22,6 @@ from geoequiv.smallmat import (
     frob,
     indicator_function,
     matrix_function,
-    sylvester_solve,
     unpaired_conjugate,
 )
 
@@ -116,64 +114,6 @@ def test_eigen_similarity_transformed_jordan():
     spec = eigen(a)
     assert len(spec.entries) == 1
     assert spec.entries[0][1] == 2
-
-
-# ---------------------------------------------------------------------------
-# Sylvester
-
-
-def test_sylvester_scalar():
-    x = sylvester_solve(np.array([[1.0]]), np.array([[3.0]]), np.array([[4.0]]))
-    assert np.allclose(x, [[2.0]])
-
-
-def test_sylvester_diagonal_decoupling():
-    l1 = np.diag([1.0, 2.0])
-    l2 = np.array([[0.0]])
-    c = np.array([[1.0], [1.0]])
-    x = sylvester_solve(l1, l2, c)
-    assert np.allclose(x, [[-1.0], [-0.5]])
-
-
-def _sylvester_eig_oracle(l1, l2, c):
-    """Independent route: diagonalize both operators, divide by the
-    eigenvalue differences, map back."""
-    w1, v1 = np.linalg.eig(l1)
-    w2, v2 = np.linalg.eig(l2)
-    ct = np.linalg.solve(v1, c.astype(complex)) @ v2
-    xt = ct / (w2[None, :] - w1[:, None])
-    x = v1 @ xt @ np.linalg.inv(v2)
-    return x.real
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_sylvester_matches_eig_oracle(seed):
-    rng = _rng(seed)
-    r, s = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    l1 = rng.standard_normal((r, r))
-    l2 = rng.standard_normal((s, s)) + 10.0 * np.eye(s)  # spectra well apart
-    c = rng.standard_normal((r, s))
-    x = sylvester_solve(l1, l2, c)
-    assert np.allclose(x, _sylvester_eig_oracle(l1, l2, c), atol=1e-10 * (1 + frob(c)))
-    residual = x @ l2 - l1 @ x - c
-    eps = np.finfo(float).eps
-    bound = 1e3 * eps * (frob(l1) + frob(l2)) * frob(x) + eps * frob(c)
-    assert frob(residual) <= max(bound, 1e-12)
-
-
-def test_sylvester_random_3x2_frozen():
-    rng = _rng(42)
-    l1 = rng.standard_normal((3, 3))
-    l2 = rng.standard_normal((2, 2)) + 8.0 * np.eye(2)
-    c = rng.standard_normal((3, 2))
-    x = sylvester_solve(l1, l2, c)
-    assert np.allclose(x, _sylvester_eig_oracle(l1, l2, c), atol=1e-10)
-
-
-def test_sylvester_spectra_overlap():
-    with pytest.raises(SpectraOverlap):
-        sylvester_solve(np.array([[2.0]]), np.array([[2.0]]), np.array([[1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from geoequiv.equiv import (
     GlueInput,
+    splitglue,
     admissible_factorization,
     block_condition_residuals,
     compatibility_residual,
@@ -183,6 +184,26 @@ def test_glue_varying_pair_is_compatible():
         assert res <= 1e-5
         res2, _ = compatibility_residual(g, l_direct, p)
         assert res2 <= 1e-5
+
+
+def test_glued_pair_calls_glue_once_per_point(monkeypatch):
+    # both glued metrics read one closure: value and derivative of g and
+    # gbar at a point take 2n + 1 calls of glue, not 2 (2n + 1)
+    cA = Chart(1, ((-0.4, 0.4),), (0.0,))
+    hA = MetricField.from_exprs(cA, [["1"]])
+    hbA = MetricField.from_exprs(cA, [["1/((1 + 0.1*sin(x0))^2)"]])
+    hB = MetricField.from_exprs(cA, [["1"]])
+    hbB = MetricField.from_exprs(cA, [["1/((3 + 0.1*x0)^2)"]])
+    g, gbar, _ = glue_fields(GlueInput(hA, hbA, hB, hbB))
+    calls = []
+    real_glue = splitglue.glue
+    monkeypatch.setattr(splitglue, "glue",
+                        lambda inp, p: calls.append(p) or real_glue(inp, p))
+    p = np.array([0.1, -0.2])
+    g.value_and_derivative(p)
+    gbar.value_and_derivative(p)
+    gbar.value(p)
+    assert len(calls) == 2 * g.chart.dim + 1
 
 
 def test_glue_direct_sum_spectrum():
