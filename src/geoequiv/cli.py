@@ -33,8 +33,8 @@ from .equiv import (
     topalov_sinjukov,
 )
 from .errors import ExprError, GeoequivError
-from .fields import (Chart, MetricField, VectorField, christoffel, nijenhuis,
-                     nondegenerate, sample_points)
+from .fields import (Chart, MetricField, VectorField, christoffel, in_point_order,
+                     nijenhuis, nondegenerate, sample_points)
 from .oracle import geodesic_defect_report
 from .smallmat import ScalarFunction, eigen, frob
 
@@ -198,15 +198,26 @@ def _spectrum_entry_list(spec):
     return [[z.real, z.imag, m] for z, m in spec.entries]
 
 
+# sample points per batch of the pair checks: bounds the memory one batch
+# takes (a few arrays of m * n^3 floats) whatever --points is
+CHECK_BATCH = 128
+
+
 def _pair_checks(g, gbar, L, points, tols, residual_tier):
+    def batch_checks(rows):
+        res, _ = compatibility_residual(g, L, rows)
+        lv, dl = L.value_and_derivative(rows)
+        nij = [frob(t) / (1.0 + frob(d)) for t, d in zip(nijenhuis(L, rows), dl)]
+        gl = g.value(rows) @ lv
+        selfadj = [frob(a - a.T) / (1.0 + frob(a)) for a in gl]
+        return res.tolist(), nij, selfadj
+
     residuals, nij, selfadj = [], [], []
-    for p in points:
-        res, _ = compatibility_residual(g, L, p)
-        residuals.append(res)
-        lv, dl = L.value_and_derivative(p)
-        nij.append(frob(nijenhuis(L, p)) / (1.0 + frob(dl)))
-        gl = g.value(p) @ lv
-        selfadj.append(frob(gl - gl.T) / (1.0 + frob(gl)))
+    for start in range(0, len(points), CHECK_BATCH):
+        r, nj, sa = in_point_order(batch_checks, points[start:start + CHECK_BATCH])
+        residuals += r
+        nij += nj
+        selfadj += sa
     return {
         "compatibility_residual": _stats(residuals, tols[residual_tier]),
         "nijenhuis": _stats(nij, tols["nijenhuis"]),

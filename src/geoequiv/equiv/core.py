@@ -22,6 +22,7 @@ from ..fields import (
     MetricField,
     OperatorField,
     VectorField,
+    as_batch,
     central_difference,
     covariant_derivative_op,
     lie_derivative_metric,
@@ -32,44 +33,58 @@ from ..fields import (
 from ..smallmat import ScalarFunction, char_poly, eigen, frob, matrix_function
 
 
-def _pair_tensor(gv, gbv, p, dgv=None, dgbv=None):
-    """Pair tensor from metric values: ``(L, dL, flipped)``.
+def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
+    """Pair tensor from stacked metric values at the points ``rows``:
+    ``(L, dL, flipped)``, each with a leading batch axis.
 
     The single implementation behind ``compute_L`` and both closures of
     ``l_tensor_field``, so L has the same bits on every path.  ``dL`` is
-    None unless the metric derivatives are given; ``flipped`` reports the
-    sign flip of g (see ``compute_L``).
+    None unless the metric derivatives are given; ``flipped`` lists the
+    sign flip of g per row (see ``compute_L``).  The determinant ratio, its
+    root and the determinant-trace contraction are taken row by row, so
+    each row has the bits of a batch of 1.
     """
-    n = len(gv)
-    dg = float(np.linalg.det(gv))
-    dgb = float(np.linalg.det(gbv))
-    if not (nondegenerate(gv, dg) and nondegenerate(gbv, dgb)):
-        raise DegenerateMetric(
-            f"metric degenerate at {np.asarray(p)} (dets {dg:.3e}, {dgb:.3e})",
-            point=p,
-        )
-    ratio = dgb / dg
-    flipped = (n + 1) % 2 == 0 and ratio < 0.0
-    if flipped:
-        gv, dg, ratio = -gv, -dg, -ratio
+    n = gv.shape[-1]
+    flipped, rho, scalars = [], [], []
+    for i, (dg, dgb) in enumerate(zip(np.linalg.det(gv).tolist(),
+                                      np.linalg.det(gbv).tolist())):
+        if not (nondegenerate(gv[i], dg) and nondegenerate(gbv[i], dgb)):
+            raise DegenerateMetric(
+                f"metric degenerate at {rows[i]} (dets {dg:.3e}, {dgb:.3e})",
+                point=rows[i],
+            )
+        ratio = dgb / dg
+        flip = (n + 1) % 2 == 0 and ratio < 0.0
+        if flip:
+            dg, ratio = -dg, -ratio
+        flipped.append(flip)
+        rho.append(np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1)))
+        scalars.append((dg, dgb, ratio, dg**2))
+    rho = np.array(rho)
+    if any(flipped):
+        flip = np.array(flipped)[:, None, None]
+        gv = np.where(flip, -gv, gv)
         if dgv is not None:
-            dgv = -dgv
-    rho = np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1))
+            dgv = np.where(flip[..., None], -dgv, dgv)
     gbinv = np.linalg.inv(gbv)
     core = gbinv @ gv
-    lv = rho * core
+    lv = rho[:, None, None] * core
     if dgv is None:
         return lv, None, flipped
+    dg, dgb, ratio, dg2 = np.array(scalars).T[:, :, None]  # each (m, 1)
     # d det A = det A * tr(A^{-1} dA)
-    ddg = dg * np.einsum("ij,kji->k", np.linalg.inv(gv), dgv)
-    ddgb = dgb * np.einsum("ij,kji->k", gbinv, dgbv)
-    dratio = (ddgb * dg - dgb * ddg) / dg**2
-    drho = rho * dratio / ((n + 1) * ratio)
-    dgbinv = -np.einsum("ij,kjl,lm->kim", gbinv, dgbv, gbinv)
+    tr = np.array([np.einsum("ij,kji->k", a, d)
+                   for a, d in zip(np.linalg.inv(gv), dgv)])
+    trb = np.array([np.einsum("ij,kji->k", a, d) for a, d in zip(gbinv, dgbv)])
+    ddg, ddgb = dg * tr, dgb * trb
+    dratio = (ddgb * dg - dgb * ddg) / dg2
+    drho = rho[:, None] * dratio / ((n + 1) * ratio)
+    dgbinv = -np.einsum("bij,bkjl,blm->bkim", gbinv, dgbv, gbinv)
+    rho = rho[:, None, None, None]
     dl = (
-        np.einsum("k,ij->kij", drho, core)
-        + rho * np.einsum("kij,jl->kil", dgbinv, gv)
-        + rho * np.einsum("ij,kjl->kil", gbinv, dgv)
+        np.einsum("bk,bij->bkij", drho, core)
+        + rho * np.einsum("bkij,bjl->bkil", dgbinv, gv)
+        + rho * np.einsum("bij,bkjl->bkil", gbinv, dgv)
     )
     return lv, dl, flipped
 
@@ -83,10 +98,10 @@ def compute_L(g: MetricField, gbar: MetricField, p, return_flag: bool = False):
     flip happened.
     """
     p = np.asarray(p, dtype=float)
-    lv, _, flipped = _pair_tensor(g.value(p), gbar.value(p), p)
+    lv, _, flipped = _pair_tensor(g.value(p)[None], gbar.value(p)[None], p[None])
     if return_flag:
-        return lv, flipped
-    return lv
+        return lv[0], flipped[0]
+    return lv[0]
 
 
 def l_tensor_field(g: MetricField, gbar: MetricField) -> OperatorField:
@@ -94,16 +109,16 @@ def l_tensor_field(g: MetricField, gbar: MetricField) -> OperatorField:
 
     Derivatives are obtained by forward-mode matrix calculus through the
     determinant, inverse and root, so they are as accurate as the metric
-    derivatives themselves (exact for expression-backed metrics).  The
-    field carries ``sign_flipped`` reflecting the orientation fix at the
-    base point.
+    derivatives themselves (exact for expression-backed metrics); the
+    jacobian closure takes a batch of points.  The field carries
+    ``sign_flipped`` reflecting the orientation fix at the base point.
     """
     chart = g.chart
 
-    def value_and_jac(p):
-        gv, dgv = g.value_and_derivative(p)
-        gbv, dgbv = gbar.value_and_derivative(p)
-        return _pair_tensor(gv, gbv, p, dgv, dgbv)[:2]
+    def value_and_jac(rows):
+        gv, dgv = g.value_and_derivative(rows)
+        gbv, dgbv = gbar.value_and_derivative(rows)
+        return _pair_tensor(gv, gbv, rows, dgv, dgbv)[:2]
 
     field = OperatorField.from_function(
         chart, lambda p: compute_L(g, gbar, p), jac=value_and_jac
@@ -128,25 +143,29 @@ def compatibility_residual(g: MetricField, L: OperatorField, p):
 
     Returns ``(scalar, array)``: the Frobenius norm of the residual
     normalized by ``1 + ||dL||``, and the raw residual array indexed like
-    the covariant derivative output.
+    the covariant derivative output.  Along a batch of points the scalar
+    is an array with one entry per row.
     """
-    p = np.asarray(p, dtype=float)
-    nabla = covariant_derivative_op(g, L, p)
-    lv, dl = L.value_and_derivative(p)
+    rows, single = as_batch(p)
+    nabla = covariant_derivative_op(g, L, rows)
+    lv, dl = L.value_and_derivative(rows)
     # l_q = d_q tr L
-    l_cov = np.einsum("kii->k", dl)
-    gv = g.value(p)
+    l_cov = np.einsum("bkii->bk", dl)
+    gv = g.value(rows)
     ginv = np.linalg.inv(gv)
     n = g.chart.dim
     eye = np.eye(n)
+    raised = np.array([a @ v for a, v in zip(ginv, l_cov)])
     # 1/2 (delta^i_k l_j + g^{is} l_s g_{kj}); differentiation index k last
     rhs = 0.5 * (
-        np.einsum("ik,j->ijk", eye, l_cov)
-        + np.einsum("i,kj->ijk", ginv @ l_cov, gv)
+        np.einsum("ik,bj->bijk", eye, l_cov)
+        + np.einsum("bi,bkj->bijk", raised, gv)
     )
     resid = nabla - rhs
-    scale = 1.0 + frob(dl)
-    return frob(resid) / scale, resid
+    scalar = np.array([frob(r) / (1.0 + frob(d)) for r, d in zip(resid, dl)])
+    if single:
+        return float(scalar[0]), resid[0]
+    return scalar, resid
 
 
 def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction,
@@ -255,8 +274,8 @@ def shift_to_nondegenerate(L: OperatorField, points=None, det_tol: float = 1e-6)
     def fn(p):
         return L.value(p) + c * np.eye(n)
 
-    def jac(p):
-        lv, dl = L.value_and_derivative(p)
+    def jac(rows):
+        lv, dl = L.value_and_derivative(rows)
         return lv + c * np.eye(n), dl
 
     return OperatorField.from_function(chart, fn, jac=jac), c

@@ -22,6 +22,7 @@ match the first block's signature sign at the base point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,23 @@ from ..errors import (
 )
 from ..exprdsl import Div, Mul, Neg, Num, Pow, Sub
 from ..fields import Chart, MetricField, nondegenerate, sample_points
+
+
+def _interval(iv, what: str) -> tuple:
+    """``iv`` as a (lo, hi) pair of finite floats with lo < hi."""
+    lo, hi = (float(x) for x in iv)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{what} must be finite with lo < hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
+def _inside(x, interval, what: str) -> float:
+    """``x`` as a float inside the closed interval (NaN never is)."""
+    x = float(x)
+    lo, hi = interval
+    if not lo <= x <= hi:
+        raise ValueError(f"{what} {x} outside [{lo}, {hi}]")
+    return x
 
 
 @dataclass(frozen=True)
@@ -53,6 +71,10 @@ class SimpleEigenvalue:
         e = self.expr
         if isinstance(e, str):
             object.__setattr__(self, "expr", exprdsl.parse(e, 1))
+        interval = _interval(self.interval, "interval")
+        object.__setattr__(self, "interval", interval)
+        if self.base is not None:
+            object.__setattr__(self, "base", _inside(self.base, interval, "base"))
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -75,6 +97,8 @@ class MultiBlock:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("multiple blocks need dimension >= 2")
+        if not math.isfinite(self.value):
+            raise ValueError(f"block eigenvalue must be finite, got {self.value}")
         rows = []
         for i in range(self.dim):
             row = []
@@ -84,10 +108,16 @@ class MultiBlock:
             rows.append(tuple(row))
         object.__setattr__(self, "metric", tuple(rows))
         object.__setattr__(
-            self, "intervals", tuple((float(a), float(b)) for a, b in self.intervals)
+            self, "intervals", tuple(_interval(iv, "interval") for iv in self.intervals)
         )
         if len(self.intervals) != self.dim:
             raise ValueError("need one coordinate interval per block dimension")
+        if self.base is not None:
+            if len(self.base) != self.dim:
+                raise ValueError("need one base coordinate per block dimension")
+            object.__setattr__(self, "base", tuple(
+                _inside(x, iv, "base") for x, iv in zip(self.base, self.intervals)
+            ))
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 

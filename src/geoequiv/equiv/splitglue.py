@@ -261,15 +261,15 @@ def glue_fields(inp: GlueInput, check_samples: int = 30, seed: int = 42):
         p = np.asarray(p, dtype=float)
         return _block_diag(inp.L1.value(p[:r]), inp.L2.value(p[r:]))
 
-    def l_jac(p):
-        p = np.asarray(p, dtype=float)
-        x, y = p[:r], p[r:]
-        lv1, dl1 = inp.L1.value_and_derivative(x)
-        lv2, dl2 = inp.L2.value_and_derivative(y)
-        lv = _block_diag(lv1, lv2)
-        dl = np.zeros((n, n, n))
-        dl[:r, :r, :r] = dl1
-        dl[r:, r:, r:] = dl2
+    def l_jac(rows):
+        lv1, dl1 = inp.L1.value_and_derivative(rows[:, :r])
+        lv2, dl2 = inp.L2.value_and_derivative(rows[:, r:])
+        lv = np.zeros((len(rows), n, n))
+        lv[:, :r, :r] = lv1
+        lv[:, r:, r:] = lv2
+        dl = np.zeros((len(rows), n, n, n))
+        dl[:, :r, :r, :r] = dl1
+        dl[:, r:, r:, r:] = dl2
         return lv, dl
 
     l_direct = OperatorField.from_function(chart, l_val, jac=l_jac)

@@ -16,10 +16,27 @@ rescaling, iterated decomposition) builds both metrics with
 ``metric_pair`` from one closure returning them stacked: the shared work
 runs once per point, and one backing holds the point cache and the
 finite-difference derivative that both halves read.
+
+Batch axis: a field's ``value``/``value_and_derivative`` and the operators
+``christoffel``, ``covariant_derivative_op`` and ``nijenhuis`` take a point
+of shape (n,) or a batch of points of shape (m, n); a batch puts a leading
+axis of length m on every output, and a single point is a batch of 1.  An
+expression-backed field still calls its scalar compiled kernel once per
+row (numpy's vectorized exp and ``**`` differ from the scalar ones in the
+last bit) and keeps the outputs of its last batch; value-only closures
+get one point at a time through the point cache; a ``jac=`` closure gets
+the whole batch as one (m, n) array, returns values (m, ...) and
+jacobians (m, n, ...), and only its last batch is kept.  Stacked ``det``,
+``inv``, ``@`` and the einsum contractions give each row the same bits as
+a batch of 1; norms, matrix-vector products and the determinant-trace
+contraction do not always, so those stay per row.  ``nondegenerate`` runs
+per row.  ``in_point_order`` turns an error raised by a batch into the one
+a per-point loop meets first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,6 +144,34 @@ def sample_points(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# batches of points
+
+
+def as_batch(p):
+    """``(rows, single)``: the point or points ``p`` as an (m, n) float
+    array, and whether ``p`` was a single point of shape (n,), for which
+    callers return row 0 of their batch result."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 1:
+        return p[None], True
+    return p, False
+
+
+def in_point_order(fn, rows):
+    """``fn(rows)`` for an (m, n) batch.  If it raises, ``fn`` runs again on
+    one row at a time, in order, so the exception that propagates (type,
+    message and point) is the first one a per-point loop meets; any
+    exception is replayed, since a batch evaluates each stage for every row
+    before the next stage of the first."""
+    try:
+        return fn(rows)
+    except Exception:
+        for i in range(len(rows)):
+            fn(rows[i:i + 1])
+        raise
+
+
+# ---------------------------------------------------------------------------
 # field backings
 
 
@@ -159,12 +204,14 @@ def _compiled(e, dim):
 
 class _Backing:
     """Shared machinery: value/derivative for a matrix- or vector-valued
-    function of the chart point.
+    function of the chart point, at one point or a batch of them.
 
     Expression-backed components are evaluated by one compiled kernel over
     the distinct components (equal reprs share a slot, so a mirrored
     entry is computed once); ``_gather`` spreads its output over every
-    entry.
+    entry.  Function-backed values and finite-difference derivatives are
+    cached per point; kernel outputs and ``jac=`` results are kept for the
+    last batch only.
     """
 
     def __init__(self, chart, shape, exprs=None, fn=None, jac=None):
@@ -174,6 +221,7 @@ class _Backing:
         self._jac = jac
         self._exprs = exprs
         self._cache = {}
+        self._last_key = self._last = None
         if exprs is not None:
             keys, slots, distinct = [], {}, []
             for row in exprs:
@@ -185,55 +233,85 @@ class _Backing:
                     keys.append(key)
             self._kernel = _compiled(tuple(distinct), chart.dim)
             width = chart.dim + 1
+            self._width = len(distinct) * width  # kernel outputs per point
             self._gather = np.array(
                 [[slots[key] * width + k for key in keys] for k in range(width)]
             )
 
-    def _expr_table(self, p: np.ndarray) -> np.ndarray:
-        """Row 0: the component values; row 1 + k: their derivatives along
-        x_k.  C-contiguous, so reshaped rows keep the layout einsum sums in."""
-        return np.array(self._kernel(p))[self._gather]
+    def _last_batch(self, rows: np.ndarray, evaluate):
+        """``evaluate(rows)``, kept until another batch comes: the layers of
+        one batch of checks (Christoffel, the pair tensor's jacobian, the
+        residual, self-adjointness) ask for the same field at the same
+        points, and keeping only the last batch bounds memory however many
+        batches run."""
+        key = rows.tobytes()
+        if key != self._last_key:
+            self._last = evaluate(rows)
+            self._last_key = key
+        return self._last
+
+    def _kernel_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The kernel's outputs, one line per row; the kernel runs once per
+        row, in order.  ``take(self._gather, 1)`` gives per row: line 0, the
+        component values; line 1 + k, their derivatives along x_k."""
+        outs = itertools.chain.from_iterable(map(self._kernel, rows))
+        return np.fromiter(outs, float, len(rows) * self._width).reshape(len(rows), -1)
 
     def value(self, p: np.ndarray) -> np.ndarray:
-        if self._exprs is not None:
-            return self._expr_table(p)[0].reshape(self.shape)
-        key = p.tobytes()
-        if key not in self._cache:
-            self._cache[key] = (np.asarray(self._fn(p), dtype=float), None)
-        return self._cache[key][0]
+        if self._exprs is None:
+            p = np.asarray(p, dtype=float)
+            if p.ndim > 1:
+                return np.array([self.value(q) for q in p])
+            key = p.tobytes()
+            if key not in self._cache:
+                self._cache[key] = (np.asarray(self._fn(p), dtype=float), None)
+            return self._cache[key][0]
+        rows, single = as_batch(p)
+        vals = self._last_batch(rows, self._kernel_rows).take(self._gather[0], 1)
+        if single:
+            return vals[0].reshape(self.shape)
+        return vals.reshape((len(rows),) + self.shape)
 
     def value_and_derivative(self, p: np.ndarray):
+        rows, single = as_batch(p)
         if self._exprs is not None:
-            table = self._expr_table(p)
-            deriv = table[1:].reshape((self.chart.dim,) + self.shape)
-            return table[0].reshape(self.shape), deriv
-        key = p.tobytes()
-        if key in self._cache and self._cache[key][1] is not None:
-            return self._cache[key]
+            table = self._last_batch(rows, self._kernel_rows).take(self._gather, 1)
+            dshape = (self.chart.dim,) + self.shape
+            if single:
+                return table[0, 0].reshape(self.shape), table[0, 1:].reshape(dshape)
+            m = len(rows)
+            return (table[:, 0].reshape((m,) + self.shape),
+                    table[:, 1:].reshape((m,) + dshape))
         if self._jac is not None:
-            val, jac = self._jac(p)
-            val = np.asarray(val, dtype=float)
-            jac = np.asarray(jac, dtype=float)
-        else:
-            val, jac = self.value(p), central_difference(self.value, p)
-        self._cache[key] = (val, jac)
-        return val, jac
+            vals, jacs = self._last_batch(rows, self._jac)
+            vals, jacs = np.asarray(vals, dtype=float), np.asarray(jacs, dtype=float)
+            return (vals[0], jacs[0]) if single else (vals, jacs)
+        keys = [q.tobytes() for q in rows]
+        for key, q in zip(keys, rows):
+            if self._cache.get(key, (None, None))[1] is None:
+                self._cache[key] = (self.value(q), central_difference(self.value, q))
+        entries = [self._cache[key] for key in keys]
+        if single:
+            return entries[0]
+        return (np.array([val for val, _ in entries]),
+                np.array([jac for _, jac in entries]))
 
 
 class _Part:
-    """Backing of entry ``i`` along the leading axis of a shared backing:
-    value ``[i]``, derivative ``[:, i]``."""
+    """Backing of entry ``i`` along the leading axis of a shared backing's
+    (2, n, n) values: value ``[i]``, derivative ``[:, i]``, each behind
+    the batch axis when there is one."""
 
     def __init__(self, backing: _Backing, i: int):
         self._whole = backing
         self._i = i
 
     def value(self, p: np.ndarray) -> np.ndarray:
-        return self._whole.value(p)[self._i]
+        return self._whole.value(p)[..., self._i, :, :]
 
     def value_and_derivative(self, p: np.ndarray):
         val, deriv = self._whole.value_and_derivative(p)
-        return val[self._i], deriv[:, self._i]
+        return val[..., self._i, :, :], deriv[..., self._i, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +332,14 @@ class _Field:
         return cls(chart, _Backing(chart, (n, n), fn=fn, jac=jac))
 
     def value(self, p) -> np.ndarray:
-        return self._backing.value(np.asarray(p, dtype=float))
+        return self._backing.value(p)
 
     def derivative(self, p) -> np.ndarray:
         """d[k, i, j] = derivative of entry (i, j) along x_k."""
         return self.value_and_derivative(p)[1]
 
     def value_and_derivative(self, p):
-        return self._backing.value_and_derivative(np.asarray(p, dtype=float))
+        return self._backing.value_and_derivative(p)
 
 
 class MetricField(_Field):
@@ -293,13 +371,14 @@ class MetricField(_Field):
         v = super().value(p)
         if self.component_exprs is not None:
             return v
-        return 0.5 * (v + v.T)
+        return 0.5 * (v + v.swapaxes(-1, -2))
 
     def value_and_derivative(self, p):
         v, d = super().value_and_derivative(p)
         if self.component_exprs is not None:
             return v, d
-        return 0.5 * (v + v.T), 0.5 * (d + np.swapaxes(d, 1, 2))
+        return (0.5 * (v + v.swapaxes(-1, -2)),
+                0.5 * (d + d.swapaxes(-1, -2)))
 
 
 def metric_pair(chart: Chart, fn):
@@ -332,8 +411,11 @@ class OperatorField(_Field):
     def constant(cls, chart: Chart, matrix) -> "OperatorField":
         m = np.array(matrix, dtype=float)
         n = chart.dim
-        zero = np.zeros((n, n, n))
-        return cls.from_function(chart, lambda p: m, jac=lambda p: (m, zero))
+
+        def jac(rows):
+            return np.stack([m] * len(rows)), np.zeros((len(rows), n, n, n))
+
+        return cls.from_function(chart, lambda p: m, jac=jac)
 
 
 class VectorField:
@@ -362,43 +444,49 @@ class VectorField:
 
 
 def christoffel(g: MetricField, p) -> np.ndarray:
-    """Levi-Civita connection coefficients; out[i, j, k] = Gamma^i_{jk}."""
-    p = np.asarray(p, dtype=float)
-    gv, dg = g.value_and_derivative(p)
-    det = np.linalg.det(gv)
-    if not nondegenerate(gv, det):
-        raise DegenerateMetric(f"metric degenerate at {p} (det {det:.3e})", point=p)
+    """Levi-Civita connection coefficients; out[..., i, j, k] = Gamma^i_{jk}
+    at a point or along a batch of points."""
+    rows, single = as_batch(p)
+    gv, dg = g.value_and_derivative(rows)
+    for i, det in enumerate(np.linalg.det(gv).tolist()):
+        if not nondegenerate(gv[i], det):
+            raise DegenerateMetric(
+                f"metric degenerate at {rows[i]} (det {det:.3e})", point=rows[i]
+            )
     ginv = np.linalg.inv(gv)
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})
-    term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    term = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
     # einsum, not a BLAS matmul, which would sum in another order
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, term)
+    out = 0.5 * np.einsum("bil,bljk->bijk", ginv, term)
+    return out[0] if single else out
 
 
 def covariant_derivative_op(g: MetricField, L: OperatorField, p) -> np.ndarray:
-    """Covariant derivative of a (1,1) field; out[i, j, k] = (nabla L)^i_{j,k}
-    with k the differentiation index."""
-    p = np.asarray(p, dtype=float)
-    gamma = christoffel(g, p)
-    lv, dl = L.value_and_derivative(p)
+    """Covariant derivative of a (1,1) field; out[..., i, j, k] =
+    (nabla L)^i_{j,k} with k the differentiation index."""
+    rows, single = as_batch(p)
+    gamma = christoffel(g, rows)
+    lv, dl = L.value_and_derivative(rows)
     # (nabla_k L)^i_j = d_k L^i_j + Gamma^i_{ks} L^s_j - Gamma^s_{kj} L^i_s
-    out = np.einsum("kij->ijk", dl)
-    out = out + np.einsum("iks,sj->ijk", gamma, lv)
-    out = out - np.einsum("skj,is->ijk", gamma, lv)
-    return out
+    out = np.einsum("bkij->bijk", dl)
+    out = out + np.einsum("biks,bsj->bijk", gamma, lv)
+    out = out - np.einsum("bskj,bis->bijk", gamma, lv)
+    return out[0] if single else out
 
 
 def nijenhuis(L: OperatorField, p) -> np.ndarray:
-    """Nijenhuis torsion; out[i, j, k] = N^i_{jk}, antisymmetric in (j, k)."""
-    p = np.asarray(p, dtype=float)
-    lv, dl = L.value_and_derivative(p)
+    """Nijenhuis torsion; out[..., i, j, k] = N^i_{jk}, antisymmetric in
+    (j, k)."""
+    rows, single = as_batch(p)
+    lv, dl = L.value_and_derivative(rows)
     # N^i_{jk} = L^s_j d_s L^i_k - L^s_k d_s L^i_j - L^i_s (d_j L^s_k - d_k L^s_j)
-    t1 = np.einsum("sj,sik->ijk", lv, dl)
-    t2 = np.einsum("sk,sij->ijk", lv, dl)
-    curl = np.einsum("jsk->sjk", dl) - np.einsum("ksj->sjk", dl)
-    t3 = np.einsum("is,sjk->ijk", lv, curl)
+    t1 = np.einsum("bsj,bsik->bijk", lv, dl)
+    t2 = np.einsum("bsk,bsij->bijk", lv, dl)
+    curl = np.einsum("bjsk->bsjk", dl) - np.einsum("bksj->bsjk", dl)
+    t3 = np.einsum("bis,bsjk->bijk", lv, curl)
     out = t1 - t2 - t3
-    return 0.5 * (out - np.swapaxes(out, 1, 2))
+    out = 0.5 * (out - out.swapaxes(-2, -1))
+    return out[0] if single else out
 
 
 def lie_derivative_metric(v: VectorField, g: MetricField, p) -> np.ndarray:

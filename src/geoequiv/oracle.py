@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LeftChart, StepFailure, ZeroVelocity
-from .fields import Chart, MetricField, SplitMix64, christoffel
+from .fields import Chart, MetricField, SplitMix64, christoffel, in_point_order
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -186,16 +186,21 @@ def unparam_defect(traj: GeodesicTrajectory, gbar: MetricField) -> DefectReport:
     At each sample, a = x'' + Gamma_bar(x', x') with x'' the acceleration
     the integrator stored for it; the defect is the norm of
     the component of a orthogonal to x' (Euclidean inner product)
-    normalized by 1 + ||a||.
+    normalized by 1 + ||a||.  Gamma_bar is evaluated along all samples in
+    one batch.
     """
     n = traj.dim
+    xs, vs = traj.states[:, :n], traj.states[:, n:]
+    speeds = [float(v @ v) for v in vs]
+    # the first error in sample order: a zero velocity at sample i comes
+    # before any failure of Gamma_bar after i
+    stop = next((i for i, s in enumerate(speeds) if s == 0.0), len(speeds))
+    gammas = in_point_order(lambda x: christoffel(gbar, x), xs[:stop]) if stop else ()
+    if stop < len(speeds):
+        raise ZeroVelocity("zero velocity sample in trajectory")
     defects = []
-    for y, acc in zip(traj.states, traj.accelerations):
-        x, v = y[:n], y[n:]
-        vnorm2 = float(v @ v)
-        if vnorm2 == 0.0:
-            raise ZeroVelocity("zero velocity sample in trajectory")
-        a = acc + np.einsum("ijk,j,k->i", christoffel(gbar, x), v, v)
+    for gamma, v, vnorm2, acc in zip(gammas, vs, speeds, traj.accelerations):
+        a = acc + np.einsum("ijk,j,k->i", gamma, v, v)
         tangential = (a @ v) / vnorm2 * v
         defect = float(np.linalg.norm(a - tangential)) / (
             1.0 + float(np.linalg.norm(a))

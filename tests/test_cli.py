@@ -11,6 +11,7 @@ import pytest
 
 from geoequiv.cli import main, parse_function_spec, load_scene, SceneError
 from geoequiv.equiv import LeviCivitaSpec, levi_civita_pair
+from geoequiv.fields import Chart, sample_points
 
 LC_SCENE = {
     "dim": 2,
@@ -153,6 +154,52 @@ def test_check_accepts_small_constant_metrics(tmp_path, capsys, g_scale, gbar_sc
     code, report = _run(capsys, ["check", scene, "--points", "10"])
     assert code == 0
     assert report["pass"] is True
+
+
+def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
+    # 60 points: one call of Christoffel and of the L jacobian closure, not
+    # one per point, and L keeps no derivative per sample point
+    from geoequiv import cli, fields
+
+    jac_rows, christoffel_calls, made = [], [], []
+    make_l = cli.l_tensor_field
+
+    def counted_l(g, gbar):
+        L = make_l(g, gbar)
+        jac = L._backing._jac
+        L._backing._jac = lambda rows: jac_rows.append(len(rows)) or jac(rows)
+        made.append(L)
+        return L
+
+    real_christoffel = fields.christoffel
+    monkeypatch.setattr(cli, "l_tensor_field", counted_l)
+    monkeypatch.setattr(fields, "christoffel",
+                        lambda g, p: christoffel_calls.append(1) or real_christoffel(g, p))
+    code, report = _run(capsys, ["check", REPO_LC3, "--points", "60"])
+    assert code == 0 and report["pass"] is True
+    assert jac_rows == [60]
+    assert len(christoffel_calls) == 1
+    # only values, at the base point, are cached per point
+    assert [d is None for _, d in made[0]._backing._cache.values()] == [True]
+
+
+def test_check_raises_the_first_error_of_a_per_point_loop(tmp_path, capsys):
+    # g degenerates at sample 5 and gbar at sample 2: a batch meets g's
+    # failure first (Christoffel runs before the pair tensor), the per-point
+    # loop meets gbar's at sample 2, and check must report that one
+    box = [[-0.5, 0.5], [-0.5, 0.5]]
+    points = sample_points(Chart(2, tuple(map(tuple, box)), (0.0, 0.0)), 8, 42)
+    late, early = float(points[5][0]), float(points[2][0])
+    scene = {
+        "dim": 2, "box": box, "base_point": [0.0, 0.0],
+        "g": [[f"x0 - ({late!r})", "0"], [None, "1"]],
+        "gbar": [[f"x0 - ({early!r})", "0"], [None, "2"]],
+    }
+    path = _write(tmp_path, "late-early.json", scene)
+    code = main(["check", path, "--points", "8"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"error: DegenerateMetric: metric degenerate at {points[2]} (dets " in err
 
 
 def test_check_input_error_exit_code(tmp_path, capsys):
@@ -308,6 +355,29 @@ def test_generate_invalid_spec(tmp_path, capsys):
     path = _write(tmp_path, "bad-spec.json", {"simple": [{"lambda": "x0"}]})
     code = main(["generate", path])
     assert code == 3
+
+
+_UNIT_BLOCK = {"dim": 2, "metric": [["1", "0"], [None, "1"]],
+               "intervals": [[-0.4, 0.4], [-0.4, 0.4]]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"simple": [{"lambda": "1 + 0.1*x0", "interval": [-0.4, 0.4]}],
+     "blocks": [dict(_UNIT_BLOCK, **{"lambda": float("nan")})]},
+    {"simple": [{"lambda": "1 + 0.1*sin(x0)", "interval": [-0.4, float("inf")]},
+                {"lambda": "2 + 0.1*x0", "interval": [-0.4, 0.4]}]},
+    {"simple": [{"lambda": "1 + 0.1*x0", "interval": [0.4, -0.4]},
+                {"lambda": "2", "interval": [-0.4, 0.4]}]},
+    {"simple": [{"lambda": "1 + 0.1*x0", "interval": [-0.4, 0.4], "base": float("nan")},
+                {"lambda": "2", "interval": [-0.4, 0.4]}]},
+], ids=["nan-block-eigenvalue", "infinite-interval", "reversed-interval", "nan-base"])
+def test_generate_rejects_hostile_spec(tmp_path, capsys, spec):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    path = _write(tmp_path, "hostile-spec.json", spec)
+    code = main(["generate", path])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "error: invalid normal-form spec:" in err and "Traceback" not in err
 
 
 def test_generate_with_multiple_block(tmp_path, capsys):

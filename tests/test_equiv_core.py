@@ -3,6 +3,8 @@ rescaling, characteristic-polynomial differential, projective deformation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoequiv.equiv import (
     charpoly_differential_residual,
@@ -20,6 +22,8 @@ from geoequiv.fields import (
     MetricField,
     OperatorField,
     VectorField,
+    covariant_derivative_op,
+    nijenhuis,
     sample_points,
 )
 from geoequiv.smallmat import ScalarFunction, frob
@@ -98,6 +102,79 @@ def test_l_value_is_path_independent():
         direct = compute_L(g, gbar, p)
         for other in (d1, d2, v2, direct):
             assert other.tobytes() == v1.tobytes()
+
+
+def _reference_pair_tensor(gv, gbv, dgv, dgbv):
+    """The per-point pair tensor and its jacobian that the batched one
+    replaced, kept as the reference for its bits."""
+    n = len(gv)
+    dg, dgb = float(np.linalg.det(gv)), float(np.linalg.det(gbv))
+    ratio = dgb / dg
+    if (n + 1) % 2 == 0 and ratio < 0.0:
+        gv, dg, ratio, dgv = -gv, -dg, -ratio, -dgv
+    rho = np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1))
+    gbinv = np.linalg.inv(gbv)
+    core = gbinv @ gv
+    ddg = dg * np.einsum("ij,kji->k", np.linalg.inv(gv), dgv)
+    ddgb = dgb * np.einsum("ij,kji->k", gbinv, dgbv)
+    drho = rho * ((ddgb * dg - dgb * ddg) / dg**2) / ((n + 1) * ratio)
+    dgbinv = -np.einsum("ij,kjl,lm->kim", gbinv, dgbv, gbinv)
+    dl = (np.einsum("k,ij->kij", drho, core)
+          + rho * np.einsum("kij,jl->kil", dgbinv, gv)
+          + rho * np.einsum("ij,kjl->kil", gbinv, dgv))
+    return rho * core, dl
+
+
+def _reference_residual(g, lv, dl, p):
+    """The per-point compatibility residual that the batched one replaced."""
+    gv, dg = g.value_and_derivative(p)
+    ginv = np.linalg.inv(gv)
+    term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, term)
+    nabla = (np.einsum("kij->ijk", dl) + np.einsum("iks,sj->ijk", gamma, lv)
+             - np.einsum("skj,is->ijk", gamma, lv))
+    l_cov = np.einsum("kii->k", dl)
+    rhs = 0.5 * (np.einsum("ik,j->ijk", np.eye(len(p)), l_cov)
+                 + np.einsum("i,kj->ijk", ginv @ l_cov, gv))
+    resid = nabla - rhs
+    return frob(resid) / (1.0 + frob(dl)), resid
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["lc2_sin", "lc2_exp", "lc3_mixed", "lc3_sig", "lc4_block3"]),
+       st.lists(st.integers(0, 7), min_size=1, max_size=20),
+       st.integers(0, 1000))
+def test_batch_rows_match_batches_of_one(corpus, name, picks, seed):
+    # row i of a batch has the bits of a batch of 1 at that row; the batch
+    # and the single points use separate L fields, so neither reads the
+    # other's point cache
+    g, gbar = corpus[name]
+    rows = sample_points(g.chart, 8, seed)[picks]
+    batched, single = l_tensor_field(g, gbar), l_tensor_field(g, gbar)
+    lv, dl = batched.value_and_derivative(rows)
+    res, resid = compatibility_residual(g, batched, rows)
+    nabla = covariant_derivative_op(g, batched, rows)
+    torsion = nijenhuis(batched, rows)
+    assert res.shape == (len(rows),)
+    for i, p in enumerate(rows):
+        one = p[None]
+        lv1, dl1 = single.value_and_derivative(one)
+        assert np.array_equal(lv[i], lv1[0]) and np.array_equal(dl[i], dl1[0])
+        res1, resid1 = compatibility_residual(g, single, one)
+        assert res[i] == res1[0] and np.array_equal(resid[i], resid1[0])
+        assert np.array_equal(nabla[i], covariant_derivative_op(g, single, one)[0])
+        assert np.array_equal(torsion[i], nijenhuis(single, one)[0])
+        # a point of shape (n,) is row 0 of a batch of 1
+        res0, resid0 = compatibility_residual(g, single, p)
+        assert res0 == res1[0] and np.array_equal(resid0, resid1[0])
+        assert np.array_equal(compute_L(g, gbar, p), lv1[0])
+        # and the per-point loop it replaced gives the same bits
+        gv, dgv = g.value_and_derivative(p)
+        gbv, dgbv = gbar.value_and_derivative(p)
+        want_lv, want_dl = _reference_pair_tensor(gv, gbv, dgv, dgbv)
+        assert np.array_equal(lv[i], want_lv) and np.array_equal(dl[i], want_dl)
+        want_res, want_resid = _reference_residual(g, want_lv, want_dl, p)
+        assert res[i] == want_res and np.array_equal(resid[i], want_resid)
 
 
 def test_l_self_adjointness(corpus):

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geoequiv.errors import DegenerateMetric
+from geoequiv.errors import DegenerateMetric, DomainError
 from geoequiv.fields import (
     Chart,
     MetricField,
@@ -14,6 +16,7 @@ from geoequiv.fields import (
     VectorField,
     christoffel,
     covariant_derivative_op,
+    in_point_order,
     lie_derivative_metric,
     metric_pair,
     nijenhuis,
@@ -304,3 +307,91 @@ def test_metric_pair_halves_match_separate_fields():
             assert np.array_equal(d, np.swapaxes(d, 1, 2))
     p = np.array([0.5, 0.0])
     assert pair[1].value(p)[0, 1] == pair[1].value(p)[1, 0] == 0.75
+
+
+# ---------------------------------------------------------------------------
+# batch axis: row i of a batch has the bits of a batch of 1 at that row
+
+
+BATCH_PAIRS = ("lc2_sin", "lc3_mixed", "lc3_sig", "lc4_block3")
+
+
+def _batch(chart, rows, seed):
+    """Rows picked from a pool of sample points; repeats are allowed."""
+    return sample_points(chart, 8, seed)[rows]
+
+
+def _same_rows(batched, one_at_a_time, rows):
+    """Row i of ``batched`` (an array or a tuple of arrays over the batch)
+    is bit-equal to ``one_at_a_time`` on the batch of 1 at row i."""
+    batched = batched if isinstance(batched, tuple) else (batched,)
+    for i in range(len(rows)):
+        single = one_at_a_time(rows[i:i + 1])
+        single = single if isinstance(single, tuple) else (single,)
+        for b, s in zip(batched, single, strict=True):
+            assert np.array_equal(b[i], s[0])
+
+
+def _operator(chart):
+    n = chart.dim
+    return OperatorField.from_exprs(chart, [
+        [f"{1 + i + j} + 0.3*sin(x{(i + j) % n}) + 0.2*x{i}*x{j}" for j in range(n)]
+        for i in range(n)
+    ])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BATCH_PAIRS),
+       st.lists(st.integers(0, 7), min_size=1, max_size=20),
+       st.integers(0, 1000))
+def test_batch_rows_match_batches_of_one(corpus, name, picks, seed):
+    g, _ = corpus[name]
+    rows = _batch(g.chart, picks, seed)
+    L = _operator(g.chart)
+    _same_rows(g.value(rows), g.value, rows)
+    _same_rows(g.value_and_derivative(rows), g.value_and_derivative, rows)
+    _same_rows(L.value_and_derivative(rows), L.value_and_derivative, rows)
+    _same_rows(christoffel(g, rows), lambda r: christoffel(g, r), rows)
+    _same_rows(covariant_derivative_op(g, L, rows),
+               lambda r: covariant_derivative_op(g, L, r), rows)
+    _same_rows(nijenhuis(L, rows), lambda r: nijenhuis(L, r), rows)
+    # a single point of shape (n,) is row 0 of a batch of 1
+    assert np.array_equal(christoffel(g, rows[0]), christoffel(g, rows[:1])[0])
+    assert np.array_equal(g.value(rows[0]), g.value(rows[:1])[0])
+
+
+def _stacked_pair(chart):
+    def fn(p):
+        first = np.array([[2.0 + np.sin(p[0]), p[0] * p[1]],
+                          [p[0] * p[1], 3.0 + p[1] ** 2]])
+        second = np.array([[1.0 + p[0] ** 2, np.exp(p[1])], [p[0], 4.0]])
+        return np.stack([first, second])
+
+    return metric_pair(chart, fn)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=20), st.integers(0, 1000))
+def test_metric_pair_batch_rows_match_batches_of_one(picks, seed):
+    # separate pairs, so the batch cannot read the single points' cache
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+    rows = _batch(chart, picks, seed)
+    batched, single = _stacked_pair(chart), _stacked_pair(chart)
+    for half_b, half_s in zip(batched, single):
+        _same_rows(half_b.value_and_derivative(rows), half_s.value_and_derivative, rows)
+        _same_rows(half_b.value(rows), half_s.value, rows)
+        _same_rows(christoffel(half_b, rows), lambda r: christoffel(half_s, r), rows)
+
+
+def test_batch_errors_replay_in_point_order():
+    # the batch meets the domain error of row 2 before the degeneracy of
+    # row 1; a per-point loop meets row 1 first
+    chart = Chart(1, ((-1.0, 1.0),), (0.5,))
+    g = MetricField.from_exprs(chart, [["x0*sqrt(0.5 - x0)"]])
+    rows = np.array([[0.25], [0.0], [0.75], [0.1]])
+    with pytest.raises(DomainError):
+        christoffel(g, rows)
+    with pytest.raises(DegenerateMetric) as err:
+        in_point_order(lambda r: christoffel(g, r), rows)
+    assert np.array_equal(err.value.point, [0.0])
+    assert in_point_order(lambda r: christoffel(g, r), rows[[0, 3]]).shape == (2, 1, 1, 1)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from geoequiv.equiv import compatibility_residual, l_tensor_field
-from geoequiv.errors import DegenerateMetric, LeftChart
+from geoequiv.errors import DegenerateMetric, DomainError, LeftChart, ZeroVelocity
 from geoequiv.fields import Chart, MetricField, christoffel, sample_points
 from geoequiv.oracle import (
+    GeodesicTrajectory,
     energy_drift,
     geodesic_defect_report,
     integrate_geodesic,
@@ -142,3 +143,51 @@ def test_stored_accelerations_are_the_geodesic_equation(corpus):
         x, v = y[:n], y[n:]
         want = -np.einsum("ijk,j,k->i", christoffel(g, x), v, v)
         assert acc.tobytes() == want.tobytes()
+
+
+def test_defect_matches_a_per_sample_loop(corpus):
+    # Gamma_bar along all samples in one batch: every defect has the bits
+    # of the per-sample loop it replaced
+    for name in ("lc2_sin", "lc3_sig", "lc4_block3"):
+        g, gbar = corpus[name]
+        chart = g.chart
+        p0 = np.array([lo + 0.4 * (hi - lo) for lo, hi in chart.box])
+        v0 = np.ones(chart.dim) / np.sqrt(chart.dim)
+        traj = integrate_geodesic(g, p0, v0, T=0.5)
+        n = chart.dim
+        defects = []
+        for y, acc in zip(traj.states, traj.accelerations):
+            x, v = y[:n], y[n:]
+            a = acc + np.einsum("ijk,j,k->i", christoffel(gbar, x), v, v)
+            tangential = (a @ v) / float(v @ v) * v
+            defects.append(float(np.linalg.norm(a - tangential))
+                           / (1.0 + float(np.linalg.norm(a))))
+        rep = unparam_defect(traj, gbar)
+        assert rep.max_defect == max(defects), name
+        assert rep.mean_defect == float(np.mean(defects)), name
+
+
+def _trajectory(xs, vs, metric):
+    states = np.array([[x, v] for x, v in zip(xs, vs)])
+    return GeodesicTrajectory(
+        times=np.linspace(0.0, 1.0, len(xs)), states=states,
+        accelerations=np.zeros((len(xs), 1)), metric=metric, steps=len(xs),
+        max_local_error=0.0, truncated=False)
+
+
+@pytest.mark.parametrize("xs, vs, error, sample", [
+    # gbar degenerates at x = 0 and leaves its domain for x > 0.5
+    ([0.2, 0.0, 0.6, 0.3], [1.0, 1.0, 1.0, 1.0], DegenerateMetric, 1),
+    ([0.2, 0.0, 0.6, 0.3], [1.0, 0.0, 1.0, 1.0], ZeroVelocity, 1),
+    ([0.2, 0.0, 0.6, 0.3], [1.0, 1.0, 0.0, 1.0], DegenerateMetric, 1),
+    ([0.2, 0.6, 0.0, 0.3], [1.0, 1.0, 1.0, 1.0], DomainError, 1),
+    ([0.2, 0.3, 0.0, 0.6], [0.0, 1.0, 1.0, 1.0], ZeroVelocity, 0),
+])
+def test_defect_raises_the_first_error_in_sample_order(xs, vs, error, sample):
+    chart = Chart(1, ((-1.0, 1.0),), (0.2,))
+    gbar = MetricField.from_exprs(chart, [["x0*sqrt(0.5 - x0)"]])
+    traj = _trajectory(xs, vs, gbar)
+    with pytest.raises(error) as err:
+        unparam_defect(traj, gbar)
+    if error is DegenerateMetric:
+        assert np.array_equal(err.value.point, [xs[sample]])
