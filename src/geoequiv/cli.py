@@ -36,7 +36,7 @@ from .errors import ExprError, GeoequivError
 from .fields import (Chart, MetricField, VectorField, christoffel, in_point_order,
                      nijenhuis, nondegenerate, sample_points)
 from .oracle import geodesic_defect_report
-from .smallmat import ScalarFunction, eigen, frob
+from .smallmat import ScalarFunction, char_poly, eigen, frob
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 2
@@ -323,9 +323,9 @@ def cmd_split(args) -> int:
         for m in (g.value(p), gbar.value(p)):
             worst_o = max(worst_o, frob(p1.T @ m @ p2) / (1.0 + frob(m)))
         ortho.append(worst_o)
+        pv, dp = sr.P1.value_and_derivative(p)
         for metric, acc in ((sr.h, nabla_h), (sr.hbar, nabla_hbar)):
             gamma = christoffel(metric, p)
-            pv, dp = sr.P1.value_and_derivative(p)
             nabla = (
                 np.einsum("kij->ijk", dp)
                 + np.einsum("iks,sj->ijk", gamma, pv)
@@ -334,8 +334,6 @@ def cmd_split(args) -> int:
             acc.append(frob(nabla))
         # factor characteristic polynomial on range(P1)
         q, _ = np.linalg.qr(p1[:, np.abs(np.diag(p1)) > 0.5])
-        from .smallmat import char_poly
-
         lr = q.T @ L.value(p) @ q
         chi1, _ = fact.chi_at(p)
         charpoly_dev.append(

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateMetric, DomainViolation, SingularL, ZeroInImage
+from ..errors import (DegenerateMetric, DomainError, DomainViolation, SingularL,
+                      ZeroInImage)
 from ..fields import (
     MetricField,
     OperatorField,
@@ -28,7 +29,7 @@ from ..fields import (
     lie_derivative_metric,
     metric_pair,
     nondegenerate,
-    sample_points,
+    probe_points,
 )
 from ..smallmat import ScalarFunction, char_poly, eigen, frob, matrix_function
 
@@ -59,7 +60,11 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
             dg, ratio = -dg, -ratio
         flipped.append(flip)
         rho.append(np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1)))
-        scalars.append((dg, dgb, ratio, dg**2))
+        try:
+            scalars.append((dg, dgb, ratio, dg**2))
+        except OverflowError:
+            raise DomainError(f"metric determinant {dg:.3e} at {rows[i]} "
+                              "squares past the float range") from None
     rho = np.array(rho)
     if any(flipped):
         flip = np.array(flipped)[:, None, None]
@@ -168,8 +173,7 @@ def compatibility_residual(g: MetricField, L: OperatorField, p):
     return scalar, resid
 
 
-def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction,
-                     check_points: int = 20, seed: int = 42):
+def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction):
     """Rescale the pair by an operator function: (g f(L), gbar f(L)).
 
     For f holomorphic near the spectrum of L and conjugation-symmetric,
@@ -208,9 +212,7 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction,
         return np.stack([0.5 * (m + m.T) for m in ms])
 
     gf, gbf = metric_pair(chart, pair_fn)
-    pts = np.vstack([sample_points(chart, check_points, seed),
-                     [chart.base_point]])
-    for p in pts:
+    for p in probe_points(chart, 20):
         gf.value(p)
     return gf, gbf
 
@@ -254,19 +256,17 @@ def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:
     return OperatorField.from_function(chart, fn)
 
 
-def shift_to_nondegenerate(L: OperatorField, points=None, det_tol: float = 1e-6):
+def shift_to_nondegenerate(L: OperatorField):
     """Shift L by c * Id when it is singular somewhere on the samples.
 
     L counts as singular where ``fields.nondegenerate`` with threshold
-    ``det_tol`` fails.  Returns ``(shifted_field, c)`` with c = 0 when no shift was needed and
-    c = 1 + max ||L|| otherwise.  Compatibility with any metric is
-    preserved under the shift.
+    1e-6 fails on the probe set of 20 points.  Returns ``(shifted_field,
+    c)`` with c = 0 when no shift was needed and c = 1 + max ||L||
+    otherwise.  Compatibility with any metric is preserved under the shift.
     """
     chart = L.chart
-    if points is None:
-        points = np.vstack([sample_points(chart, 20, 42), [chart.base_point]])
-    values = [L.value(p) for p in points]
-    if all(nondegenerate(lv, tol=det_tol) for lv in values):
+    values = [L.value(p) for p in probe_points(chart, 20)]
+    if all(nondegenerate(lv, tol=1e-6) for lv in values):
         return L, 0.0
     c = 1.0 + max(frob(lv) for lv in values)
     n = chart.dim

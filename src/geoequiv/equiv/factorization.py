@@ -13,7 +13,19 @@ import numpy as np
 
 from ..errors import AdmissibilityViolation, ConjugationViolation
 from ..fields import OperatorField
-from ..smallmat import MonicPoly, frob, unpaired_conjugate
+from ..smallmat import (MonicPoly, frob, indicator_function, matrix_function,
+                        unpaired_conjugate)
+
+# straight-path steps of the group tracker: the first try, and the cap the
+# step count doubles up to
+PATH_STEPS = 8
+MAX_PATH_STEPS = 128
+
+
+def gap_tolerance(lv: np.ndarray) -> float:
+    """Smallest admissible distance between two eigenvalue groups of the
+    operator value ``lv``: ``1e-6 * (1 + ||lv||)``."""
+    return 1e-6 * (1.0 + frob(lv))
 
 
 def _paired_eigvals(a: np.ndarray) -> np.ndarray:
@@ -60,15 +72,14 @@ def track_eigenvalue_groups(
     base_labels: np.ndarray,
     p,
     eps_gap: float,
-    path_steps: int = 8,
-    max_steps: int = 128,
 ):
     """Continue the base-point group labels to the point p.
 
     Walks a straight path from the chart base point, matching eigenvalues
-    step to step.  The step count doubles (up to ``max_steps``) whenever
-    eigenvalues move more than a quarter of the admissibility gap within
-    one step.  Returns ``(values, labels)`` at p in matched order.
+    step to step.  The step count doubles (from ``PATH_STEPS`` up to
+    ``MAX_PATH_STEPS``) whenever eigenvalues move more than a quarter of
+    the admissibility gap within one step.  Returns ``(values, labels)``
+    at p in matched order.
     """
     chart = L.chart
     p = np.asarray(p, dtype=float)
@@ -76,7 +87,7 @@ def track_eigenvalue_groups(
     if np.array_equal(p, p0):
         return base_values.copy(), base_labels.copy()
 
-    steps = path_steps
+    steps = PATH_STEPS
     while True:
         prev = base_values.copy()
         labels = base_labels.copy()
@@ -89,7 +100,7 @@ def track_eigenvalue_groups(
             gap = _check_step(prev, labels, q, eps_gap)
             # matching is trustworthy only while per-step motion stays
             # well below the actual group separation
-            if moved > 0.25 * gap and steps < max_steps:
+            if moved > 0.25 * gap and steps < MAX_PATH_STEPS:
                 ok = False
                 break
         if ok:
@@ -133,14 +144,12 @@ class FactorizationResult:
     first factor.
     """
 
-    def __init__(self, L: OperatorField, base_values, base_labels,
-                 eps_gap: float, path_steps: int = 8):
+    def __init__(self, L: OperatorField, base_values, base_labels, eps_gap: float):
         self.lfield = L
         self.chart = L.chart
         self.base_values = np.asarray(base_values, dtype=complex)
         self.base_labels = np.asarray(base_labels, dtype=int)
         self.eps_gap = float(eps_gap)
-        self.path_steps = int(path_steps)
         self._cache: dict = {}
 
     @property
@@ -153,8 +162,7 @@ class FactorizationResult:
         key = p.tobytes()
         if key not in self._cache:
             values, labels = track_eigenvalue_groups(
-                self.lfield, self.base_values, self.base_labels, p,
-                self.eps_gap, self.path_steps,
+                self.lfield, self.base_values, self.base_labels, p, self.eps_gap
             )
             self._cache[key] = (values[labels == 0], values[labels == 1])
         return self._cache[key]
@@ -171,27 +179,21 @@ class FactorizationResult:
             ) from exc
 
 
-def admissible_factorization(
-    L: OperatorField,
-    grouping,
-    eps_gap: float | None = None,
-    path_steps: int = 8,
-) -> FactorizationResult:
+def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
     """Fix a two-group partition of the base-point spectrum of L.
 
     ``grouping`` is a pair of index tuples into the canonically sorted
     eigenvalue list (sorted by real part, then imaginary part, repeated by
     multiplicity).  Both parts must be nonempty, together exhaust the
     spectrum, keep conjugate pairs together, and be separated by at least
-    ``eps_gap`` (default ``1e-6 * (1 + ||L||)`` at the base point).
+    ``gap_tolerance`` of L at the base point.
     """
     chart = L.chart
     p0 = np.asarray(chart.base_point)
     lv = L.value(p0)
     values = _paired_eigvals(lv)
     n = len(values)
-    if eps_gap is None:
-        eps_gap = 1e-6 * (1.0 + frob(lv))
+    eps_gap = gap_tolerance(lv)
 
     idx1, idx2 = (tuple(int(i) for i in grp) for grp in grouping)
     if not idx1 or not idx2:
@@ -220,19 +222,16 @@ def admissible_factorization(
             point=p0,
             witness=gap,
         )
-    return FactorizationResult(L, values, labels, eps_gap, path_steps)
+    return FactorizationResult(L, values, labels, eps_gap)
 
 
-def projectors(L: OperatorField, fact: FactorizationResult,
-               cluster_tol: float | None = None):
+def projectors(L: OperatorField, fact: FactorizationResult):
     """Spectral projector fields onto the two tracked eigenvalue groups.
 
     Each projector is the operator function of L given by the indicator
     of its group; its range is the kernel of the complementary factor
     polynomial evaluated at L.
     """
-    from ..smallmat import indicator_function, matrix_function
-
     chart = L.chart
 
     def make(which):
@@ -241,7 +240,7 @@ def projectors(L: OperatorField, fact: FactorizationResult,
             g1, g2 = fact.groups_at(p)
             own, other = (g1, g2) if which == 0 else (g2, g1)
             f = indicator_function(own, other)
-            return matrix_function(lv, f, cluster_tol)
+            return matrix_function(lv, f)
 
         return OperatorField.from_function(chart, fn)
 

@@ -34,7 +34,11 @@ from ..errors import (
     NonPositiveWeight,
 )
 from ..exprdsl import Div, Mul, Neg, Num, Pow, Sub
-from ..fields import Chart, MetricField, nondegenerate, sample_points
+from ..fields import Chart, MetricField, nondegenerate, probe_points
+
+# eigenvalues closer than this, relative to 1 + their largest magnitude,
+# collide; one closer than this to 0 vanishes
+COLLISION_TOL = 1e-6
 
 
 def _interval(iv, what: str) -> tuple:
@@ -173,8 +177,7 @@ def _signed(expr, sign):
     return expr if sign > 0 else Neg(expr)
 
 
-def levi_civita_pair(spec: LeviCivitaSpec, collision_tol: float = 1e-6,
-                     samples: int = 40, seed: int = 42):
+def levi_civita_pair(spec: LeviCivitaSpec):
     """Expression-backed compatible pair from a normal-form spec.
 
     Returns ``(g, gbar)`` on the assembled chart.  Raises
@@ -214,19 +217,19 @@ def levi_civita_pair(spec: LeviCivitaSpec, collision_tol: float = 1e-6,
     def lam_values(p):
         return np.array([exprdsl.eval_dual(e, p).value for e in lam_exprs])
 
-    pts = np.vstack([sample_points(chart, samples, seed), [chart.base_point]])
+    pts = probe_points(chart, 40)
     lam_scale = 1.0 + max(np.max(np.abs(lam_values(p))) for p in pts)
     for p in pts:
         vals = lam_values(p)
         for i in range(m):
-            if abs(vals[i]) <= collision_tol * lam_scale:
+            if abs(vals[i]) <= COLLISION_TOL * lam_scale:
                 raise NonPositiveWeight(
                     f"eigenvalue {i} vanishes near {p}; the second metric "
                     "would be degenerate",
                     point=p,
                 )
             for j in range(i + 1, m):
-                if abs(vals[i] - vals[j]) <= collision_tol * lam_scale:
+                if abs(vals[i] - vals[j]) <= COLLISION_TOL * lam_scale:
                     raise EigenvalueCollision(
                         f"eigenvalues {i} and {j} collide near {p}", point=p
                     )

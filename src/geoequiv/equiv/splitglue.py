@@ -29,8 +29,8 @@ from ..errors import (
     SpectraOverlap,
     ZeroChiAtZero,
 )
-from ..fields import (Chart, MetricField, OperatorField, metric_pair,
-                      nondegenerate, sample_points)
+from ..fields import (PROBE_SEED, Chart, MetricField, OperatorField, metric_pair,
+                      nondegenerate, probe_points)
 from ..smallmat import (
     MonicPoly,
     char_poly,
@@ -43,6 +43,7 @@ from .core import compatibility_residual, l_tensor_field
 from .factorization import (
     FactorizationResult,
     _paired_eigvals,
+    gap_tolerance,
     projectors,
     track_eigenvalue_groups,
 )
@@ -90,8 +91,7 @@ class SplitResult:
     factorization: FactorizationResult
 
 
-def split(g: MetricField, gbar: MetricField, fact: FactorizationResult,
-          validate_points: int = 30, seed: int = 42) -> SplitResult:
+def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> SplitResult:
     """Splitting construction for a compatible pair and an admissible
     factorization.  The returned metric fields are derived closures with
     finite-difference derivative access, built from one closure."""
@@ -113,9 +113,7 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult,
     h, hbar = metric_pair(chart, pair_fn)
     p1, p2 = projectors(L, fact)
 
-    pts = np.vstack([sample_points(chart, validate_points, seed),
-                     [chart.base_point]])
-    for p in pts:
+    for p in probe_points(chart, 30):
         for name, m in (("h", h.value(p)), ("hbar", hbar.value(p))):
             if not nondegenerate(m):
                 raise DegenerateMetric(
@@ -166,7 +164,6 @@ class GlueInput:
     hbar2: MetricField
     L1: OperatorField | None = None
     L2: OperatorField | None = None
-    eps_gap: float | None = None
 
     def __post_init__(self):
         if self.L1 is None:
@@ -176,10 +173,8 @@ class GlueInput:
         self.chart1 = self.h1.chart
         self.chart2 = self.h2.chart
         self.product_chart = self.chart1.product(self.chart2)
-        if self.eps_gap is None:
-            lv1 = self.L1.value(self.chart1.base_point)
-            lv2 = self.L2.value(self.chart2.base_point)
-            self.eps_gap = 1e-6 * (1.0 + max(frob(lv1), frob(lv2)))
+        self.eps_gap = max(gap_tolerance(self.L1.value(self.chart1.base_point)),
+                           gap_tolerance(self.L2.value(self.chart2.base_point)))
         # Each factor's second metric is +-1 times the reconstruction from
         # (h_i, L_i); those orientation signs decide whether the textbook
         # second-block coefficient needs a flip so that the assembled pair
@@ -191,12 +186,10 @@ class GlueInput:
         n = self.product_chart.dim
         self.block2_sign = eps1 * eps2 * (-1.0) ** n
 
-    def check_disjoint(self, samples: int = 30, seed: int = 42):
+    def check_disjoint(self):
         """Verify the factor spectra stay disjoint over sampled points."""
-        pts1 = np.vstack([sample_points(self.chart1, samples, seed),
-                          [self.chart1.base_point]])
-        pts2 = np.vstack([sample_points(self.chart2, samples, seed + 1),
-                          [self.chart2.base_point]])
+        pts1 = probe_points(self.chart1, 30)
+        pts2 = probe_points(self.chart2, 30, PROBE_SEED + 1)
         for x, y in zip(pts1, pts2):
             for xx, yy in ((pts1[0], y), (x, y), (x, pts2[0])):
                 _separated_eigvals(self.L1.value(xx), self.L2.value(yy),
@@ -246,11 +239,11 @@ def glue(inp: GlueInput, p):
     return gv, gbv
 
 
-def glue_fields(inp: GlueInput, check_samples: int = 30, seed: int = 42):
+def glue_fields(inp: GlueInput):
     """Glued pair as metric fields on the product chart, together with the
     block-diagonal pair tensor field (exact jacobian when the factors
     provide one)."""
-    inp.check_disjoint(check_samples, seed)
+    inp.check_disjoint()
     chart = inp.product_chart
     r = inp.chart1.dim
 
@@ -344,10 +337,7 @@ class DecompositionFactor:
     residual_max: float = 0.0
 
 
-def full_decompose(g: MetricField, gbar: MetricField,
-                   eps_gap: float | None = None,
-                   residual_points: int = 20,
-                   seed: int = 42):
+def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20):
     """Iterated splitting into factors whose operator has a single real
     eigenvalue or a single conjugate pair.
 
@@ -367,10 +357,8 @@ def full_decompose(g: MetricField, gbar: MetricField,
     p0 = np.asarray(chart.base_point)
     lv0 = L.value(p0)
     values = _paired_eigvals(lv0)
-    scale = 1.0 + frob(lv0)
-    if eps_gap is None:
-        eps_gap = 1e-6 * scale
-    cluster_radius = np.sqrt(np.finfo(float).eps) * scale
+    eps_gap = gap_tolerance(lv0)
+    cluster_radius = np.sqrt(np.finfo(float).eps) * (1.0 + frob(lv0))
     clusters = _base_clusters(values, cluster_radius)
     m = len(clusters)
 
@@ -383,7 +371,7 @@ def full_decompose(g: MetricField, gbar: MetricField,
             l_block=L,
             base_eigenvalues=tuple(values),
         )
-        sub.residual_max = _factor_residual(sub, residual_points, seed)
+        sub.residual_max = _factor_residual(sub, residual_points)
         return [sub]
 
     labels = np.empty(len(values), dtype=int)
@@ -423,9 +411,7 @@ def full_decompose(g: MetricField, gbar: MetricField,
             return q
 
         def chi_hat_at(q, ci=ci):
-            vals, labs = track_eigenvalue_groups(
-                L, values, labels, q, eps_gap, path_steps=8
-            )
+            vals, labs = track_eigenvalue_groups(L, values, labels, q, eps_gap)
             poly = None
             for cj in range(m):
                 if cj == ci:
@@ -456,17 +442,15 @@ def full_decompose(g: MetricField, gbar: MetricField,
             l_block=OperatorField.from_function(sub_chart, l_fn),
             base_eigenvalues=tuple(values[list(members)]),
         )
-        sub.residual_max = _factor_residual(sub, residual_points, seed)
+        sub.residual_max = _factor_residual(sub, residual_points)
         factors.append(sub)
     return factors
 
 
-def _factor_residual(factor: DecompositionFactor, points: int, seed: int) -> float:
+def _factor_residual(factor: DecompositionFactor, points: int) -> float:
     lf = l_tensor_field(factor.h, factor.hbar)
     worst = 0.0
-    pts = np.vstack([sample_points(factor.chart, points, seed),
-                     [factor.chart.base_point]])
-    for p in pts:
+    for p in probe_points(factor.chart, points):
         res, _ = compatibility_residual(factor.h, lf, p)
         worst = max(worst, res)
     return worst

@@ -255,12 +255,12 @@ def to_text(e: Expr) -> str:
     except that a negative number literal comes back as the negation of
     its magnitude (same value)."""
 
-    def wrap(child: Expr, parent_prec: int, right_assoc_same=False) -> str:
+    def wrap(child: Expr, parent_prec: int) -> str:
         text = to_text(child)
         prec = _PREC[type(child)]
         if isinstance(child, Num) and math.copysign(1.0, child.value) < 0:
             prec = _PREC[Neg]  # "-1.5" parses as a negation
-        if prec < parent_prec or (right_assoc_same and prec == parent_prec):
+        if prec < parent_prec:
             return f"({text})"
         return text
 
@@ -277,7 +277,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Div):
         return f"{wrap(e.lhs, 2)}/{wrap(e.rhs, 3)}"
     if isinstance(e, Neg):
-        return f"-{wrap(e.operand, 3, right_assoc_same=False)}"
+        return f"-{wrap(e.operand, 3)}"
     if isinstance(e, Pow):
         exp = str(e.exponent) if e.exponent >= 0 else f"-{-e.exponent}"
         return f"{wrap(e.base, 5)}^{exp}"

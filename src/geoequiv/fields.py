@@ -43,11 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl
-from .errors import DegenerateMetric, DimensionCap
+from .errors import DegenerateMetric, DimensionCap, DomainError
 from .smallmat import DIM_CAP
 
 DEG_TOL = 1e-10
 FD_STEP = 6e-6
+PROBE_SEED = 42
 
 
 def nondegenerate(m, det=None, tol: float = DEG_TOL) -> bool:
@@ -143,6 +144,12 @@ def sample_points(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
     return pts
 
 
+def probe_points(chart: Chart, count: int, seed: int = PROBE_SEED) -> np.ndarray:
+    """The eager-validation probe set of a construction: ``count`` samples
+    of ``sample_points`` followed by the chart base point."""
+    return np.vstack([sample_points(chart, count, seed), [chart.base_point]])
+
+
 # ---------------------------------------------------------------------------
 # batches of points
 
@@ -193,12 +200,14 @@ _compile_cache: dict = {}
 
 
 def _compiled(e, dim):
-    """Compiled dual kernel of an expression, or of a tuple of them, made
-    once per process.  Keyed on repr, not on ==: dataclass equality has
-    Num(0.0) == Num(-0.0), and the two must not share code."""
-    key = (repr(e), dim)
+    """Compiled dual kernel of an expression, or of a field's distinct
+    components given as ``{repr: expr}`` in order, made once per process.
+    Keyed on repr, not on ==: dataclass equality has Num(0.0) ==
+    Num(-0.0), and the two must not share code."""
+    exprs = e if isinstance(e, dict) else {repr(e): e}
+    key = (tuple(exprs), dim)
     if key not in _compile_cache:
-        _compile_cache[key] = exprdsl.compile_dual(e, dim)
+        _compile_cache[key] = exprdsl.compile_dual(tuple(exprs.values()), dim)
     return _compile_cache[key]
 
 
@@ -223,15 +232,15 @@ class _Backing:
         self._cache = {}
         self._last_key = self._last = None
         if exprs is not None:
-            keys, slots, distinct = [], {}, []
+            keys, distinct = [], {}
             for row in exprs:
                 for e in row if isinstance(row, tuple) else (row,):
                     key = repr(e)
-                    if key not in slots:
-                        slots[key] = len(distinct)
-                        distinct.append(e)
+                    distinct.setdefault(key, e)
                     keys.append(key)
-            self._kernel = _compiled(tuple(distinct), chart.dim)
+            self._kernel = _compiled(distinct, chart.dim)
+            self._components = tuple(distinct.values())
+            slots = {key: i for i, key in enumerate(distinct)}
             width = chart.dim + 1
             self._width = len(distinct) * width  # kernel outputs per point
             self._gather = np.array(
@@ -253,9 +262,24 @@ class _Backing:
     def _kernel_rows(self, rows: np.ndarray) -> np.ndarray:
         """The kernel's outputs, one line per row; the kernel runs once per
         row, in order.  ``take(self._gather, 1)`` gives per row: line 0, the
-        component values; line 1 + k, their derivatives along x_k."""
+        component values; line 1 + k, their derivatives along x_k.  An
+        arithmetic error of the kernel (an overflow, ``sin`` of an
+        infinity) comes out as the ``DomainError`` of the first component
+        that meets it."""
         outs = itertools.chain.from_iterable(map(self._kernel, rows))
-        return np.fromiter(outs, float, len(rows) * self._width).reshape(len(rows), -1)
+        try:
+            return np.fromiter(outs, float, len(rows) * self._width).reshape(len(rows), -1)
+        except (ArithmeticError, ValueError):
+            # the interpreter meets the same error at the same component
+            for p in rows:
+                for e in self._components:
+                    try:
+                        exprdsl.eval_dual(e, p)
+                    except (ArithmeticError, ValueError) as exc:
+                        raise DomainError(
+                            f"{type(exc).__name__} ({exc}) evaluating "
+                            f"{exprdsl.to_text(e)} at {p}", expr=e) from exc
+            raise
 
     def value(self, p: np.ndarray) -> np.ndarray:
         if self._exprs is None:

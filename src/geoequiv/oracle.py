@@ -39,6 +39,11 @@ _DP_A_NZ = [tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _DP_
 _DP_B5_NZ = tuple((j, b) for j, b in enumerate(_DP_B5) if b != 0.0)
 _DP_B4_NZ = tuple((j, b) for j, b in enumerate(_DP_B4) if b != 0.0)
 
+# integrator tolerances, and the uniform output times per trajectory
+RTOL = 1e-10
+ATOL = 1e-12
+SAMPLES = 64
+
 
 @dataclass
 class GeodesicTrajectory:
@@ -89,13 +94,10 @@ def integrate_geodesic(
     p0,
     v0,
     T: float = 1.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    samples: int = 64,
 ) -> GeodesicTrajectory:
     """Integrate the geodesic equation with an embedded 5(4) pair.
 
-    Steps land exactly on ``samples`` uniform output times, so sampled
+    Steps land exactly on ``SAMPLES`` uniform output times, so sampled
     states carry no interpolation error.  The trajectory is truncated at
     the last in-box sample once it leaves the chart.
     """
@@ -105,9 +107,9 @@ def integrate_geodesic(
     if not chart.contains(p0):
         raise LeftChart(f"initial point {p0} outside the chart box", point=p0)
     n = chart.dim
-    out_times = np.linspace(0.0, T, samples)
-    states = np.empty((samples, 2 * n))
-    accelerations = np.empty((samples, n))
+    out_times = np.linspace(0.0, T, SAMPLES)
+    states = np.empty((SAMPLES, 2 * n))
+    accelerations = np.empty((SAMPLES, n))
     y = np.concatenate([p0, v0])
     states[0] = y
     kept = 1
@@ -123,7 +125,7 @@ def integrate_geodesic(
     steps = 0
     max_err = 0.0
 
-    for target_idx in range(1, samples):
+    for target_idx in range(1, SAMPLES):
         t_target = out_times[target_idx]
         while t < t_target - 1e-15 * max(T, 1.0) and not truncated:
             h = min(h, t_target - t)
@@ -144,7 +146,7 @@ def integrate_geodesic(
                     break
                 y5 = y + h * sum(b * k[j] for j, b in _DP_B5_NZ)
                 y4 = y + h * sum(b * k[j] for j, b in _DP_B4_NZ)
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+                scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
                 err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
                 if err <= 1.0:
                     break
@@ -223,9 +225,6 @@ def geodesic_defect_report(
     trajectories: int = 20,
     seed: int = 42,
     T: float = 1.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    samples: int = 64,
     null_threshold: float = 1e-3,
 ) -> DefectReport:
     """Batch defect check with deterministic initial data.
@@ -266,8 +265,7 @@ def geodesic_defect_report(
         if abs(v @ g.value(p0) @ v) < null_threshold:
             skipped += 1
             continue
-        traj = integrate_geodesic(g, p0, v, T=T, rtol=rtol, atol=atol,
-                                  samples=samples)
+        traj = integrate_geodesic(g, p0, v, T=T)
         rep = unparam_defect(traj, gbar)
         per.append(rep.max_defect)
         means.append(rep.mean_defect)

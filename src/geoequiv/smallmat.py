@@ -8,6 +8,7 @@ arguments.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -95,14 +96,14 @@ class MonicPoly:
         return MonicPoly(tuple(prod[:-1]))
 
     @classmethod
-    def from_roots(cls, roots, imag_tol: float = 1e-9) -> "MonicPoly":
+    def from_roots(cls, roots) -> "MonicPoly":
         """Monic polynomial with the given (conjugation-closed) roots."""
         roots = np.asarray(roots, dtype=complex)
         if roots.size == 0:
             return cls(())
         full = np.poly(roots)  # descending, leading 1
         scale = 1.0 + float(np.max(np.abs(full)))
-        if np.max(np.abs(full.imag)) > imag_tol * scale:
+        if np.max(np.abs(full.imag)) > 1e-9 * scale:
             raise NotConjugationClosed(
                 "root multiset is not closed under conjugation; "
                 "coefficients came out non-real"
@@ -207,11 +208,11 @@ def cluster_indices(values, radius: float) -> list:
     return clusters
 
 
-def eigen(a, tol: float = 1e-9, cluster_tol: float | None = None) -> Spectrum:
+def eigen(a, cluster_tol: float | None = None) -> Spectrum:
     """Eigenvalues of a real matrix, grouped into a Spectrum.
 
     The backward error of the underlying QR iteration is far below
-    ``tol * ||A||`` for matrices in the supported size range.  Complex
+    ``1e-9 * ||A||`` for matrices in the supported size range.  Complex
     eigenvalues are returned in exactly conjugate pairs.  ``cluster_tol``
     is the radius used to merge nearby values into a single entry with
     multiplicity; the default ``sqrt(eps) * (1 + ||A||)`` also absorbs the
@@ -222,11 +223,6 @@ def eigen(a, tol: float = 1e-9, cluster_tol: float | None = None) -> Spectrum:
     scale = 1.0 + frob(a)
     if cluster_tol is None:
         cluster_tol = math.sqrt(_EPS) * scale
-    if tol < 4.0 * _EPS:
-        raise NoConvergence(
-            f"requested backward error {tol:.3e} below what the iteration "
-            "can deliver"
-        )
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -292,13 +288,13 @@ class ScalarFunction:
     def domain_ok(self, z) -> bool:
         return bool(self._domain(complex(z)))
 
-    def conj_symmetric_at(self, z, tol: float = 1e-8) -> bool:
+    def conj_symmetric_at(self, z) -> bool:
         z = complex(z)
         if not (self.domain_ok(z) and self.domain_ok(z.conjugate())):
             return False
         fz = self.value(z)
         fzb = self.value(z.conjugate())
-        return abs(fzb - fz.conjugate()) <= tol * (1.0 + abs(fz))
+        return abs(fzb - fz.conjugate()) <= 1e-8 * (1.0 + abs(fz))
 
     # -- constructors -------------------------------------------------
 
@@ -335,8 +331,6 @@ class ScalarFunction:
 
     @classmethod
     def exponential(cls) -> "ScalarFunction":
-        import cmath
-
         return cls("exp", cmath.exp, lambda z, k: cmath.exp(z), lambda z: True)
 
     @classmethod
@@ -356,8 +350,6 @@ class ScalarFunction:
     @classmethod
     def sqrt(cls) -> "ScalarFunction":
         """Principal square root; domain excludes the branch cut (-inf, 0]."""
-        import cmath
-
         def val(z):
             return cmath.sqrt(z)
 
@@ -373,7 +365,7 @@ class ScalarFunction:
         return cls("sqrt", val, der, dom)
 
 
-def indicator_function(group1, group2, closure_tol: float = 1e-9) -> ScalarFunction:
+def indicator_function(group1, group2) -> ScalarFunction:
     """Scalar function equal to 1 near ``group1`` and 0 near ``group2``.
 
     Both groups must be nonempty, disjoint and closed under conjugation;
@@ -387,13 +379,13 @@ def indicator_function(group1, group2, closure_tol: float = 1e-9) -> ScalarFunct
         raise GroupsNotDisjoint("both eigenvalue groups must be nonempty")
     scale = 1.0 + max(abs(z) for z in g1 + g2)
     for label, grp in (("first", g1), ("second", g2)):
-        z = unpaired_conjugate(grp, closure_tol, closure_tol, scale)
+        z = unpaired_conjugate(grp, 1e-9, 1e-9, scale)
         if z is not None:
             raise NotConjugationClosed(
                 f"{label} group splits the conjugate pair of {z}"
             )
     gap = min(abs(z - w) for z in g1 for w in g2)
-    if gap <= closure_tol * scale:
+    if gap <= 1e-9 * scale:
         raise GroupsNotDisjoint(f"groups are not disjoint (gap {gap:.3e})")
     radius = 0.25 * gap
 
@@ -437,21 +429,18 @@ def _hermite_coefficients(nodes, f: ScalarFunction):
     return seq_z, coeffs
 
 
-def matrix_function(a, f: ScalarFunction, cluster_tol: float | None = None) -> np.ndarray:
+def matrix_function(a, f: ScalarFunction) -> np.ndarray:
     """Evaluate f(A) by Hermite interpolation on the clustered spectrum.
 
-    Eigenvalues within ``cluster_tol`` (default ``1e-8 * (1 + ||A||)``)
-    are merged into a single interpolation node whose multiplicity is the
-    summed algebraic multiplicity, so derivative information of ``f`` is
-    reproduced on defective clusters.  The result of the complex Newton
+    Eigenvalues within ``1e-8 * (1 + ||A||)`` are merged into a single
+    interpolation node whose multiplicity is the summed algebraic
+    multiplicity, so derivative information of ``f`` is reproduced on
+    defective clusters.  The result of the complex Newton
     evaluation must be real up to ``1e-10 * ||result||``.
     """
     a = _as_square(a)
     n = a.shape[0]
-    scale = 1.0 + frob(a)
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * scale
-    spec = eigen(a, cluster_tol=cluster_tol)
+    spec = eigen(a, cluster_tol=1e-8 * (1.0 + frob(a)))
 
     for z, _ in spec.entries:
         if not f.domain_ok(z):

@@ -521,3 +521,25 @@ def test_non_finite_statistics_fail_as_strict_json(values, capsys):
     check = doc["checks"]["residual"]
     assert check["pass"] is False and check["max"] is None
     assert check["non_finite"] == 1
+
+
+# an arithmetic error met while evaluating the pair: an overflow of the
+# determinant and sin of an infinity inside a compiled kernel
+@pytest.mark.parametrize("entry", ["exp(1000*x0) + 1", "2 + sin(x0*1e300*1e300*x0)"],
+                         ids=["exp-overflow", "sin-of-inf"])
+@pytest.mark.parametrize("command", [["check", "--points", "20"],
+                                     ["ts", "--f", "exp", "--points", "20"],
+                                     ["oracle", "--trajectories", "2"]],
+                         ids=["check", "ts", "oracle"])
+def test_arithmetic_error_exits_3(tmp_path, capsys, entry, command):
+    scene = _write(tmp_path, "overflow.json", {
+        "dim": 2,
+        "box": [[-0.5, 0.5], [-0.5, 0.5]],
+        "base_point": [0.0, 0.0],
+        "g": [[entry, "0"], [None, "1"]],
+        "gbar": [[entry, "0"], [None, "1"]],
+    })
+    code = main([command[0], scene] + command[1:])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "error:" in err and "Traceback" not in err

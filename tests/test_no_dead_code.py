@@ -1,5 +1,6 @@
-"""Dead-code guard: every module-level function and class in the package
-is referenced by name somewhere in ``src/`` or ``tests/``."""
+"""Dead-code guard: every module-level function and class in the package,
+and every non-dunder method of its classes, is referenced by name
+somewhere in ``src/`` or ``tests/``."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,21 @@ def test_every_module_level_definition_is_referenced():
         for path, tree in _trees(PACKAGE)
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unused == []
+
+
+def test_every_method_is_referenced():
+    used = _referenced_names()
+    unused = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {cls.name}.{node.name}"
+        for path, tree in _trees(PACKAGE)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used
     ]
     assert unused == []
