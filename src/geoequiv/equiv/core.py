@@ -24,7 +24,6 @@ from ..fields import (
     OperatorField,
     VectorField,
     as_batch,
-    central_difference,
     covariant_derivative_op,
     lie_derivative_metric,
     metric_pair,
@@ -221,23 +220,18 @@ def charpoly_differential_residual(L: OperatorField, t: float, p) -> np.ndarray:
     """Residual covector of the characteristic-polynomial differential
     identity  d(chi(t)) . L - t * d(chi(t)) = chi(t) * l.
 
-    The coefficient differentials are taken by central finite differences;
-    l = d tr L uses the field's own derivative method.  Valid whenever the
-    Nijenhuis torsion of L vanishes at p.
+    The coefficient differentials come from the forward-mode ``char_poly``
+    along the field's own derivative, as does l = d tr L.  Valid whenever
+    the Nijenhuis torsion of L vanishes at p.
     """
     p = np.asarray(p, dtype=float)
     n = L.chart.dim
-
-    def coeffs_at(q):
-        return np.array(char_poly(L.value(q)).coeffs)
-
-    dcoeffs = central_difference(coeffs_at, p)  # [coord, coefficient index]
+    lv, dl = L.value_and_derivative(p)
+    chi, dcoeffs = char_poly(lv, dl)  # dcoeffs[coord, coefficient index]
     powers = np.array([t**j for j in range(n)])
     dchi = dcoeffs @ powers
-    lv, dl = L.value_and_derivative(p)
     l_cov = np.einsum("kii->k", dl)
-    chi_t = char_poly(lv)(t)
-    return dchi @ lv - t * dchi - chi_t * l_cov
+    return dchi @ lv - t * dchi - chi(t) * l_cov
 
 
 def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:

@@ -13,7 +13,8 @@ assembles
     g    = diag(h1 chi2(L1),            h2 chi1(L2))
     gbar = diag(hbar1 chi2(L1)/chi2(0), hbar2 chi1(L2)/chi1(0))
 
-on the product chart.
+on the product chart, with derivatives by the block chain rule through
+the factors' derivatives and forward-mode chi and Horner evaluations.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from ..errors import (
     SpectraOverlap,
     ZeroChiAtZero,
 )
-from ..fields import (PROBE_SEED, Chart, MetricField, OperatorField, metric_pair,
-                      nondegenerate, probe_points)
+from ..fields import (PROBE_SEED, Chart, MetricField, OperatorField, as_batch,
+                      metric_pair, nondegenerate, probe_points)
 from ..smallmat import (
     MonicPoly,
     char_poly,
@@ -211,43 +212,88 @@ def _separated_eigvals(lv1, lv2, eps_gap, p):
     return w1, w2
 
 
-def glue(inp: GlueInput, p):
-    """Pointwise glued pair at a product point p = (x, y).
+def _along_product(field, pts, lead, n, derivative):
+    """A factor field's values along the batch ``pts`` and, with
+    ``derivative``, its derivatives along the n product coordinates: the
+    factor's own coordinates start at slot ``lead``, the other factor's
+    give zero.  Without ``derivative`` there are no directions (K = 0)."""
+    if not derivative:
+        vals = field.value(pts)
+        return vals, np.zeros((len(pts), 0) + vals.shape[1:])
+    vals, derivs = field.value_and_derivative(pts)
+    out = np.zeros((len(pts), n) + vals.shape[1:])
+    out[:, lead:lead + derivs.shape[1]] = derivs
+    return vals, out
 
-    Returns the two symmetric matrices of the glued metrics.
+
+def _glued_block(h, dh, a, da, p, what):
+    """Checked symmetric part of h a, and the symmetric part of its
+    derivative dh a + h da."""
+    d = dh @ a + h @ da
+    return _sym_checked(h @ a, p, what), 0.5 * (d + d.swapaxes(-1, -2))
+
+
+def _over(m, dm, c, dc):
+    """m / c and its derivative by the quotient rule."""
+    return m / c, dm / c - m * (dc / c**2)[:, None, None]
+
+
+def glue(inp: GlueInput, p, derivative=False):
+    """Glued pair at a product point p = (x, y), or along a batch of them.
+
+    Returns the two glued metrics stacked as (2, n, n), behind a leading
+    batch axis when p is a batch of shape (m, n).  With ``derivative`` it
+    returns them together with their exact derivatives (n, 2, n, n), the
+    chain rule through the factors' own derivatives, the forward-mode
+    characteristic polynomials and Horner evaluations of ``smallmat``, and
+    the quotient rule for the 1/chi(0) factors.  The values have the same
+    bits either way, and every check runs at every point in the same
+    order; each point is computed on its own, so a batch gives each row
+    the bits of a batch of 1.
     """
-    p = np.asarray(p, dtype=float)
-    r = inp.chart1.dim
-    x, y = p[:r], p[r:]
-    lv1 = inp.L1.value(x)
-    lv2 = inp.L2.value(y)
-    chi1 = char_poly(lv1)
-    chi2 = char_poly(lv2)
-    w1, w2 = _separated_eigvals(lv1, lv2, inp.eps_gap, p)
-    c10 = _chi_zero_checked(chi1, w1, p, "chi1")
-    c20 = _chi_zero_checked(chi2, w2, p, "chi2")
-    a = chi2.eval_matrix(lv1)
-    b = chi1.eval_matrix(lv2)
-    gv = _block_diag(_sym_checked(inp.h1.value(x) @ a, p, "glued g block 1"),
-                     _sym_checked(inp.h2.value(y) @ b, p, "glued g block 2"))
-    gbv = _block_diag(
-        _sym_checked(inp.hbar1.value(x) @ a, p, "glued gbar block 1") / c20,
-        inp.block2_sign
-        * _sym_checked(inp.hbar2.value(y) @ b, p, "glued gbar block 2")
-        / c10,
-    )
-    return gv, gbv
+    rows, single = as_batch(p)
+    m, r, n = len(rows), inp.chart1.dim, rows.shape[1]
+    f1 = [_along_product(f, rows[:, :r], 0, n, derivative)
+          for f in (inp.L1, inp.h1, inp.hbar1)]
+    f2 = [_along_product(f, rows[:, r:], r, n, derivative)
+          for f in (inp.L2, inp.h2, inp.hbar2)]
+    vals = np.zeros((m, 2, n, n))
+    derivs = np.zeros((m, n if derivative else 0, 2, n, n))
+    for i, q in enumerate(rows):
+        (lv1, dl1), (h1, dh1), (hb1, dhb1) = ((v[i], d[i]) for v, d in f1)
+        (lv2, dl2), (h2, dh2), (hb2, dhb2) = ((v[i], d[i]) for v, d in f2)
+        chi1, dc1 = char_poly(lv1, dl1)
+        chi2, dc2 = char_poly(lv2, dl2)
+        w1, w2 = _separated_eigvals(lv1, lv2, inp.eps_gap, q)
+        c10 = _chi_zero_checked(chi1, w1, q, "chi1")
+        c20 = _chi_zero_checked(chi2, w2, q, "chi2")
+        a, da = chi2.eval_matrix(lv1, dl1, dc2)
+        b, db = chi1.eval_matrix(lv2, dl2, dc1)
+        g1 = _glued_block(h1, dh1, a, da, q, "glued g block 1")
+        g2 = _glued_block(h2, dh2, b, db, q, "glued g block 2")
+        gb1 = _over(*_glued_block(hb1, dhb1, a, da, q, "glued gbar block 1"),
+                    c20, dc2[:, 0])
+        s2, ds2 = _glued_block(hb2, dhb2, b, db, q, "glued gbar block 2")
+        gb2 = _over(inp.block2_sign * s2, inp.block2_sign * ds2, c10, dc1[:, 0])
+        for k, (top, bottom) in enumerate(((g1, g2), (gb1, gb2))):
+            vals[i, k, :r, :r], derivs[i, :, k, :r, :r] = top
+            vals[i, k, r:, r:], derivs[i, :, k, r:, r:] = bottom
+    if derivative:
+        return (vals[0], derivs[0]) if single else (vals, derivs)
+    return vals[0] if single else vals
 
 
 def glue_fields(inp: GlueInput):
     """Glued pair as metric fields on the product chart, together with the
-    block-diagonal pair tensor field (exact jacobian when the factors
-    provide one)."""
+    block-diagonal pair tensor field.  The glued metrics carry the exact
+    batch jacobian of ``glue``, and the pair tensor the factors'
+    jacobians; each is as exact as the factor fields' own derivatives."""
     inp.check_disjoint()
     chart = inp.product_chart
     r = inp.chart1.dim
 
-    g, gbar = metric_pair(chart, lambda p: np.stack(glue(inp, p)))
+    g, gbar = metric_pair(chart, lambda p: glue(inp, p),
+                          jac=lambda rows: glue(inp, rows, derivative=True))
     n = chart.dim
 
     def l_val(p):
@@ -293,7 +339,12 @@ def block_condition_residuals(g: MetricField, L1: OperatorField,
         q = np.concatenate([x, y0])
         return g.value(q)[:r, :r]
 
-    leaf_g = MetricField.from_function(leaf_chart, leaf_fn)
+    def leaf_jac(rows):
+        qs = np.hstack([rows, np.broadcast_to(y0, (len(rows), s))])
+        gv, dg = g.value_and_derivative(qs)
+        return gv[:, :r, :r], dg[:, :r, :r, :r]
+
+    leaf_g = MetricField.from_function(leaf_chart, leaf_fn, jac=leaf_jac)
     c1, _ = compatibility_residual(leaf_g, L1, x0)
 
     gv, dg = g.value_and_derivative(p)

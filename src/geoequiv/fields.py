@@ -1,9 +1,10 @@
 """Chart-based tensor fields with derivative access.
 
 Fields are backed either by closed-form expressions (exact forward-mode
-derivatives) or by derived closures (central finite differences, step
-6e-6 * (1 + |x_k|) per coordinate).  Operator fields built from exact
-matrix calculus can also carry an explicit jacobian closure.
+derivatives) or by derived closures.  A derived closure either carries an
+explicit batch jacobian closure built from exact matrix calculus (the pair
+tensor, the glued pair) or is differentiated by central finite
+differences, step 6e-6 * (1 + |x_k|) per coordinate.
 
 An expression-backed field evaluates through one compiled kernel
 (``exprdsl.compile_dual`` over its distinct components, cached per
@@ -14,8 +15,9 @@ they are symmetric to the bit and are not re-symmetrized.
 A construction that maps a pair to a pair (split, glue, operator-function
 rescaling, iterated decomposition) builds both metrics with
 ``metric_pair`` from one closure returning them stacked: the shared work
-runs once per point, and one backing holds the point cache and the
-finite-difference derivative that both halves read.
+runs once per point, and one backing holds what both halves read: the
+last batch of a ``jac=`` closure (glue), or the point cache and the
+finite-difference derivative.
 
 Batch axis: a field's ``value``/``value_and_derivative`` and the operators
 ``christoffel``, ``covariant_derivative_op`` and ``nijenhuis`` take a point
@@ -26,12 +28,13 @@ row (numpy's vectorized exp and ``**`` differ from the scalar ones in the
 last bit) and keeps the outputs of its last batch; value-only closures
 get one point at a time through the point cache; a ``jac=`` closure gets
 the whole batch as one (m, n) array, returns values (m, ...) and
-jacobians (m, n, ...), and only its last batch is kept.  Stacked ``det``,
-``inv``, ``@`` and the einsum contractions give each row the same bits as
-a batch of 1; norms, matrix-vector products and the determinant-trace
-contraction do not always, so those stay per row.  ``nondegenerate`` runs
-per row.  ``in_point_order`` turns an error raised by a batch into the one
-a per-point loop meets first.
+jacobians (m, n, ...), and only its last batch is kept, which also serves
+values asked for at that batch.  Stacked ``det``, ``inv``, ``@`` and the
+einsum contractions give each row the same bits as a batch of 1; norms,
+matrix-vector products and the determinant-trace contraction do not
+always, so those stay per row.  ``nondegenerate`` runs per row.
+``in_point_order`` turns an error raised by a batch into the one a
+per-point loop meets first.
 """
 
 from __future__ import annotations
@@ -284,6 +287,11 @@ class _Backing:
     def value(self, p: np.ndarray) -> np.ndarray:
         if self._exprs is None:
             p = np.asarray(p, dtype=float)
+            if self._jac is not None and p.tobytes() == self._last_key:
+                # the jacobian's last batch has these values, with the bits
+                # of the value closure
+                vals = np.asarray(self._last[0], dtype=float)
+                return vals if p.ndim > 1 else vals[0]
             if p.ndim > 1:
                 return np.array([self.value(q) for q in p])
             key = p.tobytes()
@@ -405,14 +413,20 @@ class MetricField(_Field):
                 0.5 * (d + d.swapaxes(-1, -2)))
 
 
-def metric_pair(chart: Chart, fn):
+def metric_pair(chart: Chart, fn, jac=None):
     """Two metric fields from one closure: ``fn(p)`` returns both matrices
-    stacked as a (2, n, n) array.  One backing caches the stack and its
-    central-difference derivative per point, so each half costs nothing
-    once the other has been evaluated there; each half is symmetrized like
-    ``MetricField.from_function``."""
+    stacked as a (2, n, n) array.  One backing serves both halves, so each
+    half costs nothing once the other has been evaluated there; each half
+    is symmetrized like ``MetricField.from_function``.
+
+    ``jac(rows)``, when given, takes an (m, n) batch and returns the
+    values (m, 2, n, n), with the bits ``fn`` gives, and their exact
+    derivatives (m, n, 2, n, n); the backing keeps its last batch, and a
+    value asked for at that batch is read from it.  Without ``jac`` the
+    backing caches the stack and its central-difference derivative per
+    point."""
     n = chart.dim
-    both = _Backing(chart, (2, n, n), fn=fn)
+    both = _Backing(chart, (2, n, n), fn=fn, jac=jac)
     return MetricField(chart, _Part(both, 0)), MetricField(chart, _Part(both, 1))
 
 

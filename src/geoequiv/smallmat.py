@@ -80,14 +80,28 @@ class MonicPoly:
             acc = acc * t + c
         return acc
 
-    def eval_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Horner evaluation of the polynomial at a square matrix."""
+    def eval_matrix(self, a: np.ndarray, da=None, dcoeffs=None):
+        """Horner evaluation of the polynomial at a square matrix.
+
+        Forward mode: given directions ``da`` of shape (K, n, n), returns
+        ``(value, derivative)`` with ``derivative[k]`` the derivative of
+        the value along ``da[k]``; ``dcoeffs`` of shape (K, degree), when
+        given, moves the coefficients along with the matrix.  The value
+        has the same bits either way.
+        """
         a = np.asarray(a)
-        n = a.shape[0]
-        acc = np.eye(n, dtype=a.dtype)
-        for c in reversed(self.coeffs):
-            acc = acc @ a + c * np.eye(n, dtype=a.dtype)
-        return acc
+        eye = np.eye(a.shape[0], dtype=a.dtype)
+        acc = eye
+        if da is not None:
+            dacc = np.zeros(np.shape(da))
+        for j in reversed(range(self.degree)):
+            if da is not None:
+                # d(acc a + c_j) = dacc a + acc da + dc_j
+                dacc = dacc @ a + acc @ da
+                if dcoeffs is not None:
+                    dacc = dacc + dcoeffs[:, j, None, None] * eye
+            acc = acc @ a + self.coeffs[j] * eye
+        return acc if da is None else (acc, dacc)
 
     def multiply(self, other: "MonicPoly") -> "MonicPoly":
         full_a = np.array(self.coeffs + (1.0,))
@@ -112,20 +126,37 @@ class MonicPoly:
         return cls(tuple(asc[:-1]))
 
 
-def char_poly(a) -> MonicPoly:
+def char_poly(a, da=None):
     """Characteristic polynomial det(t*Id - A) via the Faddeev-LeVerrier
-    trace recursion."""
+    trace recursion.
+
+    Forward mode: given directions ``da`` of shape (K, n, n), returns
+    ``(poly, dcoeffs)`` with ``dcoeffs[k, j]`` the derivative of
+    ``poly.coeffs[j]`` along ``da[k]``, differentiated through the same
+    recursion; the coefficients have the same bits either way.
+    """
     a = _as_square(a)
     n = a.shape[0]
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    m = np.eye(n)
+    eye = np.eye(n)
+    m = eye
+    if da is not None:
+        da = np.asarray(da, dtype=float)
+        dcoeffs = np.zeros((len(da), n))
+        dm = np.zeros_like(da)
     for k in range(1, n + 1):
         am = a @ m
         c = -np.trace(am) / k
         coeffs[n - k] = c
-        m = am + c * np.eye(n)
-    return MonicPoly(tuple(coeffs[:n]))
+        if da is not None:
+            dam = da @ m + a @ dm
+            dc = -np.trace(dam, axis1=1, axis2=2) / k
+            dcoeffs[:, n - k] = dc
+            dm = dam + dc[:, None, None] * eye
+        m = am + c * eye
+    poly = MonicPoly(tuple(coeffs[:n]))
+    return poly if da is None else (poly, dcoeffs)
 
 
 # ---------------------------------------------------------------------------

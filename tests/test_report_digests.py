@@ -29,7 +29,7 @@ CASES = [
      "2a2cf6b29ab0ad5a6282256a27c47303287d5f7cc713627e530c85b0cc246d1e"),
     (["glue", "scenes/factor-a.json", "scenes/factor-b.json", "--points", "4",
       "--trajectories", "1"],
-     "7a58825fa4d510dde50c521fe973a3c5bd38cf8bf43570ba6cafbf08de3455f1"),
+     "5052aeef22694bba575106ad97c400016e0e9a07ad1c8308f090a3947982cca5"),
 ]
 
 

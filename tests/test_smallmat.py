@@ -80,6 +80,93 @@ def test_dimension_cap():
         char_poly(np.eye(9))
 
 
+def _spectrum_case(n, kind, seed):
+    """Integer matrix A0 = S J S^-1 of dimension n (S unimodular, so A0 has
+    integer entries, exact in floating point) and an integer direction A1.
+    ``kind``: "generic" (J random), "repeated" (eigenvalue 2 of
+    multiplicity n // 2 + 1, in a Jordan block of size 2 when n > 1) or
+    "complex" (rotation blocks with eigenvalues 1 +- 2i)."""
+    import sympy as sp
+
+    rng = _rng(seed)
+    if kind == "generic":
+        j = rng.integers(-3, 4, (n, n))
+    else:
+        j = np.diag(rng.integers(-3, 4, n))
+        if kind == "repeated":
+            k = n // 2 + 1
+            j[:k, :k] = 2 * np.eye(k, dtype=int)
+            if k > 1:
+                j[0, 1] = 1
+        else:
+            for i in range(0, n - 1, 2):
+                j[i:i + 2, i:i + 2] = [[1, -2], [2, 1]]
+    upper = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=int)
+    lower = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=int)
+    s_mat = sp.Matrix(upper @ lower)
+    a0 = s_mat * sp.Matrix(j) * s_mat.inv()
+    return a0, sp.Matrix(rng.integers(-2, 3, (n, n)))
+
+
+def _floats(m):
+    return np.array(m.tolist(), dtype=float)
+
+
+CHARPOLY_CASES = [(n, kind) for n in range(1, 9)
+                  for kind in ("generic", "repeated", "complex")
+                  if not (kind == "complex" and n == 1)]
+
+
+@pytest.mark.parametrize("n, kind", CHARPOLY_CASES)
+def test_char_poly_forward_mode_matches_sympy(n, kind):
+    # d/ds at s = 0 of the coefficients of det(t Id - A0 - s A1)
+    import sympy as sp
+
+    s, t = sp.symbols("s t")
+    a0, a1 = _spectrum_case(n, kind, seed=10 * n + len(kind))
+    exact = (a0 + s * a1).charpoly(t).all_coeffs()[::-1][:n]
+    want = np.array([float(c.subs(s, 0)) for c in exact])
+    want_d = np.array([float(sp.diff(c, s).subs(s, 0)) for c in exact])
+    a, da = _floats(a0), _floats(a1)
+    poly, dcoeffs = char_poly(a, np.stack([da, -da, 0.0 * da]))
+    assert poly.coeffs == char_poly(a).coeffs
+    assert np.max(np.abs(np.array(poly.coeffs) - want)) <= 1e-9 * (1 + np.max(np.abs(want)))
+    assert np.max(np.abs(dcoeffs[0] - want_d)) <= 1e-9 * (1 + np.max(np.abs(want_d)))
+    assert np.array_equal(dcoeffs[1], -dcoeffs[0])
+    assert not dcoeffs[2].any()
+
+
+@pytest.mark.parametrize("n, kind", CHARPOLY_CASES)
+def test_eval_matrix_forward_mode_matches_sympy(n, kind):
+    # d/ds at s = 0 of q_s(B0 + s B1), q_s monic of degree n with
+    # coefficients c + s dc, with and without moving the coefficients
+    import sympy as sp
+    from sympy.polys.matrices import DomainMatrix
+
+    s = sp.symbols("s")
+    b0, b1 = _spectrum_case(n, kind, seed=10 * n + len(kind) + 5)
+    rng = _rng(n)
+    c, dc = rng.integers(-3, 4, n), rng.integers(-2, 3, n)
+    b = DomainMatrix.from_Matrix(b0 + s * b1)
+    eye = DomainMatrix.eye(n, b.domain)
+    poly = MonicPoly(c)
+    bf, dbf = _floats(b0), _floats(b1)
+    for moving in (dc, None):
+        acc = eye
+        for k in reversed(range(n)):
+            dc_k = 0 if moving is None else int(moving[k])
+            acc = acc * b + eye * b.domain.from_sympy(int(c[k]) + s * dc_k)
+        # value and derivative at s = 0: the coefficients of 1 and s
+        gen = b.domain.ring.gens[0]
+        want, want_d = (np.array([[float(e.coeff(m)) for e in row] for row in acc.to_list()])
+                        for m in (1, gen))
+        dcoeffs = None if moving is None else moving[None].astype(float)
+        val, deriv = poly.eval_matrix(bf, dbf[None], dcoeffs)
+        assert val.tobytes() == poly.eval_matrix(bf).tobytes()
+        assert frob(val - want) <= 1e-9 * (1 + frob(want))
+        assert frob(deriv[0] - want_d) <= 1e-9 * (1 + frob(want_d))
+
+
 # ---------------------------------------------------------------------------
 # eigen
 

@@ -1,10 +1,18 @@
 """Splitting, gluing, block conditions and the iterated decomposition."""
 
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from geoequiv import fields
+from geoequiv.cli import load_scene, main
 from geoequiv.equiv import (
     GlueInput,
+    LeviCivitaSpec,
+    levi_civita_pair,
     splitglue,
     admissible_factorization,
     block_condition_residuals,
@@ -20,10 +28,13 @@ from geoequiv.fields import (
     Chart,
     MetricField,
     OperatorField,
+    central_difference,
     christoffel,
     sample_points,
 )
 from geoequiv.smallmat import char_poly, eigen, frob
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 def _restricted_fields(g2, gb2, L2, chart, coords, base):
@@ -187,8 +198,8 @@ def test_glue_varying_pair_is_compatible():
 
 
 def test_glued_pair_calls_glue_once_per_point(monkeypatch):
-    # both glued metrics read one closure: value and derivative of g and
-    # gbar at a point take 2n + 1 calls of glue, not 2 (2n + 1)
+    # both glued metrics read one batch closure with an exact jacobian:
+    # value and derivative of g and gbar at a point take one call of glue
     cA = Chart(1, ((-0.4, 0.4),), (0.0,))
     hA = MetricField.from_exprs(cA, [["1"]])
     hbA = MetricField.from_exprs(cA, [["1/((1 + 0.1*sin(x0))^2)"]])
@@ -198,12 +209,106 @@ def test_glued_pair_calls_glue_once_per_point(monkeypatch):
     calls = []
     real_glue = splitglue.glue
     monkeypatch.setattr(splitglue, "glue",
-                        lambda inp, p: calls.append(p) or real_glue(inp, p))
+                        lambda inp, p, **kw: calls.append(p) or real_glue(inp, p, **kw))
     p = np.array([0.1, -0.2])
     g.value_and_derivative(p)
     gbar.value_and_derivative(p)
     gbar.value(p)
-    assert len(calls) == 2 * g.chart.dim + 1
+    assert len(calls) == 1
+
+
+def _scene_factors():
+    """Glue input of scenes/factor-a.json x scenes/factor-b.json."""
+    _, h1, hb1, _ = load_scene(str(SCENES / "factor-a.json"))
+    _, h2, hb2, _ = load_scene(str(SCENES / "factor-b.json"))
+    return GlueInput(h1, hb1, h2, hb2)
+
+
+def _block_factors():
+    """Glue input of factor-a.json (1-D) and a 2-D factor with one constant
+    eigenvalue on a 2x2 block metric."""
+    _, h1, hb1, _ = load_scene(str(SCENES / "factor-a.json"))
+    spec = LeviCivitaSpec.from_dict({"blocks": [{
+        "lambda": "3.6", "dim": 2,
+        "metric": [["1.1", "0.15*x1"], [None, "1.3 + 0.1*x0^2"]],
+        "intervals": [[-0.3, 0.3], [-0.3, 0.3]]}]})
+    h2, hb2 = levi_civita_pair(spec)
+    return GlueInput(h1, hb1, h2, hb2)
+
+
+@pytest.mark.parametrize("make", [_scene_factors, _block_factors])
+def test_glued_pair_exact_derivative(make):
+    inp = make()
+    g, gbar, _ = glue_fields(inp)
+    for p in sample_points(g.chart, 8, seed=17):
+        both = central_difference(lambda q: np.stack([g.value(q), gbar.value(q)]), p)
+        for k, field in enumerate((g, gbar)):
+            _, exact = field.value_and_derivative(p)
+            assert frob(exact - both[:, k]) <= 1e-8 * (1.0 + frob(exact))
+
+
+@pytest.mark.parametrize("make", [_scene_factors, _block_factors])
+def test_glued_pair_value_paths_and_batches_agree(make):
+    # value-only and jacobian evaluations give the same value bits, and a
+    # batch of 20 rows gives the bits of 20 batches of 1
+    inp = make()
+    rows = sample_points(inp.product_chart, 20, seed=18)
+    vals, derivs = glue(inp, rows, derivative=True)
+    for i, p in enumerate(rows):
+        assert glue(inp, p).tobytes() == vals[i].tobytes()
+        val, deriv = glue(inp, p[None], derivative=True)
+        assert val.tobytes() == vals[i:i + 1].tobytes()
+        assert deriv.tobytes() == derivs[i:i + 1].tobytes()
+    g, gbar, _ = glue_fields(inp)
+    g2, gbar2, _ = glue_fields(inp)
+    for p in rows[:5]:
+        assert g.value(p).tobytes() == g2.value_and_derivative(p)[0].tobytes()
+        assert gbar.value(p).tobytes() == gbar2.value_and_derivative(p)[0].tobytes()
+
+
+def _one_dim(lam_expr, box=(-0.4, 0.4)):
+    chart = Chart(1, (box,), (0.0,))
+    return (MetricField.from_exprs(chart, [["1"]]),
+            MetricField.from_exprs(chart, [[f"1/(({lam_expr})^2)"]]))
+
+
+@pytest.mark.parametrize("error, inp, bad", [
+    # the first factor's eigenvalue 2 + x0 meets the second's 3 at x0 = 1
+    (SpectraOverlap, lambda: GlueInput(*_one_dim("2 + x0", (-0.5, 1.5)), *_one_dim("3")),
+     (1.0, 0.2)),
+    # an explicit first tensor x0 + 0.5 vanishes at x0 = -0.5, so chi1(0) = 0
+    (ZeroChiAtZero, lambda: GlueInput(
+        *_one_dim("0.5", (-0.6, 0.4)), *_one_dim("3"),
+        OperatorField.from_exprs(Chart(1, ((-0.6, 0.4),), (0.0,)), [["x0 + 0.5"]]), None),
+     (-0.5, 0.1)),
+])
+def test_glue_errors_same_through_value_and_jacobian(error, inp, bad):
+    inp = inp()
+    g, _, _ = glue_fields(inp)
+    rows = np.vstack([sample_points(g.chart, 3, seed=19), [bad], [0.0, 0.0]])
+    raised = []
+    for evaluate in (lambda: g.value(np.array(bad)),
+                     lambda: glue_fields(inp)[0].value_and_derivative(np.array(bad)),
+                     lambda: glue_fields(inp)[1].value_and_derivative(rows)):
+        with pytest.raises(error) as info:
+            evaluate()
+        raised.append(info.value)
+    assert {type(e) for e in raised} == {error}
+    for e in raised:
+        assert np.array_equal(np.asarray(e.point), np.array(bad))
+
+
+def test_glue_report_makes_no_finite_difference_evaluation(monkeypatch):
+    calls = []
+    real = fields.central_difference
+    monkeypatch.setattr(fields, "central_difference",
+                        lambda fn, p: calls.append(p) or real(fn, p))
+    monkeypatch.chdir(SCENES.parent)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["glue", "scenes/factor-a.json", "scenes/factor-b.json",
+                     "--points", "4", "--trajectories", "1"])
+    assert code == 0
+    assert calls == []
 
 
 def test_glue_direct_sum_spectrum():
@@ -293,6 +398,19 @@ def test_block_conditions_on_glued_pair():
     for p in sample_points(g.chart, 10, seed=15):
         c1, c2, c3 = block_condition_residuals(g, inp.L1, inp.L2, p)
         assert c1 <= 1e-5 and c2 <= 1e-5 and c3 <= 1e-5
+
+
+def test_block_conditions_exact_on_glued_levi_civita_factor():
+    # a first factor with two simple eigenvalues makes the leaf residual
+    # depend on the leaf metric's derivative, which is exact now
+    spec = LeviCivitaSpec.from_dict({"simple": [
+        {"lambda": "1 + 0.1*sin(x0)", "interval": [-0.4, 0.4]},
+        {"lambda": "2 + 0.1*x0", "interval": [-0.4, 0.4]}]})
+    _, h2, hb2, _ = load_scene(str(SCENES / "factor-b.json"))
+    inp = GlueInput(*levi_civita_pair(spec), h2, hb2)
+    g, _, _ = glue_fields(inp)
+    for p in sample_points(g.chart, 10, seed=20):
+        assert max(block_condition_residuals(g, inp.L1, inp.L2, p)) <= 1e-12
 
 
 def test_block_conditions_constant_product():
