@@ -1,13 +1,16 @@
 """Admissible factorizations of the characteristic polynomial.
 
 An admissible factorization splits the characteristic polynomial of an
-operator field into two coprime monic factors whose root groups stay
-separated and conjugation-closed over the whole chart.  Groups are fixed
-at the base point and continued to other points by greedy nearest-value
-matching of eigenvalues along a straight sample path.
+operator field into k >= 2 pairwise coprime monic factors whose root
+groups stay separated and conjugation-closed over the whole chart.
+Groups are fixed at the base point and continued to other points by
+greedy nearest-value matching of eigenvalues along a straight sample
+path.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -39,30 +42,20 @@ def _paired_eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def _greedy_match(prev: np.ndarray, cur: np.ndarray):
-    """Greedy globally-minimal matching; returns perm with
-    cur[perm[i]] tracking prev[i], and the largest matched distance."""
+    """Greedy globally-minimal matching: pairs are taken in increasing
+    distance (the first in row-major order on ties) while their row and
+    column are both free.  Returns perm with cur[perm[i]] tracking prev[i],
+    and the largest matched distance."""
     n = len(prev)
     dist = np.abs(prev[:, None] - cur[None, :])
     perm = np.full(n, -1)
-    used_r = np.zeros(n, dtype=bool)
-    used_c = np.zeros(n, dtype=bool)
+    used = np.zeros(n, dtype=bool)
     max_d = 0.0
-    for _ in range(n):
-        best = np.inf
-        bi = bj = -1
-        for i in range(n):
-            if used_r[i]:
-                continue
-            for j in range(n):
-                if used_c[j]:
-                    continue
-                if dist[i, j] < best:
-                    best = dist[i, j]
-                    bi, bj = i, j
-        perm[bi] = bj
-        used_r[bi] = True
-        used_c[bj] = True
-        max_d = max(max_d, best)
+    for flat in np.argsort(dist, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if perm[i] < 0 and not used[j]:
+            perm[i], used[j] = j, True
+            max_d = max(max_d, dist[i, j])
     return perm, max_d
 
 
@@ -137,11 +130,12 @@ def _check_step(values, labels, q, eps_gap):
 
 
 class FactorizationResult:
-    """Tracked two-group factorization of char(L) over a chart.
+    """Tracked factorization of char(L) over a chart, one monic factor per
+    eigenvalue group.
 
-    ``groups_at``/``chi_at`` evaluate the factor data at arbitrary chart
-    points; results are cached per point.  ``r`` is the degree of the
-    first factor.
+    ``groups_at``/``chi_at`` return one entry per group, in group order,
+    at arbitrary chart points; results are cached per point.  ``r`` is
+    the degree of the first factor.
     """
 
     def __init__(self, L: OperatorField, base_values, base_labels, eps_gap: float):
@@ -157,21 +151,22 @@ class FactorizationResult:
         return int(np.sum(self.base_labels == 0))
 
     def groups_at(self, p):
-        """Eigenvalues of the two groups at p (tracked from the base)."""
+        """Eigenvalues of each group at p (tracked from the base)."""
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
         if key not in self._cache:
             values, labels = track_eigenvalue_groups(
                 self.lfield, self.base_values, self.base_labels, p, self.eps_gap
             )
-            self._cache[key] = (values[labels == 0], values[labels == 1])
+            self._cache[key] = tuple(values[labels == c]
+                                     for c in range(labels.max() + 1))
         return self._cache[key]
 
     def chi_at(self, p):
-        """Monic factor pair (chi1, chi2) at p."""
-        g1, g2 = self.groups_at(p)
+        """Monic factor of each group at p."""
+        groups = self.groups_at(p)
         try:
-            return MonicPoly.from_roots(g1), MonicPoly.from_roots(g2)
+            return tuple(MonicPoly.from_roots(grp) for grp in groups)
         except Exception as exc:
             raise ConjugationViolation(
                 f"factor coefficients not real at {np.asarray(p)}: {exc}",
@@ -180,13 +175,13 @@ class FactorizationResult:
 
 
 def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
-    """Fix a two-group partition of the base-point spectrum of L.
+    """Fix a partition of the base-point spectrum of L into k >= 2 groups.
 
-    ``grouping`` is a pair of index tuples into the canonically sorted
-    eigenvalue list (sorted by real part, then imaginary part, repeated by
-    multiplicity).  Both parts must be nonempty, together exhaust the
-    spectrum, keep conjugate pairs together, and be separated by at least
-    ``gap_tolerance`` of L at the base point.
+    ``grouping`` holds one index tuple per group into the canonically
+    sorted eigenvalue list (sorted by real part, then imaginary part,
+    repeated by multiplicity).  The parts must be nonempty, together
+    exhaust the spectrum, keep conjugate pairs together, and be pairwise
+    separated by at least ``gap_tolerance`` of L at the base point.
     """
     chart = L.chart
     p0 = np.asarray(chart.base_point)
@@ -195,27 +190,25 @@ def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
     n = len(values)
     eps_gap = gap_tolerance(lv)
 
-    idx1, idx2 = (tuple(int(i) for i in grp) for grp in grouping)
-    if not idx1 or not idx2:
-        raise AdmissibilityViolation("both groups must be nonempty")
-    if sorted(idx1 + idx2) != list(range(n)):
+    parts = [tuple(int(i) for i in grp) for grp in grouping]
+    if len(parts) < 2 or not all(parts):
+        raise AdmissibilityViolation("at least two groups, each nonempty")
+    if sorted(sum(parts, ())) != list(range(n)):
         raise AdmissibilityViolation(
             f"grouping must partition the {n} base eigenvalue indices, "
-            f"got {idx1} | {idx2}"
+            f"got {' | '.join(map(str, parts))}"
         )
     labels = np.empty(n, dtype=int)
-    labels[list(idx1)] = 0
-    labels[list(idx2)] = 1
+    for c, part in enumerate(parts):
+        labels[list(part)] = c
 
-    g1 = values[labels == 0]
-    g2 = values[labels == 1]
-    for name, grp in (("first", g1), ("second", g2)):
+    groups = [values[labels == c] for c in range(len(parts))]
+    for c, grp in enumerate(groups):
         z = unpaired_conjugate(grp, 1e-9, real_tol=1e-12)
         if z is not None:
-            raise ConjugationViolation(
-                f"{name} group splits the conjugate pair of {z}"
-            )
-    gap = float(np.min(np.abs(g1[:, None] - g2[None, :])))
+            raise ConjugationViolation(f"group {c} splits the conjugate pair of {z}")
+    gap = min(float(np.min(np.abs(a[:, None] - b[None, :])))
+              for a, b in itertools.combinations(groups, 2))
     if gap < eps_gap:
         raise AdmissibilityViolation(
             f"base-point group gap {gap:.3e} below eps_gap {eps_gap:.3e}",
@@ -226,22 +219,20 @@ def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
 
 
 def projectors(L: OperatorField, fact: FactorizationResult):
-    """Spectral projector fields onto the two tracked eigenvalue groups.
+    """Spectral projector fields, one per tracked eigenvalue group.
 
-    Each projector is the operator function of L given by the indicator
-    of its group; its range is the kernel of the complementary factor
-    polynomial evaluated at L.
+    Projector i is the operator function of L given by the indicator of
+    group i against the union of the other groups; its range is the
+    kernel of group i's factor polynomial evaluated at L.
     """
-    chart = L.chart
 
-    def make(which):
+    def make(i):
         def fn(p):
             lv = L.value(p)
-            g1, g2 = fact.groups_at(p)
-            own, other = (g1, g2) if which == 0 else (g2, g1)
-            f = indicator_function(own, other)
-            return matrix_function(lv, f)
+            groups = fact.groups_at(p)
+            other = np.concatenate(groups[:i] + groups[i + 1:])
+            return matrix_function(lv, indicator_function(groups[i], other))
 
-        return OperatorField.from_function(chart, fn)
+        return OperatorField.from_function(L.chart, fn)
 
-    return make(0), make(1)
+    return tuple(make(i) for i in range(fact.base_labels.max() + 1))

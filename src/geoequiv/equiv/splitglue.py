@@ -19,6 +19,7 @@ the factors' derivatives and forward-mode chi and Horner evaluations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,22 +32,15 @@ from ..errors import (
     ZeroChiAtZero,
 )
 from ..fields import (PROBE_SEED, Chart, MetricField, OperatorField, as_batch,
-                      metric_pair, nondegenerate, probe_points)
-from ..smallmat import (
-    MonicPoly,
-    char_poly,
-    cluster_indices as _base_clusters,
-    frob,
-    indicator_function,
-    matrix_function,
-)
+                      metric_pair, nondegenerate, probe_points, restrict)
+from ..smallmat import MonicPoly, char_poly, cluster_indices as _base_clusters, frob
 from .core import compatibility_residual, l_tensor_field
 from .factorization import (
     FactorizationResult,
     _paired_eigvals,
+    admissible_factorization,
     gap_tolerance,
     projectors,
-    track_eigenvalue_groups,
 )
 
 
@@ -93,8 +87,8 @@ class SplitResult:
 
 
 def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> SplitResult:
-    """Splitting construction for a compatible pair and an admissible
-    factorization.  The returned metric fields are derived closures with
+    """Splitting construction for a compatible pair and a two-group
+    admissible factorization.  The returned metric fields are derived closures with
     finite-difference derivative access, built from one closure."""
     chart = g.chart
     L = fact.lfield
@@ -188,20 +182,23 @@ class GlueInput:
         self.block2_sign = eps1 * eps2 * (-1.0) ** n
 
     def check_disjoint(self):
-        """Verify the factor spectra stay disjoint over sampled points."""
-        pts1 = probe_points(self.chart1, 30)
-        pts2 = probe_points(self.chart2, 30, PROBE_SEED + 1)
-        for x, y in zip(pts1, pts2):
-            for xx, yy in ((pts1[0], y), (x, y), (x, pts2[0])):
-                _separated_eigvals(self.L1.value(xx), self.L2.value(yy),
-                                   self.eps_gap, np.concatenate([xx, yy]))
+        """Verify the factor spectra stay disjoint over sampled points:
+        probe point i of each factor against probe points i and 0 of the
+        other, each factor's eigenvalues computed once per probe point,
+        when a pair first needs them."""
+        pts = (probe_points(self.chart1, 30),
+               probe_points(self.chart2, 30, PROBE_SEED + 1))
+        eigvals = functools.cache(lambda side, i: np.linalg.eigvals(
+            (self.L1, self.L2)[side].value(pts[side][i])))
+        for i in range(len(pts[0])):
+            for a, b in ((0, i), (i, i), (i, 0)):
+                _check_separated(eigvals(0, a), eigvals(1, b), self.eps_gap,
+                                 np.concatenate([pts[0][a], pts[1][b]]))
 
 
-def _separated_eigvals(lv1, lv2, eps_gap, p):
-    """Eigenvalues of the two factor tensors at the product point p;
-    raises SpectraOverlap when the spectra come closer than ``eps_gap``."""
-    w1 = np.linalg.eigvals(lv1)
-    w2 = np.linalg.eigvals(lv2)
+def _check_separated(w1, w2, eps_gap, p):
+    """Raises SpectraOverlap when the eigenvalues w1 and w2 of the two
+    factor tensors at the product point p come closer than ``eps_gap``."""
     gap = float(np.min(np.abs(w1[:, None] - w2[None, :])))
     if gap < eps_gap:
         raise SpectraOverlap(
@@ -209,7 +206,6 @@ def _separated_eigvals(lv1, lv2, eps_gap, p):
             witness=gap,
             point=p,
         )
-    return w1, w2
 
 
 def _along_product(field, pts, lead, n, derivative):
@@ -264,7 +260,8 @@ def glue(inp: GlueInput, p, derivative=False):
         (lv2, dl2), (h2, dh2), (hb2, dhb2) = ((v[i], d[i]) for v, d in f2)
         chi1, dc1 = char_poly(lv1, dl1)
         chi2, dc2 = char_poly(lv2, dl2)
-        w1, w2 = _separated_eigvals(lv1, lv2, inp.eps_gap, q)
+        w1, w2 = np.linalg.eigvals(lv1), np.linalg.eigvals(lv2)
+        _check_separated(w1, w2, inp.eps_gap, q)
         c10 = _chi_zero_checked(chi1, w1, q, "chi1")
         c20 = _chi_zero_checked(chi2, w2, q, "chi2")
         a, da = chi2.eval_matrix(lv1, dl1, dc2)
@@ -332,20 +329,7 @@ def block_condition_residuals(g: MetricField, L1: OperatorField,
     if r + s != chart.dim:
         raise ValueError("factor charts do not add up to the product chart")
     x0, y0 = p[:r], p[r:]
-
-    leaf_chart = L1.chart
-
-    def leaf_fn(x):
-        q = np.concatenate([x, y0])
-        return g.value(q)[:r, :r]
-
-    def leaf_jac(rows):
-        qs = np.hstack([rows, np.broadcast_to(y0, (len(rows), s))])
-        gv, dg = g.value_and_derivative(qs)
-        return gv[:, :r, :r], dg[:, :r, :r, :r]
-
-    leaf_g = MetricField.from_function(leaf_chart, leaf_fn, jac=leaf_jac)
-    c1, _ = compatibility_residual(leaf_g, L1, x0)
+    c1, _ = compatibility_residual(restrict(g, range(r), p), L1, x0)
 
     gv, dg = g.value_and_derivative(p)
     g1 = gv[:r, :r]
@@ -392,28 +376,28 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
     """Iterated splitting into factors whose operator has a single real
     eigenvalue or a single conjugate pair.
 
-    Requires the inputs to be block-adapted to the chart coordinates at
-    the base point (normal-form corpus pairs and glue outputs are).  Each
-    factor i carries the fields
+    The base-point eigenvalue clusters of L are the groups of one
+    ``admissible_factorization``, whose ``projectors`` must be coordinate
+    projections at the base point (normal-form corpus pairs and glue
+    outputs are block-adapted so).  Factor i lives on the leaf of its
+    coordinates through the base point, with ``l_block = restrict(L,
+    coords, base point)``, the fields
 
-        h_i    = g_i  prod_{j != i} chi_j(L_i)^{-1}
-        hbar_i = [prod_{j != i} chi_j](0) * gbar_i  prod_{j != i} chi_j(L_i)^{-1}
+        h_i    = g_i  W_i(L_i)^{-1}
+        hbar_i = W_i(0) * gbar_i  W_i(L_i)^{-1},   W_i = prod_{j != i} chi_j
 
-    on its own sub-chart (remaining coordinates frozen at the base point),
-    together with the compatibility residual of the factor pair sampled on
-    the sub-chart.
+    from the tracked factors ``chi_at``, and the compatibility residual
+    of the factor pair sampled on the leaf.
     """
     chart = g.chart
     L = l_tensor_field(g, gbar)
     p0 = np.asarray(chart.base_point)
     lv0 = L.value(p0)
     values = _paired_eigvals(lv0)
-    eps_gap = gap_tolerance(lv0)
     cluster_radius = np.sqrt(np.finfo(float).eps) * (1.0 + frob(lv0))
     clusters = _base_clusters(values, cluster_radius)
-    m = len(clusters)
 
-    if m == 1:
+    if len(clusters) == 1:
         sub = DecompositionFactor(
             coords=tuple(range(chart.dim)),
             chart=chart,
@@ -425,20 +409,14 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
         sub.residual_max = _factor_residual(sub, residual_points)
         return [sub]
 
-    labels = np.empty(len(values), dtype=int)
-    for ci, members in enumerate(clusters):
-        labels[list(members)] = ci
-
-    # coordinate adaptation via the spectral projector of each cluster
+    fact = admissible_factorization(L, clusters)
     coord_sets = []
-    for ci, members in enumerate(clusters):
-        own = values[[i for i in members]]
-        other = values[[i for i in range(len(values)) if i not in members]]
-        proj = matrix_function(lv0, indicator_function(own, other))
-        diag = np.diag(proj)
+    for ci, proj in enumerate(projectors(L, fact)):
+        pv = proj.value(p0)
+        diag = np.diag(pv)
         coords = tuple(k for k in range(chart.dim) if diag[k] > 0.5)
-        off = proj - np.diag(diag)
-        if len(coords) != len(members) or frob(off) > 1e-6 * (1.0 + frob(proj)) \
+        off = pv - np.diag(diag)
+        if len(coords) != len(clusters[ci]) or frob(off) > 1e-6 * (1.0 + frob(pv)) \
                 or np.any((diag > 1e-6) & (diag < 1 - 1e-6)):
             raise NotAdapted(
                 "operator blocks are not aligned with the chart coordinates "
@@ -447,51 +425,30 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
         coord_sets.append(coords)
 
     factors = []
-    for ci, members in enumerate(clusters):
-        coords = coord_sets[ci]
-        sub_chart = Chart(
-            len(coords),
-            tuple(chart.box[k] for k in coords),
-            tuple(chart.base_point[k] for k in coords),
-        )
+    for ci, coords in enumerate(coord_sets):
         idx = np.array(coords)
+        l_block = restrict(L, coords, p0)
 
-        def embed(x, idx=idx):
+        def pair_fn(x, ci=ci, idx=idx):
             q = p0.copy()
             q[idx] = x
-            return q
-
-        def chi_hat_at(q, ci=ci):
-            vals, labs = track_eigenvalue_groups(L, values, labels, q, eps_gap)
-            poly = None
-            for cj in range(m):
-                if cj == ci:
-                    continue
-                pj = MonicPoly.from_roots(vals[labs == cj])
-                poly = pj if poly is None else poly.multiply(pj)
-            return poly
-
-        def pair_fn(x, idx=idx, embed=embed, chi_hat_at=chi_hat_at):
-            q = embed(x)
             block = np.ix_(idx, idx)
-            w = chi_hat_at(q)
+            w = functools.reduce(MonicPoly.multiply, (
+                chi for cj, chi in enumerate(fact.chi_at(q)) if cj != ci))
             winv = np.linalg.inv(w.eval_matrix(L.value(q)[block]))
             h = _sym_checked(g.value(q)[block] @ winv, x, "decomposition factor h")
             hbar = _sym_checked(w(0.0) * gbar.value(q)[block] @ winv, x,
                                 "decomposition factor hbar")
             return np.stack([h, hbar])
 
-        def l_fn(x, idx=idx, embed=embed):
-            return L.value(embed(x))[np.ix_(idx, idx)]
-
-        h, hbar = metric_pair(sub_chart, pair_fn)
+        h, hbar = metric_pair(l_block.chart, pair_fn)
         sub = DecompositionFactor(
             coords=coords,
-            chart=sub_chart,
+            chart=l_block.chart,
             h=h,
             hbar=hbar,
-            l_block=OperatorField.from_function(sub_chart, l_fn),
-            base_eigenvalues=tuple(values[list(members)]),
+            l_block=l_block,
+            base_eigenvalues=tuple(values[list(clusters[ci])]),
         )
         sub.residual_max = _factor_residual(sub, residual_points)
         factors.append(sub)

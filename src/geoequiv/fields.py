@@ -17,7 +17,9 @@ rescaling, iterated decomposition) builds both metrics with
 ``metric_pair`` from one closure returning them stacked: the shared work
 runs once per point, and one backing holds what both halves read: the
 last batch of a ``jac=`` closure (glue), or the point cache and the
-finite-difference derivative.
+finite-difference derivative.  ``restrict`` gives a field on a coordinate
+leaf (the other coordinates frozen) whose value and jacobian are slices of
+the whole field's.
 
 Batch axis: a field's ``value``/``value_and_derivative`` and the operators
 ``christoffel``, ``covariant_derivative_op`` and ``nijenhuis`` take a point
@@ -454,6 +456,33 @@ class OperatorField(_Field):
             return np.stack([m] * len(rows)), np.zeros((len(rows), n, n, n))
 
         return cls.from_function(chart, lambda p: m, jac=jac)
+
+
+def restrict(field, coords, point):
+    """The field on the coordinate leaf through ``point`` along the
+    coordinates ``coords`` (the others frozen at ``point``), as a field of
+    the same class on the sub-chart of those coordinates, whose box and
+    base point are the chart's.  Its value and jacobian are slices of the
+    whole field's, so its derivative is exact wherever the field's is."""
+    chart = field.chart
+    idx = np.array(coords, dtype=int)
+    frozen = np.asarray(point, dtype=float)
+    leaf = Chart(len(idx), tuple(chart.box[k] for k in idx),
+                 tuple(chart.base_point[k] for k in idx))
+
+    def fn(x):
+        q = frozen.copy()
+        q[idx] = x
+        return field.value(q)[np.ix_(idx, idx)]
+
+    def jac(rows):
+        qs = np.repeat(frozen[None], len(rows), axis=0)
+        qs[:, idx] = rows
+        vals, derivs = field.value_and_derivative(qs)
+        return (vals[:, idx[:, None], idx],
+                derivs[:, idx[:, None, None], idx[:, None], idx])
+
+    return type(field).from_function(leaf, fn, jac=jac)
 
 
 class VectorField:

@@ -36,6 +36,7 @@ from geoequiv.fields import (
     VectorField,
     christoffel,
     nijenhuis,
+    restrict,
     sample_points,
 )
 from geoequiv.oracle import geodesic_defect_report
@@ -244,25 +245,11 @@ def test_ac5_gluing():
     L = l_tensor_field(g, gbar)
     fact = admissible_factorization(L, ((0,), (1, 2)))
     sr = split(g, gbar, fact)
-    base = np.array(chart.base_point)
-
-    def restrict(field, coords, shape_op=False):
-        idx = np.array(coords)
-        sub = Chart(len(coords), tuple(chart.box[k] for k in coords),
-                    tuple(chart.base_point[k] for k in coords))
-
-        def fn(x):
-            q = base.copy()
-            q[idx] = x
-            return field.value(q)[np.ix_(idx, idx)]
-
-        cls = OperatorField if shape_op else MetricField
-        return cls.from_function(sub, fn)
-
+    base = chart.base_point
     inp = GlueInput(
-        restrict(sr.h, (0,)), restrict(sr.hbar, (0,)),
-        restrict(sr.h, (1, 2)), restrict(sr.hbar, (1, 2)),
-        restrict(L, (0,), shape_op=True), restrict(L, (1, 2), shape_op=True),
+        restrict(sr.h, (0,), base), restrict(sr.hbar, (0,), base),
+        restrict(sr.h, (1, 2), base), restrict(sr.hbar, (1, 2), base),
+        restrict(L, (0,), base), restrict(L, (1, 2), base),
     )
     worst = 0.0
     for p in sample_points(chart, 25, seed=8):

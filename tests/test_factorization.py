@@ -9,9 +9,10 @@ from geoequiv.equiv import (
     l_tensor_field,
     projectors,
 )
+from geoequiv.equiv.factorization import _greedy_match
 from geoequiv.errors import AdmissibilityViolation, ConjugationViolation
 from geoequiv.fields import Chart, OperatorField, sample_points
-from geoequiv.smallmat import frob
+from geoequiv.smallmat import char_poly, frob
 
 
 def test_constant_diagonal_factors():
@@ -125,3 +126,94 @@ def test_factor_product_matches_charpoly(corpus):
         prod = chi1.multiply(chi2)
         full = char_poly(L.value(p))
         assert np.allclose(prod.coeffs, full.coeffs, atol=1e-9)
+
+
+def _greedy_reference(prev, cur):
+    # repeated global minimum over free rows and columns, row-major first
+    # on ties
+    n = len(prev)
+    dist = np.abs(prev[:, None] - cur[None, :])
+    perm, max_d = [-1] * n, 0.0
+    free_r, free_c = set(range(n)), set(range(n))
+    for _ in range(n):
+        d, i, j = min((dist[i, j], i, j) for i in free_r for j in free_c)
+        perm[i] = j
+        free_r.discard(i)
+        free_c.discard(j)
+        max_d = max(max_d, d)
+    return perm, max_d
+
+
+def test_greedy_match_matches_brute_force_with_ties():
+    rng = np.random.default_rng(3)
+    for trial in range(400):
+        n = 1 + trial % 8
+        if trial % 2:
+            # small integers: many tied distances
+            prev = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
+            cur = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
+        else:
+            prev = rng.normal(size=n) + 1j * rng.normal(size=n)
+            cur = prev + 0.1 * rng.normal(size=n)
+        perm, max_d = _greedy_match(prev, cur)
+        want_perm, want_d = _greedy_reference(prev, cur)
+        assert perm.tolist() == want_perm
+        assert max_d == want_d
+
+
+def _three_group_operator():
+    chart = Chart(3, ((-0.5, 0.5),) * 3, (0.0, 0.0, 0.0))
+    return chart, OperatorField.from_exprs(chart, [
+        ["1 + 0.1*sin(x0)", "0.05*x2", "0"],
+        ["0", "3 + 0.1*x1", "0"],
+        ["0.02*x1", "0", "6 - 0.1*x2"],
+    ])
+
+
+def test_three_group_factorization_and_projectors():
+    chart, L = _three_group_operator()
+    fact = admissible_factorization(L, ((0,), (1,), (2,)))
+    assert fact.r == 1
+    projs = projectors(L, fact)
+    assert len(projs) == 3
+    for p in sample_points(chart, 8, seed=5):
+        lv = L.value(p)
+        chis = fact.chi_at(p)
+        assert len(chis) == 3 and len(fact.groups_at(p)) == 3
+        prod = chis[0].multiply(chis[1]).multiply(chis[2])
+        assert np.allclose(prod.coeffs, char_poly(lv).coeffs, atol=1e-9)
+        pvs = [proj.value(p) for proj in projs]
+        assert frob(sum(pvs) - np.eye(3)) <= 1e-9
+        for chi, pv in zip(chis, pvs):
+            assert frob(pv @ pv - pv) <= 1e-9
+            assert frob(chi.eval_matrix(lv) @ pv) <= 1e-9
+
+
+def test_two_group_projectors_keep_their_bits_as_a_three_way_split():
+    # the two-group projectors are the indicator of one group against the
+    # other, so merging two of three groups gives the same projector bits
+    chart, L = _three_group_operator()
+    three = projectors(L, admissible_factorization(L, ((0,), (1,), (2,))))
+    two = projectors(L, admissible_factorization(L, ((0,), (1, 2))))
+    for p in sample_points(chart, 5, seed=6):
+        assert np.array_equal(three[0].value(p), two[0].value(p))
+
+
+def test_three_group_validation_errors():
+    chart = Chart(3, ((-0.5, 0.5),) * 3, (0.0, 0.0, 0.0))
+    L = OperatorField.constant(chart, np.diag([2.0, 5.0, 7.0]))
+    for grouping in (((0, 1, 2),), ((0,), (), (1, 2)), ((0,), (1,), (1, 2)),
+                     ((0,), (1,))):
+        with pytest.raises(AdmissibilityViolation):
+            admissible_factorization(L, grouping)
+    # the closest pair of groups is the last two
+    close = OperatorField.constant(chart, np.diag([2.0, 5.0, 5.0 + 1e-8]))
+    with pytest.raises(AdmissibilityViolation):
+        admissible_factorization(close, ((0,), (1,), (2,)))
+    m = np.zeros((3, 3))
+    m[0, 0] = 3.0
+    m[1:, 1:] = [[0.0, -1.0], [1.0, 0.0]]  # canonical order: -i, +i, 3
+    rot = OperatorField.constant(chart, m)
+    with pytest.raises(ConjugationViolation):
+        admissible_factorization(rot, ((0,), (1,), (2,)))
+    admissible_factorization(rot, ((0, 1), (2,)))

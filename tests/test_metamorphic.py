@@ -1,9 +1,10 @@
-"""Verdicts that must not depend on a constant rescaling of g or gbar, or
-on which metric of the pair comes first."""
+"""Verdicts that must not depend on a constant rescaling of g or gbar, on
+which metric of the pair comes first, or on the order of the coordinates."""
 
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,27 @@ def _map(rows, fn):
     return [[fn(e) for e in row] for row in rows]
 
 
+def _permuted(scene, perm):
+    """The scene with coordinate k taken from coordinate perm[k]: box, base
+    point, rows and columns of g and gbar, and the variables renamed."""
+    new_index = {old: new for new, old in enumerate(perm)}
+
+    def rename(e):
+        return re.sub(r"x(\d+)", lambda m: f"x{new_index[int(m.group(1))]}", e)
+
+    return dict(scene, box=[scene["box"][k] for k in perm],
+                base_point=[scene["base_point"][k] for k in perm],
+                **{key: [[rename(scene[key][i][j]) for j in perm] for i in perm]
+                   for key in ("g", "gbar")})
+
+
 CHANGES = {
     "gbar*3": lambda s: dict(s, gbar=_map(s["gbar"], lambda e: f"3*({e})")),
     "gbar/3": lambda s: dict(s, gbar=_map(s["gbar"], lambda e: f"({e})/3")),
     "g*3": lambda s: dict(s, g=_map(s["g"], lambda e: f"3*({e})")),
     "swap": lambda s: dict(s, g=s["gbar"], gbar=s["g"]),
+    "x0<->x1": lambda s: _permuted(s, (1, 0, 2)),
+    "x0->x2->x1->x0": lambda s: _permuted(s, (1, 2, 0)),
 }
 
 

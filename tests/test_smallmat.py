@@ -1,6 +1,7 @@
 """Dense linear algebra: characteristic polynomials, eigen grouping and
 the Hermite functional calculus."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,6 +315,38 @@ def test_exponential_matches_series():
         term = term @ a / k
         want = want + term
     assert np.allclose(got, want, atol=1e-12)
+
+
+def _jordan(k, lam=0.5):
+    return lam * np.eye(k) + np.eye(k, k=1)
+
+
+def _similar(a, seed=0):
+    q = np.eye(len(a)) + 0.3 * _rng(seed).normal(size=a.shape)
+    return q @ a @ np.linalg.inv(q)
+
+
+_DEFECTIVE_SPLIT = pytest.mark.xfail(strict=True, reason=(
+    "a rounded defective k x k block has eigenvalues about eps^(1/k) apart, "
+    "beyond the 1e-8 * (1 + ||A||) cluster radius, so they are not merged"))
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(np.diag([1.0, 1.0 + 1e-9, 2.0]), id="near-cluster"),
+    pytest.param(np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -0.5]]),
+                 id="complex-pair"),
+    pytest.param(_jordan(2), id="jordan-2"),
+    pytest.param(_jordan(3), id="jordan-3"),
+    pytest.param(_jordan(4), id="jordan-4"),
+    pytest.param(_similar(_jordan(2)), id="similar-jordan-2"),
+    pytest.param(_similar(_jordan(3)), id="similar-jordan-3", marks=_DEFECTIVE_SPLIT),
+    pytest.param(_similar(_jordan(4)), id="similar-jordan-4", marks=_DEFECTIVE_SPLIT),
+])
+def test_exponential_matches_mpmath(a):
+    with mpmath.workdps(50):
+        want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+    got = matrix_function(a, ScalarFunction.exponential())
+    assert frob(got - want) <= 1e-14 * frob(want)
 
 
 def test_domain_violation_sqrt_of_negative():

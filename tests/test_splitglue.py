@@ -30,32 +30,12 @@ from geoequiv.fields import (
     OperatorField,
     central_difference,
     christoffel,
+    restrict,
     sample_points,
 )
 from geoequiv.smallmat import char_poly, eigen, frob
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
-
-
-def _restricted_fields(g2, gb2, L2, chart, coords, base):
-    """Freeze the complementary coordinates of 2-D fields at the base."""
-    idx = np.array(coords)
-    other = np.array([k for k in range(chart.dim) if k not in coords])
-    sub = Chart(len(coords), tuple(chart.box[k] for k in coords),
-                tuple(chart.base_point[k] for k in coords))
-
-    def embed(x):
-        q = np.array(base, dtype=float)
-        q[idx] = x
-        return q
-
-    mk = MetricField.from_function
-    return (
-        sub,
-        mk(sub, lambda x: g2.value(embed(x))[np.ix_(idx, idx)]),
-        mk(sub, lambda x: gb2.value(embed(x))[np.ix_(idx, idx)]),
-        OperatorField.from_function(sub, lambda x: L2.value(embed(x))[np.ix_(idx, idx)]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +291,45 @@ def test_glue_report_makes_no_finite_difference_evaluation(monkeypatch):
     assert calls == []
 
 
+def test_check_disjoint_computes_eigenvalues_once_per_probe_point(monkeypatch):
+    # 31 probe points per factor, 93 checked pairs
+    inp = _scene_factors()
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real(a))
+    inp.check_disjoint()
+    assert len(calls) == 62
+
+
+def _disjoint_reference(inp):
+    # every checked pair computes both spectra afresh
+    pts1 = fields.probe_points(inp.chart1, 30)
+    pts2 = fields.probe_points(inp.chart2, 30, fields.PROBE_SEED + 1)
+    for x, y in zip(pts1, pts2):
+        for xx, yy in ((pts1[0], y), (x, y), (x, pts2[0])):
+            splitglue._check_separated(
+                np.linalg.eigvals(inp.L1.value(xx)), np.linalg.eigvals(inp.L2.value(yy)),
+                inp.eps_gap, np.concatenate([xx, yy]))
+
+
+def test_check_disjoint_raises_the_first_overlap_of_the_pair_loop():
+    # the first factor's eigenvalue jumps from 2 to the second factor's 3
+    # for x0 > 0.2, so the overlap first shows at a later probe point
+    h1, hb1 = _one_dim("2")
+    L1 = OperatorField.from_function(h1.chart, lambda p: np.array([[3.0 if p[0] > 0.2 else 2.0]]))
+    h2, hb2 = _one_dim("3")
+    inp = GlueInput(h1, hb1, h2, hb2, L1, None)
+    raised = []
+    for check in (inp.check_disjoint, lambda: _disjoint_reference(inp)):
+        with pytest.raises(SpectraOverlap) as info:
+            check()
+        raised.append(info.value)
+    got, want = raised
+    assert str(got) == str(want) and got.witness == want.witness
+    assert np.array_equal(got.point, want.point)
+    assert got.point[0] > 0.2  # probe point 5, not the first
+
+
 def test_glue_direct_sum_spectrum():
     cA = Chart(1, ((-0.4, 0.4),), (0.0,))
     hA = MetricField.from_exprs(cA, [["1"]])
@@ -339,13 +358,11 @@ def test_glue_split_round_trip(corpus):
         L = l_tensor_field(g, gbar)
         fact = admissible_factorization(L, grouping)
         sr = split(g, gbar, fact)
-        r = fact.r
         base = chart.base_point
-        sub1, h1, hb1, L1 = _restricted_fields(sr.h, sr.hbar, L, chart,
-                                               tuple(range(r)), base)
-        sub2, h2, hb2, L2 = _restricted_fields(sr.h, sr.hbar, L, chart,
-                                               tuple(range(r, n)), base)
-        inp = GlueInput(h1, hb1, h2, hb2, L1, L2)
+        first, second = range(fact.r), range(fact.r, n)
+        inp = GlueInput(restrict(sr.h, first, base), restrict(sr.hbar, first, base),
+                        restrict(sr.h, second, base), restrict(sr.hbar, second, base),
+                        restrict(L, first, base), restrict(L, second, base))
         worst = 0.0
         for p in sample_points(chart, 25, seed=13):
             gv, gbv = glue(inp, p)
@@ -503,3 +520,71 @@ def test_full_decompose_not_adapted():
     gbar = MetricField.from_function(chart, lambda p: gbm)
     with pytest.raises(NotAdapted):
         full_decompose(g, gbar)
+
+
+def test_full_decompose_l_block_derivative_is_the_slice_of_L(corpus):
+    g, gbar = corpus["lc4_mixed"]
+    L = l_tensor_field(g, gbar)
+    p0 = np.array(g.chart.base_point)
+    factors = full_decompose(g, gbar, residual_points=2)
+    assert sorted(len(f.coords) for f in factors) == [1, 1, 2]
+    for f in factors:
+        idx = np.array(f.coords)
+        for x in sample_points(f.chart, 3, seed=23):
+            q = p0.copy()
+            q[idx] = x
+            lv, dl = L.value_and_derivative(q)
+            v, d = f.l_block.value_and_derivative(x)
+            assert v.tobytes() == lv[np.ix_(idx, idx)].tobytes()
+            assert d.tobytes() == dl[np.ix_(idx, idx, idx)].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# coordinate leaves
+
+
+@pytest.mark.parametrize("make", [_scene_factors, _block_factors])
+def test_restrict_matches_the_leaf_closures_on_a_glued_pair(make):
+    # the first-factor leaf that block_condition_residuals froze by hand
+    inp = make()
+    g, _, _ = glue_fields(inp)
+    r, s = inp.chart1.dim, inp.chart2.dim
+    for p in sample_points(g.chart, 4, seed=21):
+        y0 = p[r:]
+
+        def leaf_fn(x, y0=y0):
+            return g.value(np.concatenate([x, y0]))[:r, :r]
+
+        def leaf_jac(rows, y0=y0):
+            qs = np.hstack([rows, np.broadcast_to(y0, (len(rows), s))])
+            gv, dg = g.value_and_derivative(qs)
+            return gv[:, :r, :r], dg[:, :r, :r, :r]
+
+        old = MetricField.from_function(inp.chart1, leaf_fn, jac=leaf_jac)
+        new = restrict(g, range(r), p)
+        assert type(new) is MetricField and new.chart == inp.chart1
+        xs = np.vstack([p[:r], sample_points(inp.chart1, 3, seed=22)])
+        for x in xs:
+            assert new.value(x).tobytes() == old.value(x).tobytes()
+        for a, b in zip(new.value_and_derivative(xs), old.value_and_derivative(xs)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_restrict_slices_value_and_exact_jacobian(corpus):
+    g, gbar = corpus["lc3_mixed"]
+    L = l_tensor_field(g, gbar)
+    coords = (0, 2)
+    idx = np.array(coords)
+    for p in sample_points(g.chart, 3, seed=24):
+        for field in (g, L):
+            leaf = restrict(field, coords, p)
+            assert type(leaf) is type(field)
+            assert leaf.chart == Chart(2, (g.chart.box[0], g.chart.box[2]),
+                                       (g.chart.base_point[0], g.chart.base_point[2]))
+            for x in sample_points(leaf.chart, 3, seed=25):
+                q = p.copy()
+                q[idx] = x
+                val, deriv = leaf.value_and_derivative(x)
+                assert val.tobytes() == field.value(q)[np.ix_(idx, idx)].tobytes()
+                fd = central_difference(leaf.value, x)
+                assert frob(deriv - fd) <= 1e-8 * (1.0 + frob(deriv))
