@@ -306,6 +306,7 @@ def cmd_split(args) -> int:
     grouping = _parse_groups(args.groups, chart.dim)
     fact = admissible_factorization(L, grouping)
     sr = split(g, gbar, fact)
+    P1, P2 = sr.projectors
     pts = sample_points(chart, args.points, args.seed)
 
     ortho, nabla_h, nabla_hbar, charpoly_dev, sym_dev = [], [], [], [], []
@@ -317,23 +318,23 @@ def cmd_split(args) -> int:
         sym_dev.append(
             max(frob(hv - hv.T), frob(hbv - hbv.T)) / (1.0 + frob(hv))
         )
-        p1 = sr.P1.value(p)
-        p2 = sr.P2.value(p)
+        p1, dp = P1.value_and_derivative(p)
+        p2 = P2.value(p)
         worst_o = 0.0
         for m in (g.value(p), gbar.value(p)):
             worst_o = max(worst_o, frob(p1.T @ m @ p2) / (1.0 + frob(m)))
         ortho.append(worst_o)
-        pv, dp = sr.P1.value_and_derivative(p)
         for metric, acc in ((sr.h, nabla_h), (sr.hbar, nabla_hbar)):
             gamma = christoffel(metric, p)
             nabla = (
                 np.einsum("kij->ijk", dp)
-                + np.einsum("iks,sj->ijk", gamma, pv)
-                - np.einsum("skj,is->ijk", gamma, pv)
+                + np.einsum("iks,sj->ijk", gamma, p1)
+                - np.einsum("skj,is->ijk", gamma, p1)
             )
             acc.append(frob(nabla))
-        # factor characteristic polynomial on range(P1)
-        q, _ = np.linalg.qr(p1[:, np.abs(np.diag(p1)) > 0.5])
+        # factor characteristic polynomial on range(P1), spanned by the
+        # leading r left singular vectors of P1
+        q = np.linalg.svd(p1)[0][:, :fact.r]
         lr = q.T @ L.value(p) @ q
         chi1, _ = fact.chi_at(p)
         charpoly_dev.append(
@@ -360,7 +361,7 @@ def cmd_split(args) -> int:
     }
     if args.export:
         _export_grid(args.export, chart, args.grid,
-                     {"h": sr.h, "hbar": sr.hbar, "P1": sr.P1})
+                     {"h": sr.h, "hbar": sr.hbar, "P1": P1})
     return emit(report)
 
 

@@ -10,14 +10,15 @@ path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from ..errors import AdmissibilityViolation, ConjugationViolation
+from ..errors import (AdmissibilityViolation, ConjugationViolation,
+                      NotConjugationClosed)
 from ..fields import OperatorField
-from ..smallmat import (MonicPoly, frob, indicator_function, matrix_function,
-                        unpaired_conjugate)
+from ..smallmat import MonicPoly, frob, unpaired_conjugate
 
 # straight-path steps of the group tracker: the first try, and the cap the
 # step count doubles up to
@@ -134,8 +135,8 @@ class FactorizationResult:
     eigenvalue group.
 
     ``groups_at``/``chi_at`` return one entry per group, in group order,
-    at arbitrary chart points; results are cached per point.  ``r`` is
-    the degree of the first factor.
+    at arbitrary chart points; the groups and their factors are built
+    once per point and cached.  ``r`` is the degree of the first factor.
     """
 
     def __init__(self, L: OperatorField, base_values, base_labels, eps_gap: float):
@@ -158,20 +159,27 @@ class FactorizationResult:
             values, labels = track_eigenvalue_groups(
                 self.lfield, self.base_values, self.base_labels, p, self.eps_gap
             )
-            self._cache[key] = tuple(values[labels == c]
-                                     for c in range(labels.max() + 1))
-        return self._cache[key]
+            groups = tuple(values[labels == c] for c in range(labels.max() + 1))
+            try:
+                chis = tuple(MonicPoly.from_roots(grp) for grp in groups)
+            except NotConjugationClosed as exc:
+                raise ConjugationViolation(
+                    f"factor coefficients not real at {p}: {exc}", point=p
+                ) from exc
+            self._cache[key] = groups, chis
+        return self._cache[key][0]
 
     def chi_at(self, p):
-        """Monic factor of each group at p."""
-        groups = self.groups_at(p)
-        try:
-            return tuple(MonicPoly.from_roots(grp) for grp in groups)
-        except Exception as exc:
-            raise ConjugationViolation(
-                f"factor coefficients not real at {np.asarray(p)}: {exc}",
-                point=p,
-            ) from exc
+        """Monic factor chi_i of each group at p."""
+        self.groups_at(p)
+        return self._cache[np.asarray(p, dtype=float).tobytes()][1]
+
+
+def cofactors(chis):
+    """Cofactors W_i = prod_{j != i} chi_j of the group factors ``chis``;
+    with two groups W_1 = chi_2 and W_2 = chi_1."""
+    return tuple(functools.reduce(MonicPoly.multiply, chis[:i] + chis[i + 1:])
+                 for i in range(len(chis)))
 
 
 def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
@@ -221,17 +229,16 @@ def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
 def projectors(L: OperatorField, fact: FactorizationResult):
     """Spectral projector fields, one per tracked eigenvalue group.
 
-    Projector i is the operator function of L given by the indicator of
-    group i against the union of the other groups; its range is the
-    kernel of group i's factor polynomial evaluated at L.
+    Projector i is W_i(L) S^{-1} with S = sum_j W_j(L) and the cofactors
+    W_j of the tracked factors: on group j's invariant subspace every
+    W_i(L) but the invertible W_j(L) vanishes, so S acts there as W_j(L).
     """
 
     def make(i):
         def fn(p):
             lv = L.value(p)
-            groups = fact.groups_at(p)
-            other = np.concatenate(groups[:i] + groups[i + 1:])
-            return matrix_function(lv, indicator_function(groups[i], other))
+            ws = [w.eval_matrix(lv) for w in cofactors(fact.chi_at(p))]
+            return ws[i] @ np.linalg.inv(sum(ws[1:], ws[0]))
 
         return OperatorField.from_function(L.chart, fn)
 

@@ -1,10 +1,11 @@
 """Splitting and gluing of geodesically equivalent pairs.
 
 Splitting turns a pair (g, gbar) with an admissible factorization
-chi = chi1 * chi2 of char(L) into a pair of local-product metrics
+chi = chi_1 ... chi_k of char(L), whose cofactors are W_i = prod_{j != i}
+chi_j (W_1 = chi_2, W_2 = chi_1 for k = 2), into local-product metrics
 
-    h    = g  (chi2(L) + chi1(L))^{-1}
-    hbar = gbar (chi2(L)/chi2(0) + chi1(L)/chi1(0))^{-1}
+    h    = g    (W_1(L) + ... + W_k(L))^{-1}
+    hbar = gbar (W_1(L)/W_1(0) + ... + W_k(L)/W_k(0))^{-1}
 
 whose blocks restrict to geodesically equivalent factor pairs.  Gluing is
 the pointwise inverse: from factor pairs with disjoint operator spectra it
@@ -39,6 +40,7 @@ from .factorization import (
     FactorizationResult,
     _paired_eigvals,
     admissible_factorization,
+    cofactors,
     gap_tolerance,
     projectors,
 )
@@ -76,37 +78,39 @@ def _chi_zero_checked(chi: MonicPoly, groups, p, label: str) -> float:
 
 @dataclass
 class SplitResult:
-    """Local-product metrics, projector fields and the factorization that
-    produced them."""
+    """Local-product metrics, one projector field per group, and the
+    factorization that produced them."""
 
     h: MetricField
     hbar: MetricField
-    P1: OperatorField
-    P2: OperatorField
+    projectors: tuple
     factorization: FactorizationResult
 
 
 def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> SplitResult:
-    """Splitting construction for a compatible pair and a two-group
-    admissible factorization.  The returned metric fields are derived closures with
+    """Splitting construction (see the module docstring) for a compatible
+    pair and an admissible factorization into k >= 2 groups, each chi_j(0)
+    away from zero.  The returned metric fields are derived closures with
     finite-difference derivative access, built from one closure."""
     chart = g.chart
     L = fact.lfield
 
     def pair_fn(p):
         lv = L.value(p)
-        g1, g2 = fact.groups_at(p)
-        chi1, chi2 = fact.chi_at(p)
-        a1, a2 = chi1.eval_matrix(lv), chi2.eval_matrix(lv)
-        h = _sym_checked(g.value(p) @ np.linalg.inv(a1 + a2), p, "split metric h")
-        c10 = _chi_zero_checked(chi1, g1, p, "chi1")
-        c20 = _chi_zero_checked(chi2, g2, p, "chi2")
-        m = a2 / c20 + a1 / c10
-        hbar = _sym_checked(gbar.value(p) @ np.linalg.inv(m), p, "split metric hbar")
+        groups = fact.groups_at(p)
+        chis = fact.chi_at(p)
+        ws = cofactors(chis)
+        a = [w.eval_matrix(lv) for w in ws]
+        h = _sym_checked(g.value(p) @ np.linalg.inv(sum(a[1:], a[0])), p,
+                         "split metric h")
+        for j, (chi, grp) in enumerate(zip(chis, groups)):
+            _chi_zero_checked(chi, grp, p, f"chi{j + 1}")
+        m = [ai / w(0.0) for ai, w in zip(a, ws)]
+        hbar = _sym_checked(gbar.value(p) @ np.linalg.inv(sum(m[1:], m[0])), p,
+                            "split metric hbar")
         return np.stack([h, hbar])
 
     h, hbar = metric_pair(chart, pair_fn)
-    p1, p2 = projectors(L, fact)
 
     for p in probe_points(chart, 30):
         for name, m in (("h", h.value(p)), ("hbar", hbar.value(p))):
@@ -114,7 +118,7 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
                 raise DegenerateMetric(
                     f"split metric {name} degenerate at {p}", point=p
                 )
-    return SplitResult(h, hbar, p1, p2, fact)
+    return SplitResult(h, hbar, projectors(L, fact), fact)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +390,8 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
         h_i    = g_i  W_i(L_i)^{-1}
         hbar_i = W_i(0) * gbar_i  W_i(L_i)^{-1},   W_i = prod_{j != i} chi_j
 
-    from the tracked factors ``chi_at``, and the compatibility residual
-    of the factor pair sampled on the leaf.
+    from the ``cofactors`` of the tracked factors, and the compatibility
+    residual of the factor pair sampled on the leaf.
     """
     chart = g.chart
     L = l_tensor_field(g, gbar)
@@ -433,8 +437,7 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
             q = p0.copy()
             q[idx] = x
             block = np.ix_(idx, idx)
-            w = functools.reduce(MonicPoly.multiply, (
-                chi for cj, chi in enumerate(fact.chi_at(q)) if cj != ci))
+            w = cofactors(fact.chi_at(q))[ci]
             winv = np.linalg.inv(w.eval_matrix(L.value(q)[block]))
             h = _sym_checked(g.value(q)[block] @ winv, x, "decomposition factor h")
             hbar = _sym_checked(w(0.0) * gbar.value(q)[block] @ winv, x,

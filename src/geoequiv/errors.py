@@ -43,10 +43,6 @@ class ResidueTooLarge(GeoequivError):
     """A matrix that must be real retains a large imaginary part."""
 
 
-class GroupsNotDisjoint(GeoequivError):
-    """Eigenvalue groups of an indicator function are not disjoint."""
-
-
 class NotConjugationClosed(GeoequivError):
     """An eigenvalue group is not closed under complex conjugation."""
 

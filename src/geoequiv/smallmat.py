@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionCap,
     DomainViolation,
-    GroupsNotDisjoint,
     NoConvergence,
     NotConjugationClosed,
     ResidueTooLarge,
@@ -193,17 +192,17 @@ class Spectrum:
         return [z for z, _ in self.entries]
 
 
-def unpaired_conjugate(values, tol: float, real_tol: float, scale=None):
+def unpaired_conjugate(values, tol: float, real_tol: float):
     """First value of the multiset whose conjugate is missing, or None.
 
     The conjugation-closure test shared by every caller.  A value z counts
     as real when ``|Im z| <= real_tol * s`` and is skipped; otherwise the
     values within ``tol * s`` of conj(z) must be as many as those within
-    ``tol * s`` of z.  ``s`` is ``scale`` when given, else ``1 + |z|``.
+    ``tol * s`` of z, with ``s = 1 + |z|``.
     """
     vals = [complex(v) for v in values]
     for z in vals:
-        s = 1.0 + abs(z) if scale is None else scale
+        s = 1.0 + abs(z)
         if abs(z.imag) <= real_tol * s:
             continue
         near_conj = sum(abs(w - z.conjugate()) <= tol * s for w in vals)
@@ -394,43 +393,6 @@ class ScalarFunction:
             return not (z.real <= 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z)))
 
         return cls("sqrt", val, der, dom)
-
-
-def indicator_function(group1, group2) -> ScalarFunction:
-    """Scalar function equal to 1 near ``group1`` and 0 near ``group2``.
-
-    Both groups must be nonempty, disjoint and closed under conjugation;
-    all derivatives vanish (the function is locally constant).  Applied
-    through the matrix calculus it yields the spectral projector onto the
-    invariant subspace of the first group.
-    """
-    g1 = [complex(z) for z in (group1.eigenvalues() if isinstance(group1, Spectrum) else group1)]
-    g2 = [complex(z) for z in (group2.eigenvalues() if isinstance(group2, Spectrum) else group2)]
-    if not g1 or not g2:
-        raise GroupsNotDisjoint("both eigenvalue groups must be nonempty")
-    scale = 1.0 + max(abs(z) for z in g1 + g2)
-    for label, grp in (("first", g1), ("second", g2)):
-        z = unpaired_conjugate(grp, 1e-9, 1e-9, scale)
-        if z is not None:
-            raise NotConjugationClosed(
-                f"{label} group splits the conjugate pair of {z}"
-            )
-    gap = min(abs(z - w) for z in g1 for w in g2)
-    if gap <= 1e-9 * scale:
-        raise GroupsNotDisjoint(f"groups are not disjoint (gap {gap:.3e})")
-    radius = 0.25 * gap
-
-    def dist(z, grp):
-        return min(abs(z - w) for w in grp)
-
-    def val(z):
-        return 1.0 + 0.0j if dist(z, g1) < dist(z, g2) else 0.0 + 0.0j
-
-    def dom(z):
-        return min(dist(z, g1), dist(z, g2)) <= radius
-
-    label = "indicator"
-    return ScalarFunction(label, val, lambda z, k: 0.0 + 0.0j, dom)
 
 
 def _hermite_coefficients(nodes, f: ScalarFunction):

@@ -1,4 +1,5 @@
-"""Shared corpus of compatible pairs and negative controls."""
+"""Shared corpus of compatible pairs and negative controls, and the
+Hermite indicator the spectral projectors are tested against."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from geoequiv.equiv import (
     levi_civita_pair,
 )
 from geoequiv.fields import Chart, MetricField
+from geoequiv.smallmat import ScalarFunction
 
 
 def _iv(half=0.4):
@@ -148,6 +150,26 @@ SPLITTABLE = [
     name for name, spec in CORPUS_SPECS.items()
     if len(spec.simple) + len(spec.blocks) >= 2
 ]
+
+
+def hermite_indicator(group1, group2):
+    """Scalar function equal to 1 within a quarter of the gap of the
+    eigenvalues ``group1`` and 0 within that distance of ``group2``, with
+    every derivative zero; through ``matrix_function`` it gives the
+    spectral projector onto the invariant subspace of ``group1``."""
+    g1 = [complex(z) for z in group1]
+    g2 = [complex(z) for z in group2]
+    radius = 0.25 * min(abs(z - w) for z in g1 for w in g2)
+
+    def dist(z, grp):
+        return min(abs(z - w) for w in grp)
+
+    return ScalarFunction(
+        "indicator",
+        lambda z: 1.0 + 0.0j if dist(z, g1) < dist(z, g2) else 0.0 + 0.0j,
+        lambda z, k: 0.0 + 0.0j,
+        lambda z: min(dist(z, g1), dist(z, g2)) <= radius,
+    )
 
 
 def build_pair(name):

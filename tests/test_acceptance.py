@@ -137,11 +137,11 @@ def test_ac3_splitting(corpus):
             assert frob(hv - hv.T) <= 1e-9 * (1 + frob(hv)), name
             assert abs(np.linalg.det(hv)) > 1e-10, name
             assert abs(np.linalg.det(hbv)) > 1e-10, name
-            p1 = sr.P1.value(p)
-            p2 = sr.P2.value(p)
+            p1 = sr.projectors[0].value(p)
+            p2 = sr.projectors[1].value(p)
             for m in (g.value(p), gbar.value(p)):
                 assert frob(p1.T @ m @ p2) <= 1e-8 * (1 + frob(m)), name
-            pv, dp = sr.P1.value_and_derivative(p)
+            pv, dp = sr.projectors[0].value_and_derivative(p)
             for metric in (sr.h, sr.hbar):
                 gamma = christoffel(metric, p)
                 nabla = (
@@ -167,14 +167,14 @@ def test_ac4_bracket_integrability(corpus):
         fact = admissible_factorization(L, _first_vs_rest_grouping(L))
         sr = split(g, gbar, fact)
         for p in sample_points(g.chart, 5, seed=4):
-            p1v = sr.P1.value(p)
-            p2v = sr.P2.value(p)
+            p1v = sr.projectors[0].value(p)
+            p2v = sr.projectors[1].value(p)
             dp1 = np.empty((n, n, n))
             for k in range(n):
                 pp, pm = p.copy(), p.copy()
                 pp[k] += h
                 pm[k] -= h
-                dp1[k] = (sr.P1.value(pp) - sr.P1.value(pm)) / (2 * h)
+                dp1[k] = (sr.projectors[0].value(pp) - sr.projectors[0].value(pm)) / (2 * h)
             for i in range(n):
                 for j in range(i + 1, n):
                     u, v = p1v[:, i], p1v[:, j]

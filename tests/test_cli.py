@@ -238,6 +238,23 @@ def test_split_command_with_export(tmp_path, capsys):
     assert len(grid["fields"]["h"][0]) == 9
 
 
+def test_split_with_eigenvectors_off_the_coordinate_axes(tmp_path, capsys):
+    # L has eigenvectors (1, 1) and (1, -1), so P1 has diagonal (1/2, 1/2)
+    # and range(P1) is not spanned by coordinate columns of P1
+    scene = _write(tmp_path, "diag-eigvecs.json", {
+        "dim": 2,
+        "box": [[-0.4, 0.4]] * 2,
+        "base_point": [0.0, 0.0],
+        "g": [["1", "0"], [None, "1"]],
+        "gbar": [["0.035", "-0.015"], [None, "0.035"]],
+    })
+    code, report = _run(capsys, ["split", scene, "--groups", "0|1"])
+    assert code == 0
+    assert report["pass"] is True
+    assert all(check["pass"] for check in report["checks"].values())
+    assert report["factor_dims"] == [1, 1]
+
+
 def test_split_conjugation_violation_exit(tmp_path, capsys):
     # complex pair must not be separated
     scene = _write(

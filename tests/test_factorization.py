@@ -9,10 +9,12 @@ from geoequiv.equiv import (
     l_tensor_field,
     projectors,
 )
-from geoequiv.equiv.factorization import _greedy_match
+from geoequiv.equiv.factorization import _greedy_match, cofactors
 from geoequiv.errors import AdmissibilityViolation, ConjugationViolation
 from geoequiv.fields import Chart, OperatorField, sample_points
-from geoequiv.smallmat import char_poly, frob
+from geoequiv.smallmat import char_poly, frob, matrix_function
+
+from conftest import build_pair, hermite_indicator
 
 
 def test_constant_diagonal_factors():
@@ -189,14 +191,81 @@ def test_three_group_factorization_and_projectors():
             assert frob(chi.eval_matrix(lv) @ pv) <= 1e-9
 
 
-def test_two_group_projectors_keep_their_bits_as_a_three_way_split():
-    # the two-group projectors are the indicator of one group against the
-    # other, so merging two of three groups gives the same projector bits
+def _jordan_operator(k, seed=0):
+    # Q diag(J_k(0.5), 3, 5) Q^-1, rounded, with its exact cluster projector
+    m = np.diag([0.5] * k + [3.0, 5.0]) + np.diag([1.0] * (k - 1) + [0.0, 0.0], 1)
+    q = np.eye(k + 2) + 0.3 * np.random.default_rng(seed).normal(size=(k + 2,) * 2)
+    qinv = np.linalg.inv(q)
+    chart = Chart(k + 2, ((-0.4, 0.4),) * (k + 2), (0.0,) * (k + 2))
+    exact = q @ np.diag([1.0] * k + [0.0, 0.0]) @ qinv
+    return OperatorField.constant(chart, q @ m @ qinv), exact
+
+
+def _complex_pair_operator():
+    chart = Chart(3, ((-0.4, 0.4),) * 3, (0.0, 0.0, 0.0))
+    return OperatorField.from_exprs(chart, [
+        ["1 + 0.1*x1", "-1", "0.05*x2"],
+        ["1 + 0.1*x0", "1", "0"],
+        ["0", "0.02*x0", "4"],
+    ])
+
+
+def _corpus_operator(name):
+    g, gbar = build_pair(name)
+    return l_tensor_field(g, gbar)
+
+
+INDICATOR_CASES = {
+    "lc2_sin": (lambda: _corpus_operator("lc2_sin"), ((0,), (1,))),
+    "lc3_mixed": (lambda: _corpus_operator("lc3_mixed"), ((0,), (1, 2))),
+    "lc3_sig": (lambda: _corpus_operator("lc3_sig"), ((0, 1), (2,))),
+    "lc4_simple-4": (lambda: _corpus_operator("lc4_simple"),
+                     ((0,), (1,), (2,), (3,))),
+    "lc4_block3-2": (lambda: _corpus_operator("lc4_block3"), ((0,), (1, 2, 3))),
+    "three-groups": (lambda: _three_group_operator()[1], ((0,), (1,), (2,))),
+    "complex-pair": (_complex_pair_operator, ((0, 1), (2,))),
+    **{f"jordan-{k}": (lambda k=k: _jordan_operator(k)[0],
+                       (tuple(range(k)), (k,), (k + 1,))) for k in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDICATOR_CASES))
+def test_projectors_match_the_hermite_indicator(case):
+    # W_i(L) (sum_j W_j(L))^-1 against the indicator of group i through the
+    # Hermite calculus, to 1e-12 relative in the Frobenius norm
+    make, grouping = INDICATOR_CASES[case]
+    L = make()
+    fact = admissible_factorization(L, grouping)
+    projs = projectors(L, fact)
+    assert len(projs) == len(grouping)
+    for p in sample_points(L.chart, 4, seed=7):
+        groups = fact.groups_at(p)
+        for i, proj in enumerate(projs):
+            rest = np.concatenate(groups[:i] + groups[i + 1:])
+            want = matrix_function(L.value(p), hermite_indicator(groups[i], rest))
+            assert frob(proj.value(p) - want) <= 1e-12 * frob(want), (case, i)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_jordan_cluster_projector_matches_the_exact_one(k):
+    L, exact = _jordan_operator(k)
+    fact = admissible_factorization(L, (tuple(range(k)), (k,), (k + 1,)))
+    p0 = L.chart.base_point
+    got = projectors(L, fact)[0].value(p0)
+    assert frob(got - exact) <= 1e-12 * frob(exact)
+
+
+def test_cofactors_are_the_products_of_the_other_factors():
     chart, L = _three_group_operator()
-    three = projectors(L, admissible_factorization(L, ((0,), (1,), (2,))))
-    two = projectors(L, admissible_factorization(L, ((0,), (1, 2))))
-    for p in sample_points(chart, 5, seed=6):
-        assert np.array_equal(three[0].value(p), two[0].value(p))
+    fact = admissible_factorization(L, ((0,), (1,), (2,)))
+    p = (0.1, -0.2, 0.3)
+    c1, c2, c3 = fact.chi_at(p)
+    w1, w2, w3 = cofactors((c1, c2, c3))
+    assert w1 == c2.multiply(c3)
+    assert w2 == c1.multiply(c3)
+    assert w3 == c1.multiply(c2)
+    two = admissible_factorization(L, ((0,), (1, 2)))
+    assert cofactors(two.chi_at(p)) == tuple(reversed(two.chi_at(p)))
 
 
 def test_three_group_validation_errors():

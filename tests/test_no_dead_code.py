@@ -1,6 +1,7 @@
 """Dead-code guard: every module-level function and class in the package,
 and every non-dunder method of its classes, is referenced by name
-somewhere in ``src/`` or ``tests/``."""
+somewhere in ``src/`` or ``tests/``; every error class is raised or
+subclassed in ``src/``."""
 
 import ast
 from pathlib import Path
@@ -51,5 +52,24 @@ def test_every_method_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used
+    ]
+    assert unused == []
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    raised, based = set(), set()
+    for _, tree in _trees(ROOT / "src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+            elif isinstance(node, ast.ClassDef):
+                based.update(b.id for b in node.bases if isinstance(b, ast.Name))
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    unused = [
+        f"errors.py:{node.lineno} {node.name}"
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name not in raised | based
     ]
     assert unused == []

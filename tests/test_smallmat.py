@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from geoequiv.errors import (
     DimensionCap,
     DomainViolation,
-    GroupsNotDisjoint,
     NotConjugationClosed,
     SymmetryViolation,
 )
@@ -21,10 +20,11 @@ from geoequiv.smallmat import (
     char_poly,
     eigen,
     frob,
-    indicator_function,
     matrix_function,
     unpaired_conjugate,
 )
+
+from conftest import hermite_indicator
 
 
 def _rng(seed):
@@ -229,7 +229,7 @@ def _eig_function_oracle(a, fvals):
 
 def test_half_plane_indicator_on_rotation():
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
-    f = indicator_function([1j, -1j], [3.0])
+    f = hermite_indicator([1j, -1j], [3.0])
     got = matrix_function(a, f)
     assert np.allclose(got, np.eye(2), atol=1e-12)
     want = _eig_function_oracle(a, lambda z: 1.0)
@@ -240,7 +240,7 @@ def test_indicator_on_rotation_plus_block():
     a = np.zeros((3, 3))
     a[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
     a[2, 2] = 3.0
-    f = indicator_function([1j, -1j], [3.0])
+    f = hermite_indicator([1j, -1j], [3.0])
     got = matrix_function(a, f)
     want = np.diag([1.0, 1.0, 0.0])
     assert np.allclose(got, want, atol=1e-10)
@@ -252,7 +252,7 @@ def test_indicator_with_jordan_cluster():
     a = np.zeros((3, 3))
     a[:2, :2] = [[2.0, 1.0], [0.0, 2.0]]
     a[2, 2] = 5.0
-    f = indicator_function([2.0], [5.0])
+    f = hermite_indicator([2.0], [5.0])
     p = matrix_function(a, f)
     assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-9)
     assert np.allclose(p @ p, p, atol=1e-9)
@@ -263,7 +263,7 @@ def test_indicator_with_jordan_cluster():
 
 def test_simple_indicator_on_diag():
     a = np.diag([1.0, 1.0, 5.0])
-    f = indicator_function([1.0], [5.0])
+    f = hermite_indicator([1.0], [5.0])
     assert np.allclose(matrix_function(a, f), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
@@ -298,8 +298,8 @@ def test_projector_laws(seed, n):
         return
     if min(abs(z - w) for z in g1 for w in g2) < 1e-3:
         return
-    p1 = matrix_function(a, indicator_function(g1, g2))
-    p2 = matrix_function(a, indicator_function(g2, g1))
+    p1 = matrix_function(a, hermite_indicator(g1, g2))
+    p2 = matrix_function(a, hermite_indicator(g2, g1))
     tol = 1e-9 * (1.0 + frob(a))
     assert frob(p1 @ p1 - p1) <= tol
     assert frob(a @ p1 - p1 @ a) <= tol
@@ -362,10 +362,13 @@ def test_symmetry_violation():
 
 
 def test_indicator_group_errors():
-    with pytest.raises(NotConjugationClosed):
-        indicator_function([1j], [-1j, 3.0])
-    with pytest.raises(GroupsNotDisjoint):
-        indicator_function([2.0], [2.0])
+    # an indicator that splits a conjugate pair is not conjugation
+    # symmetric, and one that misses an eigenvalue is outside its domain
+    with pytest.raises(SymmetryViolation):
+        matrix_function(np.array([[0.0, -1.0], [1.0, 0.0]]),
+                        hermite_indicator([1j], [-1j, 3.0]))
+    with pytest.raises(DomainViolation):
+        matrix_function(np.diag([1.0, 9.0]), hermite_indicator([1.0], [5.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,47 @@ def test_split_worked_example():
     p0 = (0.0, 0.0)
     assert np.allclose(sr.h.value(p0), np.diag([-1.0 / 3.0, 1.0 / 3.0]))
     assert np.allclose(sr.hbar.value(p0), np.diag([1.0 / 12.0, -1.0 / 75.0]))
-    assert np.allclose(sr.P1.value(p0) + sr.P2.value(p0), np.eye(2), atol=1e-10)
+    assert np.allclose(sr.projectors[0].value(p0) + sr.projectors[1].value(p0), np.eye(2), atol=1e-10)
+
+
+def test_split_three_constant_groups():
+    # L = diag(2, 3, 5): W_i(L) = diag(3, -2, 6) on the diagonal and
+    # W_i(0) = (15, 10, 6)
+    chart = Chart(3, ((-0.4, 0.4),) * 3, (0.0, 0.0, 0.0))
+    gm = np.diag([1.0, 1.0, -1.0])
+    lm = np.diag([2.0, 3.0, 5.0])
+    gbm = gm @ np.linalg.inv(lm) / np.linalg.det(lm)
+    g = MetricField.from_function(chart, lambda p: gm)
+    gbar = MetricField.from_function(chart, lambda p: gbm)
+    fact = admissible_factorization(l_tensor_field(g, gbar), ((0,), (1,), (2,)))
+    sr = split(g, gbar, fact)
+    assert len(sr.projectors) == 3
+    for p in sample_points(chart, 5, seed=3):
+        assert np.allclose(sr.h.value(p), np.diag([1 / 3, -1 / 2, -1 / 6]), atol=1e-12)
+        assert np.allclose(sr.hbar.value(p), np.diag([1 / 12, -1 / 18, -1 / 150]),
+                           atol=1e-12)
+        pvs = [proj.value(p) for proj in sr.projectors]
+        assert frob(sum(pvs) - np.eye(3)) <= 1e-12
+        for i, pv in enumerate(pvs):
+            assert np.allclose(pv, np.diag(np.eye(3)[i]), atol=1e-12)
+
+
+def test_four_group_split_restricts_to_the_decomposition_factors(corpus):
+    g, gbar = corpus["lc4_simple"]
+    L = l_tensor_field(g, gbar)
+    sr = split(g, gbar, admissible_factorization(L, ((0,), (1,), (2,), (3,))))
+    p0 = np.array(g.chart.base_point)
+    factors = full_decompose(g, gbar, residual_points=2)
+    assert sorted(len(f.coords) for f in factors) == [1, 1, 1, 1]
+    for f in factors:
+        idx = np.array(f.coords)
+        block = np.ix_(idx, idx)
+        for x in sample_points(f.chart, 4, seed=24):
+            q = p0.copy()
+            q[idx] = x
+            for whole, leaf in ((sr.h, f.h), (sr.hbar, f.hbar)):
+                want = leaf.value(x)
+                assert frob(whole.value(q)[block] - want) <= 1e-12 * frob(want)
 
 
 def test_split_local_product_structure(corpus):
@@ -63,7 +103,7 @@ def test_split_local_product_structure(corpus):
     fact = admissible_factorization(L, ((0,), (1, 2)))
     sr = split(g, gbar, fact)
     for p in sample_points(g.chart, 6, seed=8):
-        pv, dp = sr.P1.value_and_derivative(p)
+        pv, dp = sr.projectors[0].value_and_derivative(p)
         for metric in (sr.h, sr.hbar):
             gamma = christoffel(metric, p)
             nabla = (
@@ -80,7 +120,7 @@ def test_split_factor_charpoly_matches(corpus):
     fact = admissible_factorization(L, ((0,), (1, 2)))
     sr = split(g, gbar, fact)
     for p in sample_points(g.chart, 8, seed=9):
-        pv = sr.P1.value(p)
+        pv = sr.projectors[0].value(p)
         q, _ = np.linalg.qr(pv[:, np.abs(np.diag(pv)) > 0.5])
         lr = q.T @ L.value(p) @ q
         chi1, _ = fact.chi_at(p)
@@ -95,14 +135,14 @@ def test_split_bracket_integrability(corpus):
     sr = split(g, gbar, fact)
     h = 1e-5
     for p in sample_points(g.chart, 4, seed=10):
-        p1v = sr.P1.value(p)
-        p2v = sr.P2.value(p)
+        p1v = sr.projectors[0].value(p)
+        p2v = sr.projectors[1].value(p)
         dp1 = np.empty((3, 3, 3))
         for k in range(3):
             pp, pm = p.copy(), p.copy()
             pp[k] += h
             pm[k] -= h
-            dp1[k] = (sr.P1.value(pp) - sr.P1.value(pm)) / (2 * h)
+            dp1[k] = (sr.projectors[0].value(pp) - sr.projectors[0].value(pm)) / (2 * h)
         for i in range(3):
             for j in range(3):
                 # [P1 e_i, P1 e_j] via directional derivatives of columns
