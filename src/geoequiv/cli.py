@@ -225,6 +225,16 @@ def _pair_checks(g, gbar, L, points, tols, residual_tier):
     }
 
 
+def _integrator(rep) -> dict:
+    """What the geodesic integrator did for a defect report."""
+    return {
+        "steps_accepted": rep.steps_accepted,
+        "steps_rejected": rep.steps_rejected,
+        "max_local_error": _finite(rep.max_local_error),
+        "max_energy_drift": _finite(rep.max_energy_drift),
+    }
+
+
 def emit(report) -> int:
     print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
@@ -400,6 +410,7 @@ def cmd_glue(args) -> int:
         },
         "factor_dims": [chart1.dim, chart2.dim],
         "checks": checks,
+        "integrator": _integrator(rep),
         "pass": _all_pass(checks),
     }
     if args.export:
@@ -476,6 +487,7 @@ def cmd_oracle(args) -> int:
         "trajectories": args.trajectories,
         "flags": {"skipped_null": rep.skipped_null, "box_exits": rep.box_exits},
         "checks": checks,
+        "integrator": _integrator(rep),
         "mean_defect": _finite(rep.mean_defect),
         "pass": _all_pass(checks),
     }

@@ -7,6 +7,12 @@ a = x'' + Gamma_bar(x', x'), must stay collinear with the velocity.
 
 Collinearity is measured in the Euclidean coordinate inner product so the
 defect stays well defined near null directions of indefinite metrics.
+
+The integrator's error controller alone sets its steps; the uniform output
+times in between come from the pair's continuous extension.  The defect
+compares both connections at the same sampled (x, x'), so an interpolated
+sample moves where the defect is measured, not how small it is on a
+geodesically equivalent pair (Gamma_bar - Gamma is a projective change).
 """
 
 from __future__ import annotations
@@ -38,6 +44,22 @@ _DP_B4 = np.array(
 _DP_A_NZ = [tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _DP_A]
 _DP_B5_NZ = tuple((j, b) for j, b in enumerate(_DP_B5) if b != 0.0)
 _DP_B4_NZ = tuple((j, b) for j, b in enumerate(_DP_B4) if b != 0.0)
+# continuous extension (Hairer, Norsett and Wanner, Solving ODEs I, II.6):
+# over an accepted step of size h from y with stages k,
+# y(t + theta h) = y + h sum_i k_i sum_m _DP_P[i, m] theta^(m + 1)
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 # integrator tolerances, and the uniform output times per trajectory
 RTOL = 1e-10
@@ -49,18 +71,24 @@ SAMPLES = 64
 class GeodesicTrajectory:
     """Sampled geodesic with integrator statistics.
 
-    ``states`` rows are (position, velocity); sampling stops early (with
-    ``truncated`` set) once the position leaves the chart box.
-    ``accelerations`` rows are x'' = -Gamma(x', x') at the same samples:
-    the right-hand side the integrator already evaluated there (FSAL).
+    ``states`` rows are (position, velocity) at the uniform output
+    ``times``; sampling stops early (with ``truncated`` set) once the
+    position leaves the chart box.  ``accelerations`` rows are
+    x'' = -Gamma(x', x') at the same samples, and ``energy_drift`` is the
+    relative spread of g(x', x') over them (a first integral of the
+    geodesic flow).  ``steps`` counts accepted steps, ``rejected`` steps
+    refused by the error test and ``edge_retries`` steps retried at the
+    sample spacing because a stage left the box.
     """
 
     times: np.ndarray
     states: np.ndarray
     accelerations: np.ndarray
-    metric: MetricField
     steps: int
+    rejected: int
+    edge_retries: int
     max_local_error: float
+    energy_drift: float
     truncated: bool
 
     @property
@@ -70,7 +98,9 @@ class GeodesicTrajectory:
 
 @dataclass
 class DefectReport:
-    """Collinearity defects of a batch of trajectories."""
+    """Collinearity defects of a batch of trajectories, with what the
+    integrator did for them: accepted and rejected steps summed, the
+    largest local error and energy drift of any trajectory."""
 
     per_trajectory: list
     max_defect: float
@@ -78,6 +108,10 @@ class DefectReport:
     skipped_null: int
     box_exits: int
     trajectories: int
+    steps_accepted: int
+    steps_rejected: int
+    max_local_error: float
+    max_energy_drift: float
     flags: dict = field(default_factory=dict)
 
 
@@ -97,9 +131,15 @@ def integrate_geodesic(
 ) -> GeodesicTrajectory:
     """Integrate the geodesic equation with an embedded 5(4) pair.
 
-    Steps land exactly on ``SAMPLES`` uniform output times, so sampled
-    states carry no interpolation error.  The trajectory is truncated at
-    the last in-box sample once it leaves the chart.
+    The error controller alone picks the steps, clipped only to land on
+    T; the ``SAMPLES`` uniform output times inside each accepted step are
+    filled from the pair's continuous extension, and the sample at T is
+    the step's own fifth-order state.  While a step is longer than the
+    sample spacing, a stage outside the box retries it at that spacing,
+    so near the edge no stage reaches further out than a step of the
+    sampling grid would.  The trajectory is truncated at the last in-box
+    sample once it leaves the chart, or when a stage lands beyond half
+    the box's width outside it.
     """
     chart = g.chart
     p0 = np.asarray(p0, dtype=float)
@@ -109,7 +149,6 @@ def integrate_geodesic(
     n = chart.dim
     out_times = np.linspace(0.0, T, SAMPLES)
     states = np.empty((SAMPLES, 2 * n))
-    accelerations = np.empty((SAMPLES, n))
     y = np.concatenate([p0, v0])
     states[0] = y
     kept = 1
@@ -117,67 +156,90 @@ def integrate_geodesic(
 
     t = 0.0
     h = T / 100.0
+    h_grid = T / (SAMPLES - 1)
     hmin = 1e-14 * max(T, 1.0)
     margin = 0.5 * max(hi - lo for lo, hi in chart.box)
-    k = [np.zeros(2 * n)] * 7
-    f0 = _geodesic_rhs(g, y)
-    accelerations[0] = f0[n:]
-    steps = 0
+    k = [_geodesic_rhs(g, y)] + [None] * 6
+    steps = rejected = edge_retries = 0
     max_err = 0.0
 
-    for target_idx in range(1, SAMPLES):
-        t_target = out_times[target_idx]
-        while t < t_target - 1e-15 * max(T, 1.0) and not truncated:
-            h = min(h, t_target - t)
-            k[0] = f0
-            failed_here = 0
-            while True:
+    while kept < SAMPLES and not truncated:
+        h = min(h, T - t)
+        failed_here = 0
+        while True:
+            bound = 0.0 if h > h_grid else margin
+            left = False
+            for i in range(1, 7):
+                yi = y + h * sum(a * k[j] for j, a in _DP_A_NZ[i])
+                if not chart.contains(yi[:n], margin=bound):
+                    left = True
+                    break
+                k[i] = _geodesic_rhs(g, yi)
+            if left and h > h_grid:
+                h = h_grid
+                edge_retries += 1
+                continue
+            if left:
                 # a stage far outside the box means the curve has left the
                 # chart; truncate instead of fighting the step size
-                out_of_chart = False
-                for i in range(1, 7):
-                    yi = y + h * sum(a * k[j] for j, a in _DP_A_NZ[i])
-                    if not chart.contains(yi[:n], margin=margin):
-                        out_of_chart = True
-                        break
-                    k[i] = _geodesic_rhs(g, yi)
-                if out_of_chart:
+                truncated = True
+                break
+            y5 = y + h * sum(b * k[j] for j, b in _DP_B5_NZ)
+            y4 = y + h * sum(b * k[j] for j, b in _DP_B4_NZ)
+            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+            if err <= 1.0:
+                break
+            rejected += 1
+            failed_here += 1
+            h *= max(0.2, 0.9 * (1.0 / err) ** 0.2)
+            if h < hmin or failed_here > 60:
+                raise StepFailure(
+                    f"cannot meet tolerance near t={t:.6e} (err {err:.3e})"
+                )
+        if truncated:
+            break
+        t_next = T if h == T - t else t + h
+        stop = int(np.searchsorted(out_times, t_next, side="right"))
+        if stop > kept:
+            theta = (out_times[kept:stop] - t) / h
+            weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
+            fill = y + h * (weights @ np.array(k))
+            if t_next == T:
+                fill[-1] = y5
+            for row in fill:
+                if not chart.contains(row[:n]):
                     truncated = True
                     break
-                y5 = y + h * sum(b * k[j] for j, b in _DP_B5_NZ)
-                y4 = y + h * sum(b * k[j] for j, b in _DP_B4_NZ)
-                scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
-                err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-                if err <= 1.0:
-                    break
-                failed_here += 1
-                h *= max(0.2, 0.9 * (1.0 / err) ** 0.2)
-                if h < hmin or failed_here > 60:
-                    raise StepFailure(
-                        f"cannot meet tolerance near t={t:.6e} (err {err:.3e})"
-                    )
-            if truncated:
-                break
-            t += h
-            y = y5
-            f0 = k[6]  # FSAL: the last stage sits at the accepted point
-            steps += 1
-            max_err = max(max_err, err)
-            h = h * min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-300)) ** 0.2))
-        if truncated or not chart.contains(y[:n]):
-            truncated = True
-            break
-        states[kept] = y
-        accelerations[kept] = f0[n:]
-        kept += 1
+                states[kept] = row
+                kept += 1
+        t, y = t_next, y5
+        k[0] = k[6]  # FSAL: the last stage sits at the accepted point
+        steps += 1
+        max_err = max(max_err, err)
+        h = h * min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-300)) ** 0.2))
+
+    # one batch of Christoffel symbols at the kept samples; the metric's
+    # backing keeps that batch, so g.value reads it without a kernel pass
+    xs, vs = states[:kept, :n], states[:kept, n:]
+    gammas = in_point_order(lambda rows: christoffel(g, rows), xs)
+    accelerations = np.array(
+        [-np.einsum("ijk,j,k->i", gamma, v, v) for gamma, v in zip(gammas, vs)]
+    )
+    energies = np.einsum("bi,bij,bj->b", vs, g.value(xs), vs)
+    drift = float(np.max(energies) - np.min(energies)) / max(
+        1e-12, float(np.max(np.abs(energies)))
+    )
 
     return GeodesicTrajectory(
         times=out_times[:kept],
         states=states[:kept],
-        accelerations=accelerations[:kept],
-        metric=g,
+        accelerations=accelerations,
         steps=steps,
+        rejected=rejected,
+        edge_retries=edge_retries,
         max_local_error=max_err,
+        energy_drift=drift,
         truncated=truncated,
     )
 
@@ -216,6 +278,10 @@ def unparam_defect(traj: GeodesicTrajectory, gbar: MetricField) -> DefectReport:
         skipped_null=0,
         box_exits=int(traj.truncated),
         trajectories=1,
+        steps_accepted=traj.steps,
+        steps_rejected=traj.rejected,
+        max_local_error=traj.max_local_error,
+        max_energy_drift=traj.energy_drift,
     )
 
 
@@ -237,14 +303,10 @@ def geodesic_defect_report(
     chart = g.chart
     n = chart.dim
     rng = SplitMix64(seed)
-    per = []
     skipped = 0
-    exits = 0
-    worst = 0.0
-    means = []
-    made = 0
+    reps = []
     budget = 50 * trajectories
-    while made < trajectories and budget > 0:
+    while len(reps) < trajectories and budget > 0:
         budget -= 1
         p0 = np.array(
             [
@@ -265,36 +327,22 @@ def geodesic_defect_report(
         if abs(v @ g.value(p0) @ v) < null_threshold:
             skipped += 1
             continue
-        traj = integrate_geodesic(g, p0, v, T=T)
-        rep = unparam_defect(traj, gbar)
-        per.append(rep.max_defect)
-        means.append(rep.mean_defect)
-        worst = max(worst, rep.max_defect)
-        exits += rep.box_exits
-        made += 1
-    if made < trajectories:
+        reps.append(unparam_defect(integrate_geodesic(g, p0, v, T=T), gbar))
+    if len(reps) < trajectories:
         raise StepFailure(
             f"could not assemble {trajectories} non-null trajectories"
         )
+    per = [r.max_defect for r in reps]
     return DefectReport(
         per_trajectory=per,
-        max_defect=worst,
-        mean_defect=float(np.mean(means)),
+        max_defect=max([0.0] + per),
+        mean_defect=float(np.mean([r.mean_defect for r in reps])),
         skipped_null=skipped,
-        box_exits=exits,
+        box_exits=sum(r.box_exits for r in reps),
         trajectories=trajectories,
+        steps_accepted=sum(r.steps_accepted for r in reps),
+        steps_rejected=sum(r.steps_rejected for r in reps),
+        max_local_error=max([0.0] + [r.max_local_error for r in reps]),
+        max_energy_drift=max([0.0] + [r.max_energy_drift for r in reps]),
         flags={"near_null_threshold": null_threshold},
     )
-
-
-def energy_drift(traj: GeodesicTrajectory) -> float:
-    """Relative drift of g(x', x') along the trajectory (a first integral
-    of the geodesic flow)."""
-    vals = []
-    n = traj.dim
-    for y in traj.states:
-        x, v = y[:n], y[n:]
-        vals.append(float(v @ traj.metric.value(x) @ v))
-    vals = np.array(vals)
-    scale = max(1e-12, float(np.max(np.abs(vals))))
-    return float((np.max(vals) - np.min(vals)) / scale)

@@ -437,6 +437,51 @@ def test_oracle_negative_control(tmp_path, capsys):
     assert report["checks"]["oracle_defect"]["max"] > 1e-2
 
 
+# g has a square root that is undefined past x0 = 0.42, just outside the box
+EDGE_SCENE = {
+    "dim": 2,
+    "box": [[-0.4, 0.4], [-0.4, 0.4]],
+    "base_point": [0.0, 0.0],
+    "g": [["1 + 0*sqrt(0.42 - x0)", "0"], ["0", "1 + 0.2*x0"]],
+    "gbar": [["3*(1 + 0*sqrt(0.42 - x0))", "0"], ["0", "3*(1 + 0.2*x0)"]],
+}
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+def test_oracle_stages_stay_near_the_box_edge(tmp_path, capsys, seed):
+    # steps longer than the sample spacing that would put a stage outside
+    # the box are retried at that spacing, so no stage reaches x0 > 0.42
+    scene = _write(tmp_path, "edge.json", EDGE_SCENE)
+    code, report = _run(capsys, ["oracle", scene, "--trajectories", "20",
+                                 "--seed", seed])
+    assert code == 0
+    assert report["flags"]["box_exits"] > 0
+
+
+def _strict(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", REPO_LC3, "--trajectories", "3"],
+    ["glue", REPO_FACTOR_A, REPO_FACTOR_B, "--points", "4", "--trajectories", "2"],
+], ids=["oracle", "glue"])
+def test_reports_show_what_the_integrator_did(capsys, argv):
+    code = main(argv)
+    integrator = _strict(capsys.readouterr().out)["integrator"]
+    assert code == 0
+    assert sorted(integrator) == ["max_energy_drift", "max_local_error",
+                                  "steps_accepted", "steps_rejected"]
+    assert isinstance(integrator["steps_accepted"], int)
+    assert isinstance(integrator["steps_rejected"], int)
+    assert integrator["steps_accepted"] > 0 and integrator["steps_rejected"] >= 0
+    assert 0.0 < integrator["max_local_error"] <= 1.0
+    assert 0.0 <= integrator["max_energy_drift"] <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # determinism and plumbing
 

@@ -1,5 +1,6 @@
 """Verdicts that must not depend on a constant rescaling of g or gbar, on
-which metric of the pair comes first, or on the order of the coordinates."""
+which metric of the pair comes first, on the order of the coordinates, or
+on the sampling seed."""
 
 import contextlib
 import io
@@ -68,3 +69,15 @@ def test_verdicts_survive_rescaling_and_swap(tmp_path, scene, expected, command)
     assert base[0] == expected
     for name, change in CHANGES.items():
         assert _verdicts(tmp_path, change(scene), command) == base, name
+
+
+@pytest.mark.parametrize("scene, expected", [(LC3, 0), (_negative(LC3), 2)],
+                         ids=["lc3", "negative"])
+@pytest.mark.parametrize("command", [["check", "--points", "20"],
+                                     ["oracle", "--trajectories", "2"]],
+                         ids=["check", "oracle"])
+def test_verdicts_survive_a_change_of_seed(tmp_path, scene, expected, command):
+    verdicts = [_verdicts(tmp_path, scene, command + ["--seed", seed])
+                for seed in ("1", "42", "7919")]
+    assert verdicts[0][0] == expected
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]

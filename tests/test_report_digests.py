@@ -26,10 +26,10 @@ CASES = [
     (["ts", "scenes/lc3.json", "--f", "exp", "--points", "4"],
      "c8bb8799e24a434e157e1209a1ed11575c267ab9e1822419cc3e8ef24e402505"),
     (["oracle", "scenes/lc3.json", "--trajectories", "3"],
-     "2a2cf6b29ab0ad5a6282256a27c47303287d5f7cc713627e530c85b0cc246d1e"),
+     "0d32aeb514f991737ef19a690f733e302e719097a46270c3292e50d04b7e92ed"),
     (["glue", "scenes/factor-a.json", "scenes/factor-b.json", "--points", "4",
       "--trajectories", "1"],
-     "5052aeef22694bba575106ad97c400016e0e9a07ad1c8308f090a3947982cca5"),
+     "859ce2ec0b4130d6468451d53b839f7c5b8273ed9f9bada1015b8cad0c3b8ff9"),
 ]
 
 
