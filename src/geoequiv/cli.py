@@ -319,9 +319,10 @@ def cmd_split(args) -> int:
     P1, P2 = sr.projectors
     pts = sample_points(chart, args.points, args.seed)
 
-    ortho, nabla_h, nabla_hbar, charpoly_dev, sym_dev = [], [], [], [], []
+    ortho, nabla_h, nabla_hbar, charpoly_dev, sym_dev, gaps = [], [], [], [], [], []
     nondeg = True
     for p in pts:
+        gaps.append(fact.gap_at(p))
         hv = sr.h.value(p)
         hbv = sr.hbar.value(p)
         nondeg &= nondegenerate(hv) and nondegenerate(hbv)
@@ -366,6 +367,8 @@ def cmd_split(args) -> int:
         "points": args.points,
         "flags": {"sign_flip": bool(L.sign_flipped), "nondegenerate": bool(nondeg)},
         "factor_dims": [fact.r, chart.dim - fact.r],
+        "factorization": {"min_group_gap": _finite(min(gaps)),
+                          "gap_tolerance": fact.eps_gap},
         "checks": checks,
         "pass": _all_pass(checks) and bool(nondeg),
     }

@@ -41,7 +41,9 @@ from .factorization import (
     _paired_eigvals,
     admissible_factorization,
     cofactors,
+    factors_and_derivatives,
     gap_tolerance,
+    inverse_and_derivative,
     projectors,
 )
 
@@ -90,27 +92,39 @@ class SplitResult:
 def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> SplitResult:
     """Splitting construction (see the module docstring) for a compatible
     pair and an admissible factorization into k >= 2 groups, each chi_j(0)
-    away from zero.  The returned metric fields are derived closures with
-    finite-difference derivative access, built from one closure."""
+    away from zero.  The returned metric fields share one closure and an
+    exact batch jacobian: forward mode through the factor derivatives of
+    ``factors_and_derivatives``, ``eval_matrix``, d(S^-1) = -S^-1 dS S^-1
+    and the quotient rule for the 1/W_i(0) factors.  Its values have the
+    bits of the value closure, and its checks run in the same order: h's
+    symmetry, every chi_j(0), then hbar's symmetry."""
     chart = g.chart
     L = fact.lfield
+    n = chart.dim
 
-    def pair_fn(p):
-        lv = L.value(p)
-        groups = fact.groups_at(p)
-        chis = fact.chi_at(p)
-        ws = cofactors(chis)
-        a = [w.eval_matrix(lv) for w in ws]
-        h = _sym_checked(g.value(p) @ np.linalg.inv(sum(a[1:], a[0])), p,
-                         "split metric h")
-        for j, (chi, grp) in enumerate(zip(chis, groups)):
-            _chi_zero_checked(chi, grp, p, f"chi{j + 1}")
-        m = [ai / w(0.0) for ai, w in zip(a, ws)]
-        hbar = _sym_checked(gbar.value(p) @ np.linalg.inv(sum(m[1:], m[0])), p,
-                            "split metric hbar")
-        return np.stack([h, hbar])
+    def pair(rows, derivative):
+        fs = [_along_product(f, rows, 0, n, derivative) for f in (L, g, gbar)]
+        vals = np.zeros((len(rows), 2, n, n))
+        derivs = np.zeros((len(rows), n if derivative else 0, 2, n, n))
+        for i, q in enumerate(rows):
+            (lv, dl), (gv, dg), (gbv, dgb) = ((v[i], d[i]) for v, d in fs)
+            chis, dchis = factors_and_derivatives(fact, q, lv, dl)
+            ws, dws = cofactors(chis, dchis)
+            a, da = zip(*(w.eval_matrix(lv, dl, dw) for w, dw in zip(ws, dws)))
+            sinv = inverse_and_derivative(sum(a[1:], a[0]), sum(da[1:], da[0]), q)
+            h = _sym_product(gv, dg, *sinv, q, "split metric h")
+            for j, (chi, grp) in enumerate(zip(chis, fact.groups_at(q))):
+                _chi_zero_checked(chi, grp, q, f"chi{j + 1}")
+            m, dm = zip(*(_over(ai, dai, w(0.0), dw[:, 0])
+                          for ai, dai, w, dw in zip(a, da, ws, dws)))
+            minv = inverse_and_derivative(sum(m[1:], m[0]), sum(dm[1:], dm[0]), q)
+            hbar = _sym_product(gbv, dgb, *minv, q, "split metric hbar")
+            vals[i, 0], derivs[i, :, 0] = h
+            vals[i, 1], derivs[i, :, 1] = hbar
+        return vals, derivs
 
-    h, hbar = metric_pair(chart, pair_fn)
+    h, hbar = metric_pair(chart, lambda p: pair(p[None], False)[0][0],
+                          jac=lambda rows: pair(rows, True))
 
     for p in probe_points(chart, 30):
         for name, m in (("h", h.value(p)), ("hbar", hbar.value(p))):
@@ -216,7 +230,9 @@ def _along_product(field, pts, lead, n, derivative):
     """A factor field's values along the batch ``pts`` and, with
     ``derivative``, its derivatives along the n product coordinates: the
     factor's own coordinates start at slot ``lead``, the other factor's
-    give zero.  Without ``derivative`` there are no directions (K = 0)."""
+    give zero (with lead 0 and n its own dimension, a field's plain values
+    and derivatives).  Without ``derivative`` there are no directions
+    (K = 0)."""
     if not derivative:
         vals = field.value(pts)
         return vals, np.zeros((len(pts), 0) + vals.shape[1:])
@@ -226,7 +242,7 @@ def _along_product(field, pts, lead, n, derivative):
     return vals, out
 
 
-def _glued_block(h, dh, a, da, p, what):
+def _sym_product(h, dh, a, da, p, what):
     """Checked symmetric part of h a, and the symmetric part of its
     derivative dh a + h da."""
     d = dh @ a + h @ da
@@ -270,11 +286,11 @@ def glue(inp: GlueInput, p, derivative=False):
         c20 = _chi_zero_checked(chi2, w2, q, "chi2")
         a, da = chi2.eval_matrix(lv1, dl1, dc2)
         b, db = chi1.eval_matrix(lv2, dl2, dc1)
-        g1 = _glued_block(h1, dh1, a, da, q, "glued g block 1")
-        g2 = _glued_block(h2, dh2, b, db, q, "glued g block 2")
-        gb1 = _over(*_glued_block(hb1, dhb1, a, da, q, "glued gbar block 1"),
+        g1 = _sym_product(h1, dh1, a, da, q, "glued g block 1")
+        g2 = _sym_product(h2, dh2, b, db, q, "glued g block 2")
+        gb1 = _over(*_sym_product(hb1, dhb1, a, da, q, "glued gbar block 1"),
                     c20, dc2[:, 0])
-        s2, ds2 = _glued_block(hb2, dhb2, b, db, q, "glued gbar block 2")
+        s2, ds2 = _sym_product(hb2, dhb2, b, db, q, "glued gbar block 2")
         gb2 = _over(inp.block2_sign * s2, inp.block2_sign * ds2, c10, dc1[:, 0])
         for k, (top, bottom) in enumerate(((g1, g2), (gb1, gb2))):
             vals[i, k, :r, :r], derivs[i, :, k, :r, :r] = top
@@ -432,19 +448,7 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
     for ci, coords in enumerate(coord_sets):
         idx = np.array(coords)
         l_block = restrict(L, coords, p0)
-
-        def pair_fn(x, ci=ci, idx=idx):
-            q = p0.copy()
-            q[idx] = x
-            block = np.ix_(idx, idx)
-            w = cofactors(fact.chi_at(q))[ci]
-            winv = np.linalg.inv(w.eval_matrix(L.value(q)[block]))
-            h = _sym_checked(g.value(q)[block] @ winv, x, "decomposition factor h")
-            hbar = _sym_checked(w(0.0) * gbar.value(q)[block] @ winv, x,
-                                "decomposition factor hbar")
-            return np.stack([h, hbar])
-
-        h, hbar = metric_pair(l_block.chart, pair_fn)
+        h, hbar = _factor_pair(g, gbar, L, fact, ci, idx, l_block.chart)
         sub = DecompositionFactor(
             coords=coords,
             chart=l_block.chart,
@@ -456,6 +460,42 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
         sub.residual_max = _factor_residual(sub, residual_points)
         factors.append(sub)
     return factors
+
+
+def _factor_pair(g, gbar, L, fact, ci, idx, leaf):
+    """Factor pair ``ci`` of ``full_decompose`` on the leaf chart of the
+    coordinates ``idx`` through the base point, with an exact batch
+    jacobian along the leaf coordinates: L's derivative is sliced as in
+    ``restrict``, the factor derivatives come from the whole L along
+    those directions, and its values have the bits of the value
+    closure."""
+    p0 = np.asarray(g.chart.base_point)
+    block = np.ix_(idx, idx)
+    dblock = (slice(None),) + block
+
+    def pair(rows, derivative):
+        qs = np.repeat(p0[None], len(rows), axis=0)
+        qs[:, idx] = rows
+        fs = [_along_product(f, qs, 0, len(p0), derivative) for f in (L, g, gbar)]
+        if derivative:
+            fs = [(v, d[:, idx]) for v, d in fs]
+        vals = np.zeros((len(rows), 2, len(idx), len(idx)))
+        derivs = np.zeros((len(rows), len(idx) if derivative else 0) + vals.shape[1:])
+        for i, (x, q) in enumerate(zip(rows, qs)):
+            (lv, dl), (gv, dg), (gbv, dgb) = ((v[i], d[i]) for v, d in fs)
+            ws, dws = cofactors(*factors_and_derivatives(fact, q, lv, dl))
+            w, dw = ws[ci], dws[ci]
+            winv = inverse_and_derivative(*w.eval_matrix(lv[block], dl[dblock], dw), x)
+            vals[i, 0], derivs[i, :, 0] = _sym_product(
+                gv[block], dg[dblock], *winv, x, "decomposition factor h")
+            w0, dw0 = w(0.0), dw[:, 0, None, None]
+            vals[i, 1], derivs[i, :, 1] = _sym_product(
+                w0 * gbv[block], dw0 * gbv[block] + w0 * dgb[dblock],
+                *winv, x, "decomposition factor hbar")
+        return vals, derivs
+
+    return metric_pair(leaf, lambda x: pair(x[None], False)[0][0],
+                       jac=lambda rows: pair(rows, True))
 
 
 def _factor_residual(factor: DecompositionFactor, points: int) -> float:

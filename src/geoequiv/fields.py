@@ -3,8 +3,11 @@
 Fields are backed either by closed-form expressions (exact forward-mode
 derivatives) or by derived closures.  A derived closure either carries an
 explicit batch jacobian closure built from exact matrix calculus (the pair
-tensor, the glued pair) or is differentiated by central finite
-differences, step 6e-6 * (1 + |x_k|) per coordinate.
+tensor, the glued pair, the split pair, the spectral projectors, the
+iterated decomposition's factor pairs, coordinate leaves of exact fields)
+or is differentiated by central finite differences, step
+6e-6 * (1 + |x_k|) per coordinate (operator-function rescaling, the
+projective deformation).
 
 An expression-backed field evaluates through one compiled kernel
 (``exprdsl.compile_dual`` over its distinct components, cached per
@@ -16,8 +19,9 @@ A construction that maps a pair to a pair (split, glue, operator-function
 rescaling, iterated decomposition) builds both metrics with
 ``metric_pair`` from one closure returning them stacked: the shared work
 runs once per point, and one backing holds what both halves read: the
-last batch of a ``jac=`` closure (glue), or the point cache and the
-finite-difference derivative.  ``restrict`` gives a field on a coordinate
+last batch of a ``jac=`` closure (glue, split, the decomposition
+factors), or the point cache and the finite-difference derivative
+(rescaling).  ``restrict`` gives a field on a coordinate
 leaf (the other coordinates frozen) whose value and jacobian are slices of
 the whole field's.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from geoequiv.cli import main, parse_function_spec, load_scene, SceneError
-from geoequiv.equiv import LeviCivitaSpec, levi_civita_pair
+from geoequiv.equiv import LeviCivitaSpec, l_tensor_field, levi_civita_pair
 from geoequiv.fields import Chart, sample_points
 
 LC_SCENE = {
@@ -236,6 +236,25 @@ def test_split_command_with_export(tmp_path, capsys):
     assert grid["grid"] == 3
     assert len(grid["fields"]["h"]) == 27
     assert len(grid["fields"]["h"][0]) == 9
+
+
+def test_split_report_shows_the_smallest_group_gap(capsys):
+    # the smallest distance between the eigenvalue of group 0 and those of
+    # group 1 over the sample points, and the tolerance it must stay above
+    code, report = _run(capsys, ["split", REPO_LC3, "--groups", "0|1,2",
+                                 "--points", "6", "--seed", "5"])
+    assert code == 0
+    chart, g, gbar, _ = load_scene(REPO_LC3)
+    L = l_tensor_field(g, gbar)
+    gaps = []
+    for p in sample_points(chart, 6, 5):
+        w = np.sort_complex(np.linalg.eigvals(L.value(p)))
+        gaps.append(np.min(np.abs(w[0] - w[1:])))
+    lv0 = L.value(chart.base_point)
+    assert report["factorization"] == {
+        "min_group_gap": pytest.approx(min(gaps), rel=1e-12),
+        "gap_tolerance": pytest.approx(1e-6 * (1.0 + np.linalg.norm(lv0)), rel=1e-12),
+    }
 
 
 def test_split_with_eigenvectors_off_the_coordinate_axes(tmp_path, capsys):
@@ -586,14 +605,25 @@ def test_non_finite_statistics_fail_as_strict_json(values, capsys):
 
 
 # an arithmetic error met while evaluating the pair: an overflow of the
-# determinant and sin of an infinity inside a compiled kernel
-@pytest.mark.parametrize("entry", ["exp(1000*x0) + 1", "2 + sin(x0*1e300*1e300*x0)"],
-                         ids=["exp-overflow", "sin-of-inf"])
-@pytest.mark.parametrize("command", [["check", "--points", "20"],
-                                     ["ts", "--f", "exp", "--points", "20"],
-                                     ["oracle", "--trajectories", "2"]],
-                         ids=["check", "ts", "oracle"])
-def test_arithmetic_error_exits_3(tmp_path, capsys, entry, command):
+# determinant square and sin of an infinity inside a compiled kernel.  The
+# steep exp(1000*x0) entry makes oracle give up on the step size before any
+# overflow, so that case exits 3 through StepFailure.
+EXP = "exp(1000*x0) + 1"
+SIN = "2 + sin(x0*1e300*1e300*x0)"
+CHECK = ["check", "--points", "20"]
+TS = ["ts", "--f", "exp", "--points", "20"]
+ORACLE = ["oracle", "--trajectories", "2"]
+
+
+@pytest.mark.parametrize("entry, command, error", [
+    pytest.param(EXP, CHECK, "DomainError", id="check-exp-overflow"),
+    pytest.param(SIN, CHECK, "DomainError", id="check-sin-of-inf"),
+    pytest.param(EXP, TS, "DomainError", id="ts-exp-overflow"),
+    pytest.param(SIN, TS, "DomainError", id="ts-sin-of-inf"),
+    pytest.param(EXP, ORACLE, "StepFailure", id="oracle-exp-step-failure"),
+    pytest.param(SIN, ORACLE, "DomainError", id="oracle-sin-of-inf"),
+])
+def test_arithmetic_error_exits_3(tmp_path, capsys, entry, command, error):
     scene = _write(tmp_path, "overflow.json", {
         "dim": 2,
         "box": [[-0.5, 0.5], [-0.5, 0.5]],
@@ -604,4 +634,4 @@ def test_arithmetic_error_exits_3(tmp_path, capsys, entry, command):
     code = main([command[0], scene] + command[1:])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert "error:" in err and "Traceback" not in err
+    assert f"error: {error}: " in err and "Traceback" not in err

@@ -1,6 +1,8 @@
 """Eigenvalue-group tracking, admissible factorizations and spectral
 projector fields."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from geoequiv.equiv import (
     l_tensor_field,
     projectors,
 )
-from geoequiv.equiv.factorization import _greedy_match, cofactors
+from geoequiv.equiv.factorization import (_greedy_match, cofactors,
+                                          factors_and_derivatives,
+                                          inverse_and_derivative)
 from geoequiv.errors import AdmissibilityViolation, ConjugationViolation
 from geoequiv.fields import Chart, OperatorField, sample_points
-from geoequiv.smallmat import char_poly, frob, matrix_function
+from geoequiv.smallmat import MonicPoly, char_poly, frob, matrix_function
 
 from conftest import build_pair, hermite_indicator
 
@@ -286,3 +290,84 @@ def test_three_group_validation_errors():
     with pytest.raises(ConjugationViolation):
         admissible_factorization(rot, ((0,), (1,), (2,)))
     admissible_factorization(rot, ((0, 1), (2,)))
+
+
+def _crossing_in_group_operator():
+    # group 0 holds 1 + x0 and the pair 1 +- i sqrt(1 - 0.1*x1): their real
+    # parts cross at x0 = 0, so the canonical order within the group changes
+    chart = Chart(4, ((-0.5, 0.5),) * 4, (-0.3, 0.0, 0.0, 0.0))
+    return OperatorField.from_exprs(chart, [
+        ["1 + x0", "0", "0", "0"],
+        ["0", "1", "-1 + 0.1*x1", "0"],
+        ["0", "1", "1", "0"],
+        ["0", "0", "0", "5 + 0.1*x2"],
+    ])
+
+
+ORDER_CASES = {
+    **{case: INDICATOR_CASES[case]
+       for case in ("lc3_mixed", "three-groups", "complex-pair", "jordan-2")},
+    "crossing-in-group": (_crossing_in_group_operator, ((0, 1, 2), (3,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_factors_do_not_depend_on_the_tracking_order(case):
+    # each point is tracked from the nearest point tracked before it, so
+    # the paths differ with the order; the factor bits must not
+    make, grouping = ORDER_CASES[case]
+    L = make()
+    pts = sample_points(L.chart, 12, seed=26)
+    bits = []
+    for order in (range(12), range(11, -1, -1), np.random.default_rng(0).permutation(12)):
+        fact = admissible_factorization(L, grouping)
+        for i in order:
+            fact.chi_at(pts[i])
+        bits.append([[np.array(chi.coeffs).tobytes() for chi in fact.chi_at(p)]
+                     for p in pts])
+        # each group holds eigenvalues of L(p) itself, in canonical order
+        for p in pts:
+            groups = fact.groups_at(p)
+            for grp in groups:
+                assert grp.tobytes() == grp[np.lexsort((grp.imag, grp.real))].tobytes()
+            w = np.linalg.eigvals(L.value(p))
+            assert (np.sort_complex(np.concatenate(groups)).tobytes()
+                    == np.sort_complex(w).tobytes())
+    assert bits[0] == bits[1] == bits[2]
+
+
+def test_gap_collapse_is_detected_in_every_tracking_order():
+    # the groups 1 + x0 and 1 - x0 meet on x0 = 0; points tracked before
+    # (0.9, 0), on either side, must not let it pass
+    L2 = OperatorField.from_exprs(
+        Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (-0.9, 0.0)),
+        [["1 + x0", "0"], ["0", "1 - x0"]],
+    )
+    pts = [(-0.5, 0.0), (0.5, 0.0), (-0.2, 0.3), (0.9, 0.0)]
+    for order in itertools.permutations(range(4)):
+        fact = admissible_factorization(L2, ((0,), (1,)))
+        for i in order:
+            if i == 3:
+                with pytest.raises(AdmissibilityViolation):
+                    fact.groups_at(pts[i])
+                continue
+            try:
+                fact.groups_at(pts[i])
+            except AdmissibilityViolation:
+                pass
+
+
+class _SharedRoot:
+    # two factors t - 2: not coprime
+    def chi_at(self, p):
+        return MonicPoly((-2.0,)), MonicPoly((-2.0,))
+
+
+def test_singular_solves_are_admissibility_violations():
+    p = np.array([0.1, 0.2])
+    lv, dl = np.diag([2.0, 2.0]), np.ones((2, 2, 2))
+    for solve in (lambda: factors_and_derivatives(_SharedRoot(), p, lv, dl),
+                  lambda: inverse_and_derivative(np.zeros((2, 2)), dl, p)):
+        with pytest.raises(AdmissibilityViolation) as info:
+            solve()
+        assert np.array_equal(info.value.point, p)

@@ -22,7 +22,7 @@ CASES = [
     (["check", "scenes/lc3.json", "--points", "20"],
      "05415b6fb846073545f5eea93e99915ab7b69b7b3e17239e33a19aabf4662f12"),
     (["split", "scenes/lc3.json", "--groups", "0|1,2", "--points", "4"],
-     "f326692a6b4b8f8647786f2e9e405dd6734c269e0fc618b1ed48082a616caca8"),
+     "ab5a20ca7b7549139c3a1bd5e8f54d82963990382c7d0869b4d55b06bd56bd6f"),
     (["ts", "scenes/lc3.json", "--f", "exp", "--points", "4"],
      "c8bb8799e24a434e157e1209a1ed11575c267ab9e1822419cc3e8ef24e402505"),
     (["oracle", "scenes/lc3.json", "--trajectories", "3"],

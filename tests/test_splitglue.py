@@ -21,6 +21,7 @@ from geoequiv.equiv import (
     glue,
     glue_fields,
     l_tensor_field,
+    projectors,
     split,
 )
 from geoequiv.errors import NotAdapted, SpectraOverlap, ZeroChiAtZero
@@ -34,6 +35,9 @@ from geoequiv.fields import (
     sample_points,
 )
 from geoequiv.smallmat import char_poly, eigen, frob
+
+from conftest import build_pair
+from test_factorization import _complex_pair_operator, _three_group_operator
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -628,3 +632,82 @@ def test_restrict_slices_value_and_exact_jacobian(corpus):
                 assert val.tobytes() == field.value(q)[np.ix_(idx, idx)].tobytes()
                 fd = central_difference(leaf.value, x)
                 assert frob(deriv - fd) <= 1e-8 * (1.0 + frob(deriv))
+
+
+# ---------------------------------------------------------------------------
+# exact jacobians of the polynomial-in-L constructions
+
+
+def _split_fields(name, grouping):
+    g, gbar = build_pair(name)
+    sr = split(g, gbar, admissible_factorization(l_tensor_field(g, gbar), grouping))
+    return [sr.h, sr.hbar]
+
+
+def _projector_fields(make_l, grouping):
+    L = make_l()
+    return list(projectors(L, admissible_factorization(L, grouping)))
+
+
+def _decompose_fields(pair):
+    factors = full_decompose(*pair, residual_points=2)
+    return [field for f in factors for field in (f.h, f.hbar)]
+
+
+def _corpus_l(name):
+    return lambda: l_tensor_field(*build_pair(name))
+
+
+def _cross_dependent_pair():
+    # L = diag(1 + 0.1*x1, 2 + 0.1*x0, 3.5) with g = Id: not a normal form,
+    # so each factor's cofactor W_i moves along the factor's own leaf
+    # (gbar = g L^-1 / det L)
+    lams = ("1 + 0.1*x1", "2 + 0.1*x0", "3.5")
+    prod = "*".join(f"({lam})" for lam in lams)
+    chart = Chart(3, ((-0.4, 0.4),) * 3, (0.0, 0.0, 0.0))
+
+    def diag(entries):
+        return [[entries[i] if i == j else "0" for j in range(3)] for i in range(3)]
+
+    return (MetricField.from_exprs(chart, diag(["1"] * 3)),
+            MetricField.from_exprs(chart, diag([f"1/(({lam})*{prod})" for lam in lams])))
+
+
+JACOBIAN_CASES = {
+    "split-lc2_sin": lambda: _split_fields("lc2_sin", ((0,), (1,))),
+    "split-lc3_mixed": lambda: _split_fields("lc3_mixed", ((1, 2), (0,))),
+    "split-lc4_simple-4": lambda: _split_fields("lc4_simple", ((0,), (1,), (2,), (3,))),
+    "projectors-lc3_simple": lambda: _projector_fields(_corpus_l("lc3_simple"),
+                                                       ((0,), (1, 2))),
+    "projectors-three-groups": lambda: _projector_fields(
+        lambda: _three_group_operator()[1], ((0,), (1,), (2,))),
+    "projectors-complex-pair": lambda: _projector_fields(_complex_pair_operator,
+                                                         ((0, 1), (2,))),
+    "decompose-lc3_simple": lambda: _decompose_fields(build_pair("lc3_simple")),
+    "decompose-lc4_mixed": lambda: _decompose_fields(build_pair("lc4_mixed")),
+    "decompose-cross-dependent": lambda: _decompose_fields(_cross_dependent_pair()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+def test_polynomial_constructions_have_exact_jacobians(case):
+    for field in JACOBIAN_CASES[case]():
+        for p in sample_points(field.chart, 3, seed=27):
+            _, exact = field.value_and_derivative(p)
+            fd = central_difference(field.value, p)
+            assert frob(exact - fd) <= 1e-7 * (1.0 + frob(exact)), case
+
+
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+def test_polynomial_jacobians_keep_the_value_bits_and_batch_rows(case):
+    # the jacobian's values are the value closure's bits, and a batch of 1
+    # gives the bits of its row in a batch of 5
+    by_value, by_jac, by_batch = (JACOBIAN_CASES[case]() for _ in range(3))
+    for a, b, c in zip(by_value, by_jac, by_batch):
+        rows = sample_points(a.chart, 5, seed=28)
+        vals, derivs = c.value_and_derivative(rows)
+        for i, p in enumerate(rows):
+            assert a.value(p).tobytes() == b.value_and_derivative(p)[0].tobytes()
+            val, deriv = b.value_and_derivative(rows[i:i + 1])
+            assert val.tobytes() == vals[i:i + 1].tobytes()
+            assert deriv.tobytes() == derivs[i:i + 1].tobytes()
