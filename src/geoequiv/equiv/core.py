@@ -26,9 +26,9 @@ from ..fields import (
     as_batch,
     covariant_derivative_op,
     lie_derivative_metric,
-    metric_pair,
     nondegenerate,
     probe_points,
+    stacked_fields,
 )
 from ..smallmat import ScalarFunction, char_poly, eigen, frob, matrix_function
 
@@ -37,7 +37,7 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
     """Pair tensor from stacked metric values at the points ``rows``:
     ``(L, dL, flipped)``, each with a leading batch axis.
 
-    The single implementation behind ``compute_L`` and both closures of
+    The single implementation behind ``compute_L`` and the closure of
     ``l_tensor_field``, so L has the same bits on every path.  ``dL`` is
     None unless the metric derivatives are given; ``flipped`` lists the
     sign flip of g per row (see ``compute_L``).  The determinant ratio, its
@@ -114,19 +114,19 @@ def l_tensor_field(g: MetricField, gbar: MetricField) -> OperatorField:
     Derivatives are obtained by forward-mode matrix calculus through the
     determinant, inverse and root, so they are as accurate as the metric
     derivatives themselves (exact for expression-backed metrics); the
-    jacobian closure takes a batch of points.  The field carries
-    ``sign_flipped`` reflecting the orientation fix at the base point.
+    closure takes a batch of points.  The field carries ``sign_flipped``
+    reflecting the orientation fix at the base point.
     """
     chart = g.chart
 
-    def value_and_jac(rows):
+    def jac(rows, derivative):
+        if not derivative:
+            return _pair_tensor(g.value(rows), gbar.value(rows), rows)[0]
         gv, dgv = g.value_and_derivative(rows)
         gbv, dgbv = gbar.value_and_derivative(rows)
         return _pair_tensor(gv, gbv, rows, dgv, dgbv)[:2]
 
-    field = OperatorField.from_function(
-        chart, lambda p: compute_L(g, gbar, p), jac=value_and_jac
-    )
+    field = OperatorField.from_function(chart, jac=jac)
     _, field.sign_flipped = compute_L(g, gbar, chart.base_point, return_flag=True)
     return field
 
@@ -210,7 +210,7 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction):
         ms = [metric.value(p) @ fl for metric in (g, gbar)]
         return np.stack([0.5 * (m + m.T) for m in ms])
 
-    gf, gbf = metric_pair(chart, pair_fn)
+    gf, gbf = stacked_fields(MetricField, chart, 2, fn=pair_fn)
     for p in probe_points(chart, 20):
         gf.value(p)
     return gf, gbf
@@ -265,11 +265,10 @@ def shift_to_nondegenerate(L: OperatorField):
     c = 1.0 + max(frob(lv) for lv in values)
     n = chart.dim
 
-    def fn(p):
-        return L.value(p) + c * np.eye(n)
-
-    def jac(rows):
+    def jac(rows, derivative):
+        if not derivative:
+            return L.value(rows) + c * np.eye(n)
         lv, dl = L.value_and_derivative(rows)
         return lv + c * np.eye(n), dl
 
-    return OperatorField.from_function(chart, fn, jac=jac), c
+    return OperatorField.from_function(chart, jac=jac), c

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import (AdmissibilityViolation, ConjugationViolation,
                       NotConjugationClosed)
-from ..fields import OperatorField
+from ..fields import OperatorField, stacked_fields
 from ..smallmat import MonicPoly, char_poly, frob, unpaired_conjugate
 
 # straight-path steps of the group tracker: the first try, and the cap the
@@ -82,7 +82,10 @@ def track_eigenvalue_groups(
     (default: the chart base point) to the point p.
 
     Walks a straight path from ``start``, matching eigenvalues step to
-    step; the last step is p itself.  The first try takes
+    step; the last step is p itself.  Each try evaluates L along its path
+    as one batch; if that raises, the walk evaluates L step by step, so
+    the error that propagates is the first one the walk meets (a failed
+    check of an earlier step included).  The first try takes
     ``max(1, ceil(PATH_STEPS * |p - start| / |p - p0|))`` steps, so no
     step is longer than those of the base-point path to p, and the step
     count doubles (up to ``MAX_PATH_STEPS``) whenever eigenvalues move
@@ -102,12 +105,16 @@ def track_eigenvalue_groups(
     steps = PATH_STEPS if hop >= reach else max(1, math.ceil(PATH_STEPS * hop / reach))
     start_values, start_labels = values, labels
     while True:
+        qs = [start + (k / steps) * (p - start) for k in range(1, steps)] + [p]
+        try:
+            lvs = L.value(np.array(qs))
+        except Exception:
+            lvs = map(L.value, qs)
         prev = start_values.copy()
         labels = start_labels.copy()
         ok = trusted = True
-        for k in range(1, steps + 1):
-            q = p if k == steps else start + (k / steps) * (p - start)
-            cur = _paired_eigvals(L.value(q))
+        for q, lv in zip(qs, lvs):
+            cur = _paired_eigvals(lv)
             perm, moved = _greedy_match(prev, cur)
             prev = cur[perm]
             gap = _check_step(prev, labels, q, eps_gap)
@@ -340,9 +347,9 @@ def projectors(L: OperatorField, fact: FactorizationResult):
     Projector i is W_i(L) S^{-1} with S = sum_j W_j(L) and the cofactors
     W_j of the tracked factors: on group j's invariant subspace every
     W_i(L) but the invertible W_j(L) vanishes, so S acts there as W_j(L).
-    Each carries an exact batch jacobian, forward mode through the factor
-    derivatives, ``eval_matrix`` and d(S^-1) = -S^-1 dS S^-1, whose values
-    have the bits of the value closure.
+    The fields share one batch closure with an exact jacobian, forward
+    mode through the factor derivatives, ``eval_matrix`` and d(S^-1) =
+    -S^-1 dS S^-1, whose values have the same bits with or without it.
     """
     n = L.chart.dim
 
@@ -360,14 +367,9 @@ def projectors(L: OperatorField, fact: FactorizationResult):
             sinv, dsinv = inverse_and_derivative(sum(a[1:], a[0]), sum(da[1:], da[0]), q)
             vals.append([ai @ sinv for ai in a])
             derivs.append([dai @ sinv + ai @ dsinv for ai, dai in zip(a, da)])
+        if not derivative:
+            return np.array(vals)
         return np.array(vals), np.array(derivs).swapaxes(1, 2)
 
-    def make(i):
-        def jac(rows):
-            vals, derivs = stack(rows, True)
-            return vals[:, i], derivs[:, :, i]
-
-        return OperatorField.from_function(
-            L.chart, lambda p: stack(p[None], False)[0][0, i], jac=jac)
-
-    return tuple(make(i) for i in range(fact.base_labels.max() + 1))
+    return stacked_fields(OperatorField, L.chart, int(fact.base_labels.max()) + 1,
+                          jac=stack)

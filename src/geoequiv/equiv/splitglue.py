@@ -33,7 +33,7 @@ from ..errors import (
     ZeroChiAtZero,
 )
 from ..fields import (PROBE_SEED, Chart, MetricField, OperatorField, as_batch,
-                      metric_pair, nondegenerate, probe_points, restrict)
+                      nondegenerate, probe_points, restrict, stacked_fields)
 from ..smallmat import MonicPoly, char_poly, cluster_indices as _base_clusters, frob
 from .core import compatibility_residual, l_tensor_field
 from .factorization import (
@@ -56,14 +56,6 @@ def _sym_checked(m: np.ndarray, p, what: str) -> np.ndarray:
             point=p,
         )
     return 0.5 * (m + m.T)
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r = len(a)
-    out = np.zeros((r + len(b),) * 2)
-    out[:r, :r] = a
-    out[r:, r:] = b
-    return out
 
 
 def _chi_zero_checked(chi: MonicPoly, groups, p, label: str) -> float:
@@ -92,12 +84,12 @@ class SplitResult:
 def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> SplitResult:
     """Splitting construction (see the module docstring) for a compatible
     pair and an admissible factorization into k >= 2 groups, each chi_j(0)
-    away from zero.  The returned metric fields share one closure and an
-    exact batch jacobian: forward mode through the factor derivatives of
+    away from zero.  The returned metric fields share one batch closure
+    with an exact jacobian: forward mode through the factor derivatives of
     ``factors_and_derivatives``, ``eval_matrix``, d(S^-1) = -S^-1 dS S^-1
     and the quotient rule for the 1/W_i(0) factors.  Its values have the
-    bits of the value closure, and its checks run in the same order: h's
-    symmetry, every chi_j(0), then hbar's symmetry."""
+    same bits with or without the jacobian, and its checks run in the same
+    order: h's symmetry, every chi_j(0), then hbar's symmetry."""
     chart = g.chart
     L = fact.lfield
     n = chart.dim
@@ -121,10 +113,9 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
             hbar = _sym_product(gbv, dgb, *minv, q, "split metric hbar")
             vals[i, 0], derivs[i, :, 0] = h
             vals[i, 1], derivs[i, :, 1] = hbar
-        return vals, derivs
+        return (vals, derivs) if derivative else vals
 
-    h, hbar = metric_pair(chart, lambda p: pair(p[None], False)[0][0],
-                          jac=lambda rows: pair(rows, True))
+    h, hbar = stacked_fields(MetricField, chart, 2, jac=pair)
 
     for p in probe_points(chart, 30):
         for name, m in (("h", h.value(p)), ("hbar", hbar.value(p))):
@@ -309,26 +300,21 @@ def glue_fields(inp: GlueInput):
     chart = inp.product_chart
     r = inp.chart1.dim
 
-    g, gbar = metric_pair(chart, lambda p: glue(inp, p),
-                          jac=lambda rows: glue(inp, rows, derivative=True))
+    g, gbar = stacked_fields(
+        MetricField, chart, 2,
+        jac=lambda rows, derivative: glue(inp, rows, derivative=derivative))
     n = chart.dim
 
-    def l_val(p):
-        p = np.asarray(p, dtype=float)
-        return _block_diag(inp.L1.value(p[:r]), inp.L2.value(p[r:]))
+    def l_jac(rows, derivative):
+        lv, dl = np.zeros((len(rows), n, n)), np.zeros((len(rows), n, n, n))
+        for f, blk in ((inp.L1, slice(0, r)), (inp.L2, slice(r, n))):
+            if derivative:
+                lv[:, blk, blk], dl[:, blk, blk, blk] = f.value_and_derivative(rows[:, blk])
+            else:
+                lv[:, blk, blk] = f.value(rows[:, blk])
+        return (lv, dl) if derivative else lv
 
-    def l_jac(rows):
-        lv1, dl1 = inp.L1.value_and_derivative(rows[:, :r])
-        lv2, dl2 = inp.L2.value_and_derivative(rows[:, r:])
-        lv = np.zeros((len(rows), n, n))
-        lv[:, :r, :r] = lv1
-        lv[:, r:, r:] = lv2
-        dl = np.zeros((len(rows), n, n, n))
-        dl[:, :r, :r, :r] = dl1
-        dl[:, r:, r:, r:] = dl2
-        return lv, dl
-
-    l_direct = OperatorField.from_function(chart, l_val, jac=l_jac)
+    l_direct = OperatorField.from_function(chart, jac=l_jac)
     return g, gbar, l_direct
 
 
@@ -467,8 +453,8 @@ def _factor_pair(g, gbar, L, fact, ci, idx, leaf):
     coordinates ``idx`` through the base point, with an exact batch
     jacobian along the leaf coordinates: L's derivative is sliced as in
     ``restrict``, the factor derivatives come from the whole L along
-    those directions, and its values have the bits of the value
-    closure."""
+    those directions, and its values have the same bits with or without
+    the jacobian."""
     p0 = np.asarray(g.chart.base_point)
     block = np.ix_(idx, idx)
     dblock = (slice(None),) + block
@@ -492,10 +478,9 @@ def _factor_pair(g, gbar, L, fact, ci, idx, leaf):
             vals[i, 1], derivs[i, :, 1] = _sym_product(
                 w0 * gbv[block], dw0 * gbv[block] + w0 * dgb[dblock],
                 *winv, x, "decomposition factor hbar")
-        return vals, derivs
+        return (vals, derivs) if derivative else vals
 
-    return metric_pair(leaf, lambda x: pair(x[None], False)[0][0],
-                       jac=lambda rows: pair(rows, True))
+    return stacked_fields(MetricField, leaf, 2, jac=pair)
 
 
 def _factor_residual(factor: DecompositionFactor, points: int) -> float:

@@ -1,13 +1,15 @@
 """Chart-based tensor fields with derivative access.
 
 Fields are backed either by closed-form expressions (exact forward-mode
-derivatives) or by derived closures.  A derived closure either carries an
-explicit batch jacobian closure built from exact matrix calculus (the pair
+derivatives) or by one derived closure.  An exact derived field has a
+batch closure ``jac(rows, derivative)`` built from exact matrix calculus,
+which returns the values and, when asked, their derivatives (the pair
 tensor, the glued pair, the split pair, the spectral projectors, the
-iterated decomposition's factor pairs, coordinate leaves of exact fields)
-or is differentiated by central finite differences, step
-6e-6 * (1 + |x_k|) per coordinate (operator-function rescaling, the
-projective deformation).
+iterated decomposition's factor pairs, coordinate leaves of exact
+fields).  The others have a value closure ``fn(p)`` at one point,
+differentiated by central finite differences, step 6e-6 * (1 + |x_k|)
+per coordinate (operator-function rescaling, the projective
+deformation).
 
 An expression-backed field evaluates through one compiled kernel
 (``exprdsl.compile_dual`` over its distinct components, cached per
@@ -16,14 +18,12 @@ derivative.  Expression-backed metrics mirror their upper triangle, so
 they are symmetric to the bit and are not re-symmetrized.
 
 A construction that maps a pair to a pair (split, glue, operator-function
-rescaling, iterated decomposition) builds both metrics with
-``metric_pair`` from one closure returning them stacked: the shared work
-runs once per point, and one backing holds what both halves read: the
-last batch of a ``jac=`` closure (glue, split, the decomposition
-factors), or the point cache and the finite-difference derivative
-(rescaling).  ``restrict`` gives a field on a coordinate
-leaf (the other coordinates frozen) whose value and jacobian are slices of
-the whole field's.
+rescaling, iterated decomposition) builds both metrics, and
+``projectors`` its k projectors, with ``stacked_fields`` from one closure
+returning them stacked: the shared work runs once per point, and one
+backing holds what every field reads.  ``restrict`` gives a field on a
+coordinate leaf (the other coordinates frozen) whose value and jacobian
+are slices of the whole field's.
 
 Batch axis: a field's ``value``/``value_and_derivative`` and the operators
 ``christoffel``, ``covariant_derivative_op`` and ``nijenhuis`` take a point
@@ -31,11 +31,12 @@ of shape (n,) or a batch of points of shape (m, n); a batch puts a leading
 axis of length m on every output, and a single point is a batch of 1.  An
 expression-backed field still calls its scalar compiled kernel once per
 row (numpy's vectorized exp and ``**`` differ from the scalar ones in the
-last bit) and keeps the outputs of its last batch; value-only closures
-get one point at a time through the point cache; a ``jac=`` closure gets
-the whole batch as one (m, n) array, returns values (m, ...) and
-jacobians (m, n, ...), and only its last batch is kept, which also serves
-values asked for at that batch.  Stacked ``det``, ``inv``, ``@`` and the
+last bit); a ``jac`` closure gets the whole batch as one (m, n) array
+and returns values (m, ...) and jacobians (m, n, ...); an ``fn`` closure
+gets one point at a time.  Every backing keeps one batch, its last: its
+rows, values and derivatives (when they were asked for).  Values at
+those rows are read from it, and so are derivatives if it holds them;
+nothing is kept per point.  Stacked ``det``, ``inv``, ``@`` and the
 einsum contractions give each row the same bits as a batch of 1; norms,
 matrix-vector products and the determinant-trace contraction do not
 always, so those stay per row.  ``nondegenerate`` runs per row.
@@ -227,19 +228,20 @@ class _Backing:
     Expression-backed components are evaluated by one compiled kernel over
     the distinct components (equal reprs share a slot, so a mirrored
     entry is computed once); ``_gather`` spreads its output over every
-    entry.  Function-backed values and finite-difference derivatives are
-    cached per point; kernel outputs and ``jac=`` results are kept for the
-    last batch only.
+    entry.  A function-backed field has one closure: ``jac(rows,
+    derivative)`` for an exact field, or ``fn(p)`` at one point for a
+    finite-difference one.  Every backing keeps its last batch only.
     """
 
     def __init__(self, chart, shape, exprs=None, fn=None, jac=None):
+        if (exprs is None) + (fn is None) + (jac is None) != 2:
+            raise ValueError("a backing takes one of exprs, fn and jac")
         self.chart = chart
         self.shape = shape
         self._fn = fn
         self._jac = jac
         self._exprs = exprs
-        self._cache = {}
-        self._last_key = self._last = None
+        self._kept = (None, None, None)  # rows key, values, derivatives
         if exprs is not None:
             keys, distinct = [], {}
             for row in exprs:
@@ -256,17 +258,33 @@ class _Backing:
                 [[slots[key] * width + k for key in keys] for k in range(width)]
             )
 
-    def _last_batch(self, rows: np.ndarray, evaluate):
-        """``evaluate(rows)``, kept until another batch comes: the layers of
-        one batch of checks (Christoffel, the pair tensor's jacobian, the
-        residual, self-adjointness) ask for the same field at the same
-        points, and keeping only the last batch bounds memory however many
-        batches run."""
+    def _batch(self, rows: np.ndarray, derivative: bool):
+        """``(values, derivatives)`` at the (m, n) batch ``rows``, with
+        derivatives None unless asked for or already at hand.  The last
+        batch is kept until another comes, and serves any request at the
+        same rows that it holds enough for: the layers of one batch of
+        checks (Christoffel, the pair tensor's jacobian, the residual,
+        self-adjointness) ask for the same field at the same points, and
+        keeping one batch bounds memory however many batches run."""
         key = rows.tobytes()
-        if key != self._last_key:
-            self._last = evaluate(rows)
-            self._last_key = key
-        return self._last
+        kept_key, vals, derivs = self._kept
+        if key == kept_key and (derivs is not None or not derivative):
+            return vals, derivs
+        m = len(rows)
+        if self._exprs is not None:
+            # the kernel gives every derivative with the values
+            table = self._kernel_rows(rows).take(self._gather, 1)
+            vals = table[:, 0].reshape((m,) + self.shape)
+            derivs = table[:, 1:].reshape((m, self.chart.dim) + self.shape)
+        elif self._jac is not None:
+            out = self._jac(rows, derivative)
+            vals, derivs = out if derivative else (out, None)
+        else:
+            vals = np.array([self._fn(q) for q in rows], dtype=float)
+            derivs = (np.array([central_difference(self._fn, q) for q in rows])
+                      if derivative else None)
+        self._kept = (key, vals, derivs)
+        return vals, derivs
 
     def _kernel_rows(self, rows: np.ndarray) -> np.ndarray:
         """The kernel's outputs, one line per row; the kernel runs once per
@@ -291,53 +309,19 @@ class _Backing:
             raise
 
     def value(self, p: np.ndarray) -> np.ndarray:
-        if self._exprs is None:
-            p = np.asarray(p, dtype=float)
-            if self._jac is not None and p.tobytes() == self._last_key:
-                # the jacobian's last batch has these values, with the bits
-                # of the value closure
-                vals = np.asarray(self._last[0], dtype=float)
-                return vals if p.ndim > 1 else vals[0]
-            if p.ndim > 1:
-                return np.array([self.value(q) for q in p])
-            key = p.tobytes()
-            if key not in self._cache:
-                self._cache[key] = (np.asarray(self._fn(p), dtype=float), None)
-            return self._cache[key][0]
         rows, single = as_batch(p)
-        vals = self._last_batch(rows, self._kernel_rows).take(self._gather[0], 1)
-        if single:
-            return vals[0].reshape(self.shape)
-        return vals.reshape((len(rows),) + self.shape)
+        vals = self._batch(rows, False)[0]
+        return vals[0] if single else vals
 
     def value_and_derivative(self, p: np.ndarray):
         rows, single = as_batch(p)
-        if self._exprs is not None:
-            table = self._last_batch(rows, self._kernel_rows).take(self._gather, 1)
-            dshape = (self.chart.dim,) + self.shape
-            if single:
-                return table[0, 0].reshape(self.shape), table[0, 1:].reshape(dshape)
-            m = len(rows)
-            return (table[:, 0].reshape((m,) + self.shape),
-                    table[:, 1:].reshape((m,) + dshape))
-        if self._jac is not None:
-            vals, jacs = self._last_batch(rows, self._jac)
-            vals, jacs = np.asarray(vals, dtype=float), np.asarray(jacs, dtype=float)
-            return (vals[0], jacs[0]) if single else (vals, jacs)
-        keys = [q.tobytes() for q in rows]
-        for key, q in zip(keys, rows):
-            if self._cache.get(key, (None, None))[1] is None:
-                self._cache[key] = (self.value(q), central_difference(self.value, q))
-        entries = [self._cache[key] for key in keys]
-        if single:
-            return entries[0]
-        return (np.array([val for val, _ in entries]),
-                np.array([jac for _, jac in entries]))
+        vals, derivs = self._batch(rows, True)
+        return (vals[0], derivs[0]) if single else (vals, derivs)
 
 
 class _Part:
     """Backing of entry ``i`` along the leading axis of a shared backing's
-    (2, n, n) values: value ``[i]``, derivative ``[:, i]``, each behind
+    (k, n, n) values: value ``[i]``, derivative ``[:, i]``, each behind
     the batch axis when there is one."""
 
     def __init__(self, backing: _Backing, i: int):
@@ -365,7 +349,12 @@ class _Field:
         self.component_exprs = exprs_matrix  # n x n tuple of Expr, or None
 
     @classmethod
-    def from_function(cls, chart: Chart, fn, jac=None):
+    def from_function(cls, chart: Chart, fn=None, jac=None):
+        """Field from one closure: ``jac(rows, derivative)`` takes an (m, n)
+        batch and returns the values (m, n, n) and, with ``derivative``,
+        the pair of them and their exact derivatives (m, n, n, n); ``fn(p)``
+        gives the value at one point, differentiated by central
+        differences."""
         n = chart.dim
         return cls(chart, _Backing(chart, (n, n), fn=fn, jac=jac))
 
@@ -419,21 +408,17 @@ class MetricField(_Field):
                 0.5 * (d + d.swapaxes(-1, -2)))
 
 
-def metric_pair(chart: Chart, fn, jac=None):
-    """Two metric fields from one closure: ``fn(p)`` returns both matrices
-    stacked as a (2, n, n) array.  One backing serves both halves, so each
-    half costs nothing once the other has been evaluated there; each half
-    is symmetrized like ``MetricField.from_function``.
-
-    ``jac(rows)``, when given, takes an (m, n) batch and returns the
-    values (m, 2, n, n), with the bits ``fn`` gives, and their exact
-    derivatives (m, n, 2, n, n); the backing keeps its last batch, and a
-    value asked for at that batch is read from it.  Without ``jac`` the
-    backing caches the stack and its central-difference derivative per
-    point."""
+def stacked_fields(cls, chart: Chart, count: int, fn=None, jac=None):
+    """``count`` fields of class ``cls`` from one closure that returns
+    their (n, n) values stacked, given as for ``from_function``:
+    ``jac(rows, derivative)`` with values (m, count, n, n) and derivatives
+    (m, n, count, n, n), or ``fn(p)`` with a (count, n, n) stack.  One
+    backing serves every field, so the others cost nothing at rows where
+    one has been evaluated; a metric field is symmetrized like
+    ``MetricField.from_function``."""
     n = chart.dim
-    both = _Backing(chart, (2, n, n), fn=fn, jac=jac)
-    return MetricField(chart, _Part(both, 0)), MetricField(chart, _Part(both, 1))
+    whole = _Backing(chart, (count, n, n), fn=fn, jac=jac)
+    return tuple(cls(chart, _Part(whole, i)) for i in range(count))
 
 
 class OperatorField(_Field):
@@ -456,10 +441,11 @@ class OperatorField(_Field):
         m = np.array(matrix, dtype=float)
         n = chart.dim
 
-        def jac(rows):
-            return np.stack([m] * len(rows)), np.zeros((len(rows), n, n, n))
+        def jac(rows, derivative):
+            vals = np.stack([m] * len(rows))
+            return (vals, np.zeros((len(rows), n, n, n))) if derivative else vals
 
-        return cls.from_function(chart, lambda p: m, jac=jac)
+        return cls.from_function(chart, jac=jac)
 
 
 def restrict(field, coords, point):
@@ -474,19 +460,16 @@ def restrict(field, coords, point):
     leaf = Chart(len(idx), tuple(chart.box[k] for k in idx),
                  tuple(chart.base_point[k] for k in idx))
 
-    def fn(x):
-        q = frozen.copy()
-        q[idx] = x
-        return field.value(q)[np.ix_(idx, idx)]
-
-    def jac(rows):
+    def jac(rows, derivative):
         qs = np.repeat(frozen[None], len(rows), axis=0)
         qs[:, idx] = rows
+        if not derivative:
+            return field.value(qs)[:, idx[:, None], idx]
         vals, derivs = field.value_and_derivative(qs)
         return (vals[:, idx[:, None], idx],
                 derivs[:, idx[:, None, None], idx[:, None], idx])
 
-    return type(field).from_function(leaf, fn, jac=jac)
+    return type(field).from_function(leaf, jac=jac)
 
 
 class VectorField:

@@ -157,18 +157,20 @@ def test_check_accepts_small_constant_metrics(tmp_path, capsys, g_scale, gbar_sc
 
 
 def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
-    # 60 points: one call of Christoffel and of the L jacobian closure, not
-    # one per point, and L keeps no derivative per sample point
+    # 60 points: one call of Christoffel and of L's closure with its
+    # jacobian, not one per point; then L's value at the base point
     from geoequiv import cli, fields
+    from geoequiv.equiv import factorization
 
-    jac_rows, christoffel_calls, made = [], [], []
+    jac_calls, christoffel_calls = [], []
     make_l = cli.l_tensor_field
 
     def counted_l(g, gbar):
         L = make_l(g, gbar)
         jac = L._backing._jac
-        L._backing._jac = lambda rows: jac_rows.append(len(rows)) or jac(rows)
-        made.append(L)
+        L._backing._jac = (lambda rows, derivative:
+                           jac_calls.append((len(rows), derivative))
+                           or jac(rows, derivative))
         return L
 
     real_christoffel = fields.christoffel
@@ -177,10 +179,20 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
                         lambda g, p: christoffel_calls.append(1) or real_christoffel(g, p))
     code, report = _run(capsys, ["check", REPO_LC3, "--points", "60"])
     assert code == 0 and report["pass"] is True
-    assert jac_rows == [60]
+    assert jac_calls == [(60, True), (1, False)]
     assert len(christoffel_calls) == 1
-    # only values, at the base point, are cached per point
-    assert [d is None for _, d in made[0]._backing._cache.values()] == [True]
+
+    # split: the projectors share one batch, so P2's value at a sample
+    # point reads what P1's jacobian kept, and the projectors' closure
+    # inverts one cofactor sum per point
+    solves = []
+    real_solve = factorization.inverse_and_derivative
+    monkeypatch.setattr(factorization, "inverse_and_derivative",
+                        lambda *args: solves.append(1) or real_solve(*args))
+    code, report = _run(capsys, ["split", REPO_LC3, "--groups", "0|1,2",
+                                 "--points", "6"])
+    assert code == 0 and report["pass"] is True
+    assert len(solves) == 6
 
 
 def test_check_raises_the_first_error_of_a_per_point_loop(tmp_path, capsys):

@@ -14,7 +14,7 @@ from geoequiv.equiv import (
 from geoequiv.equiv.factorization import (_greedy_match, cofactors,
                                           factors_and_derivatives,
                                           inverse_and_derivative)
-from geoequiv.errors import AdmissibilityViolation, ConjugationViolation
+from geoequiv.errors import AdmissibilityViolation, ConjugationViolation, DomainError
 from geoequiv.fields import Chart, OperatorField, sample_points
 from geoequiv.smallmat import MonicPoly, char_poly, frob, matrix_function
 
@@ -355,6 +355,22 @@ def test_gap_collapse_is_detected_in_every_tracking_order():
                 fact.groups_at(pts[i])
             except AdmissibilityViolation:
                 pass
+
+
+def test_a_path_stops_at_the_first_error_of_its_walk():
+    # L = [[x0, s], [0, 1]] with s = 1e-3 sqrt(1.5 - x0): the groups {x0}
+    # and {1} meet at x0 = 1, a step of the 128-step path to x0 = 2, and L
+    # has no value past x0 = 1.5.  The batch of a try's path meets the
+    # domain error; the walk meets the admissibility violation first.
+    chart = Chart(2, ((-0.5, 2.5), (-0.5, 0.5)), (0.0, 0.0))
+    L = OperatorField.from_exprs(chart, [["x0", "0.001*sqrt(1.5 - x0)"], ["0", "1"]])
+    qs = np.array([[2.0 * k / 128, 0.0] for k in range(1, 129)])
+    with pytest.raises(DomainError):
+        L.value(qs)
+    fact = admissible_factorization(L, ((0,), (1,)))
+    with pytest.raises(AdmissibilityViolation) as info:
+        fact.groups_at((2.0, 0.0))
+    assert np.array_equal(info.value.point, [1.0, 0.0])
 
 
 class _SharedRoot:

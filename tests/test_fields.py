@@ -14,13 +14,14 @@ from geoequiv.fields import (
     MetricField,
     OperatorField,
     VectorField,
+    central_difference,
     christoffel,
     covariant_derivative_op,
     in_point_order,
     lie_derivative_metric,
-    metric_pair,
     nijenhuis,
     sample_points,
+    stacked_fields,
 )
 from geoequiv.smallmat import frob
 
@@ -294,7 +295,8 @@ def test_metric_pair_halves_match_separate_fields():
     def second(p):
         return np.array([[1.0 + p[0] ** 2, np.exp(p[1])], [p[0], 4.0]])
 
-    pair = metric_pair(chart, lambda p: np.stack([first(p), second(p)]))
+    pair = stacked_fields(MetricField, chart, 2,
+                          fn=lambda p: np.stack([first(p), second(p)]))
     for half, fn in zip(pair, (first, second)):
         alone = MetricField.from_function(chart, fn)
         for p in sample_points(chart, 5, seed=9):
@@ -307,6 +309,68 @@ def test_metric_pair_halves_match_separate_fields():
             assert np.array_equal(d, np.swapaxes(d, 1, 2))
     p = np.array([0.5, 0.0])
     assert pair[1].value(p)[0, 1] == pair[1].value(p)[1, 0] == 0.75
+
+
+# ---------------------------------------------------------------------------
+# the one kept batch of a function-backed field
+
+
+def _counted(calls, fn):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted
+
+
+def _metric_value(p):
+    return np.array([[2.0 + np.sin(p[0]), p[0] * p[1]], [p[0] * p[1], 3.0 + p[1] ** 2]])
+
+
+def test_values_at_a_kept_derivative_batch_make_no_closure_call():
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+    g_expr = MetricField.from_exprs(
+        chart, [["2 + sin(x0)", "x0*x1"], [None, "3 + x1^2"]])
+    calls = []
+    g = MetricField.from_function(chart, jac=_counted(
+        calls, lambda rows, derivative: (g_expr.value_and_derivative(rows)
+                                         if derivative else g_expr.value(rows))))
+    rows = sample_points(chart, 5, seed=31)
+    vals, _ = g.value_and_derivative(rows)
+    assert g.value(rows).tobytes() == vals.tobytes()
+    g.value_and_derivative(rows[2:3])
+    assert g.value(rows[2]).tobytes() == vals[2].tobytes()
+    assert [(len(r), d) for r, d in calls] == [(5, True), (1, True)]
+    # a kept batch of values only does not serve derivatives
+    g.value(rows)
+    g.value_and_derivative(rows)
+    assert [(len(r), d) for r, d in calls[2:]] == [(5, False), (5, True)]
+
+
+def test_finite_difference_backing_keeps_one_batch():
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+    calls = []
+    g = MetricField.from_function(chart, _counted(calls, _metric_value))
+    pts = sample_points(chart, 100, seed=32)
+    for p in pts:
+        g.value(p)
+    assert len(calls) == 100
+    g.value(pts[-1])
+    assert len(calls) == 100
+    g.value(pts[0])  # not kept: evaluated again
+    assert len(calls) == 101
+    key, vals, derivs = g._backing._kept
+    assert key == pts[0].tobytes() and vals.shape == (1, 2, 2) and derivs is None
+
+
+def test_finite_difference_jacobian_is_the_central_difference_of_the_closure():
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+    op = OperatorField.from_function(chart, _metric_value)
+    rows = sample_points(chart, 4, seed=33)
+    vals, derivs = op.value_and_derivative(rows)
+    for p, v, d in zip(rows, vals, derivs):
+        assert v.tobytes() == _metric_value(p).tobytes()
+        assert d.tobytes() == central_difference(_metric_value, p).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +431,7 @@ def _stacked_pair(chart):
         second = np.array([[1.0 + p[0] ** 2, np.exp(p[1])], [p[0], 4.0]])
         return np.stack([first, second])
 
-    return metric_pair(chart, fn)
+    return stacked_fields(MetricField, chart, 2, fn=fn)
 
 
 @settings(max_examples=30, deadline=None)

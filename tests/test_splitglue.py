@@ -596,15 +596,14 @@ def test_restrict_matches_the_leaf_closures_on_a_glued_pair(make):
     for p in sample_points(g.chart, 4, seed=21):
         y0 = p[r:]
 
-        def leaf_fn(x, y0=y0):
-            return g.value(np.concatenate([x, y0]))[:r, :r]
-
-        def leaf_jac(rows, y0=y0):
+        def leaf_jac(rows, derivative, y0=y0):
             qs = np.hstack([rows, np.broadcast_to(y0, (len(rows), s))])
+            if not derivative:
+                return g.value(qs)[:, :r, :r]
             gv, dg = g.value_and_derivative(qs)
             return gv[:, :r, :r], dg[:, :r, :r, :r]
 
-        old = MetricField.from_function(inp.chart1, leaf_fn, jac=leaf_jac)
+        old = MetricField.from_function(inp.chart1, jac=leaf_jac)
         new = restrict(g, range(r), p)
         assert type(new) is MetricField and new.chart == inp.chart1
         xs = np.vstack([p[:r], sample_points(inp.chart1, 3, seed=22)])
@@ -700,8 +699,8 @@ def test_polynomial_constructions_have_exact_jacobians(case):
 
 @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
 def test_polynomial_jacobians_keep_the_value_bits_and_batch_rows(case):
-    # the jacobian's values are the value closure's bits, and a batch of 1
-    # gives the bits of its row in a batch of 5
+    # the closure gives the same value bits with and without the jacobian,
+    # and a batch of 1 gives the bits of its row in a batch of 5
     by_value, by_jac, by_batch = (JACOBIAN_CASES[case]() for _ in range(3))
     for a, b, c in zip(by_value, by_jac, by_batch):
         rows = sample_points(a.chart, 5, seed=28)
