@@ -244,9 +244,13 @@ def factors_and_derivatives(fact: FactorizationResult, p, lv, dl):
     whose n columns are the coefficients of x^j W_i, j < deg chi_i (the
     Sylvester matrix of the factors, invertible exactly when they are
     pairwise coprime); dchar comes from ``char_poly(lv, dl)``.  Returns
-    ``(chis, dchis)`` with ``dchis[i]`` of shape (K, deg chi_i).
+    ``(chis, dchis)`` with ``dchis[i]`` of shape (K, deg chi_i).  With no
+    directions (K = 0, the value paths) neither runs: ``chi_at`` has
+    already checked the groups' gap, so the factors share no root.
     """
     chis = fact.chi_at(p)
+    if not len(dl):
+        return chis, tuple(np.zeros((0, chi.degree)) for chi in chis)
     _, dchar = char_poly(lv, dl)
     n = len(lv)
     m = np.vstack([_shifted(w, chi.degree, n) for chi, w in zip(chis, cofactors(chis))])

@@ -293,7 +293,7 @@ class _Backing:
         arithmetic error of the kernel (an overflow, ``sin`` of an
         infinity) comes out as the ``DomainError`` of the first component
         that meets it."""
-        outs = itertools.chain.from_iterable(map(self._kernel, rows))
+        outs = itertools.chain.from_iterable(map(self._kernel, rows.tolist()))
         try:
             return np.fromiter(outs, float, len(rows) * self._width).reshape(len(rows), -1)
         except (ArithmeticError, ValueError):

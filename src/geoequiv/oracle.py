@@ -61,10 +61,12 @@ _DP_P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
-# integrator tolerances, and the uniform output times per trajectory
+# integrator tolerances, the uniform output times per trajectory, and the
+# attempted steps (accepted, rejected and edge retries) a trajectory may take
 RTOL = 1e-10
 ATOL = 1e-12
 SAMPLES = 64
+MAX_STEPS = 1000
 
 
 @dataclass
@@ -139,7 +141,8 @@ def integrate_geodesic(
     so near the edge no stage reaches further out than a step of the
     sampling grid would.  The trajectory is truncated at the last in-box
     sample once it leaves the chart, or when a stage lands beyond half
-    the box's width outside it.
+    the box's width outside it.  A trajectory that has attempted
+    ``MAX_STEPS`` steps without reaching T raises ``StepFailure``.
     """
     chart = g.chart
     p0 = np.asarray(p0, dtype=float)
@@ -167,6 +170,9 @@ def integrate_geodesic(
         h = min(h, T - t)
         failed_here = 0
         while True:
+            if steps + rejected + edge_retries >= MAX_STEPS:
+                raise StepFailure(f"no step budget left near t={t:.6e} "
+                                  f"after {MAX_STEPS} attempted steps")
             bound = 0.0 if h > h_grid else margin
             left = False
             for i in range(1, 7):

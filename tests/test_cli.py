@@ -647,3 +647,49 @@ def test_arithmetic_error_exits_3(tmp_path, capsys, entry, command, error):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert f"error: {error}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [CHECK, ORACLE], ids=["check", "oracle"])
+def test_kernel_overflow_exits_3_with_only_the_error_line(tmp_path, command):
+    # a power that overflows raises OverflowError on the kernel's float row,
+    # as in the interpreter, instead of carrying inf and nan into the
+    # metric with numpy warnings on stderr; a fresh process, so no test
+    # harness catches the warnings
+    entry = "(1e200*x0)^2*0 + 1"
+    scene = _write(tmp_path, "overflow.json", {
+        "dim": 2,
+        "box": [[-0.5, 0.5], [-0.5, 0.5]],
+        "base_point": [0.0, 0.0],
+        "g": [[entry, "0"], [None, "1"]],
+        "gbar": [[entry, "0"], [None, "1"]],
+    })
+    run = subprocess.run(
+        [sys.executable, "-m", "geoequiv.cli", command[0], scene] + command[1:],
+        capture_output=True, text=True)
+    assert run.returncode == 3 and run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error: DomainError: OverflowError ")
+    assert "evaluating (1e+200*x0)^2*0.0 + 1.0 at [" in run.stderr
+
+def test_stiff_geodesic_stops_at_the_step_budget(tmp_path, capsys, monkeypatch):
+    # the steep exp(1000*x0) entry cannot meet the tolerance: the
+    # integrator gives up after MAX_STEPS attempted steps of at most six
+    # single-point Christoffel calls each, plus the first stage
+    from geoequiv import oracle
+
+    calls = []
+    christoffel = oracle.christoffel
+    monkeypatch.setattr(oracle, "christoffel", lambda g, p: calls.append(
+        np.ndim(p) == 1) or christoffel(g, p))
+    scene = _write(tmp_path, "stiff.json", {
+        "dim": 2,
+        "box": [[-0.5, 0.5], [-0.5, 0.5]],
+        "base_point": [0.0, 0.0],
+        "g": [[EXP, "0"], [None, "1"]],
+        "gbar": [[EXP, "0"], [None, "1"]],
+    })
+    code = main([ORACLE[0], scene] + ORACLE[1:])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "error: StepFailure: " in err
+    assert 0 < sum(calls) <= 6 * oracle.MAX_STEPS + 1

@@ -185,6 +185,47 @@ def test_compiled_matches_interpreter(e, seed):
     assert np.array_equal(np.array(got[1:]), want.gradient)
 
 
+def _pow_strategy(dim):
+    """Powers with exponents of either sign over the trees of
+    ``_expr_strategy`` and over negative and signed-zero literals."""
+    literal = st.one_of(
+        st.floats(min_value=0.1, max_value=3.0).map(lambda v: Num(-round(v, 3))),
+        st.sampled_from([Num(0.0), Num(-0.0)]),
+    )
+    base = st.one_of(_expr_strategy(dim), literal,
+                     st.tuples(literal, _expr_strategy(dim)).map(lambda t: Mul(*t)))
+    power = st.tuples(base, st.integers(-4, 4)).map(lambda t: Pow(*t))
+    return st.one_of(power, st.tuples(power, _expr_strategy(dim)).map(lambda t: Add(*t)))
+
+
+_coordinate = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]),
+                        st.floats(-1e120, 1e120))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_expr_strategy(2), _pow_strategy(2)),
+       st.lists(_coordinate, min_size=2, max_size=2))
+def test_kernel_on_float_rows_matches_ndarray_rows_and_interpreter(e, p):
+    # fields run a kernel on the Python floats of ``row.tolist()``; the
+    # ndarray row (numpy scalar arithmetic) is the reference wherever it
+    # is finite, and the interpreter meets the same errors
+    fn = compile_dual(e, 2)
+    row = np.array(p)
+    try:
+        want = eval_dual(e, row)
+    except (DomainError, ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            fn(row.tolist())
+        return
+    got = fn(row.tolist())
+    assert all(type(x) is float for x in got)
+    assert _bits(got) == _bits([want.value, *want.gradient])
+    with np.errstate(all="ignore"):
+        reference = fn(row)
+    if np.all(np.isfinite(reference)):
+        assert _bits(got) == _bits(reference)
+
+
 def test_compiled_domain_error_carries_subexpr():
     fn = compile_dual(parse("1/(x0-1)", 1), 1)
     with pytest.raises(DomainError) as exc:

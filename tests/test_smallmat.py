@@ -35,6 +35,23 @@ def small_matrix(seed, n, scale=1.0):
     return scale * _rng(seed).standard_normal((n, n))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e200])
+def test_frob_has_the_bits_of_numpy_norm(scale):
+    # real arrays take norm's own route without its wrapper; strided and
+    # transposed views and the parts of a complex array included
+    rng = _rng(int(-np.log10(scale)) % 1000)
+    for shape in [(1,), (5,), (3, 3), (8, 8), (4, 2, 3), (2, 3, 3, 3)]:
+        a = scale * rng.standard_normal(shape)
+        z = a + 1j * scale * rng.standard_normal(shape)
+        for x in (a, a.T, a[..., ::2], a.swapaxes(0, -1)[::-1], z, z.T, z.real,
+                  z.imag, z.real.T, a.tolist()):
+            with np.errstate(over="ignore"):  # the squares overflow at 1e200
+                want = float(np.linalg.norm(x))
+                got = frob(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (shape, x)
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial
 

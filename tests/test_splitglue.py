@@ -13,6 +13,7 @@ from geoequiv.equiv import (
     GlueInput,
     LeviCivitaSpec,
     levi_civita_pair,
+    factorization,
     splitglue,
     admissible_factorization,
     block_condition_residuals,
@@ -686,6 +687,20 @@ JACOBIAN_CASES = {
     "decompose-lc4_mixed": lambda: _decompose_fields(build_pair("lc4_mixed")),
     "decompose-cross-dependent": lambda: _decompose_fields(_cross_dependent_pair()),
 }
+
+
+def test_split_values_at_fresh_points_make_no_factor_derivative_work(monkeypatch):
+    # a value-only batch asks for no directions, so it runs neither the
+    # forward-mode char(L) nor the Sylvester solve of the factor derivatives
+    sr = _split_fields("lc3_mixed", ((1, 2), (0,)))
+    calls = []
+    for owner, name in ((factorization, "char_poly"), (np.linalg, "solve")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    rows = sample_points(sr[0].chart, 6, seed=29)
+    assert sr[0].value(rows).shape == (6, 3, 3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
