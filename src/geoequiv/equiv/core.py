@@ -40,9 +40,15 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
     The single implementation behind ``compute_L`` and the closure of
     ``l_tensor_field``, so L has the same bits on every path.  ``dL`` is
     None unless the metric derivatives are given; ``flipped`` lists the
-    sign flip of g per row (see ``compute_L``).  The determinant ratio, its
-    root and the determinant-trace contraction are taken row by row, so
-    each row has the bits of a batch of 1.
+    sign flip of g per row (see ``compute_L``).  With rho the root of the
+    determinant ratio,
+
+        dL = d rho (x) gbar^{-1} g + rho gbar^{-1} (dg - dgbar gbar^{-1} g),
+
+    d rho from d det A = det A tr(A^{-1} dA): O(n^4) per row, with no
+    d(gbar^{-1}).  The determinant ratio, its root and the
+    determinant-trace contraction are taken row by row, so each row has
+    the bits of a batch of 1.
     """
     n = gv.shape[-1]
     flipped, rho, scalars = [], [], []
@@ -83,13 +89,8 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
     ddg, ddgb = dg * tr, dgb * trb
     dratio = (ddgb * dg - dgb * ddg) / dg2
     drho = rho[:, None] * dratio / ((n + 1) * ratio)
-    dgbinv = -np.einsum("bij,bkjl,blm->bkim", gbinv, dgbv, gbinv)
-    rho = rho[:, None, None, None]
-    dl = (
-        np.einsum("bk,bij->bkij", drho, core)
-        + rho * np.einsum("bkij,bjl->bkil", dgbinv, gv)
-        + rho * np.einsum("bij,bkjl->bkil", gbinv, dgv)
-    )
+    dcore = gbinv[:, None] @ (dgv - dgbv @ core[:, None])
+    dl = np.einsum("bk,bij->bkij", drho, core) + rho[:, None, None, None] * dcore
     return lv, dl, flipped
 
 

@@ -14,8 +14,10 @@ Evaluation returns the value together with its exact gradient.
 
 ``eval_dual`` interprets a tree; ``compile_dual`` generates one flat
 Python function for an expression or for a tuple of them (all components
-of a field), computing each distinct subtree once.  Both give the same
-bits and raise the same ``DomainError``.
+of a field), computing each distinct subtree once.  On a point of Python
+floats, as ``fields`` passes it, both give the same bits and raise the
+same errors; an overflowing ``**`` raises ``OverflowError`` there, where
+numpy scalars would give inf.
 """
 
 from __future__ import annotations

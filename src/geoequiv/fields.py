@@ -31,15 +31,17 @@ of shape (n,) or a batch of points of shape (m, n); a batch puts a leading
 axis of length m on every output, and a single point is a batch of 1.  An
 expression-backed field still calls its scalar compiled kernel once per
 row (numpy's vectorized exp and ``**`` differ from the scalar ones in the
-last bit); a ``jac`` closure gets the whole batch as one (m, n) array
-and returns values (m, ...) and jacobians (m, n, ...); an ``fn`` closure
-gets one point at a time.  Every backing keeps one batch, its last: its
-rows, values and derivatives (when they were asked for).  Values at
-those rows are read from it, and so are derivatives if it holds them;
-nothing is kept per point.  Stacked ``det``, ``inv``, ``@`` and the
-einsum contractions give each row the same bits as a batch of 1; norms,
-matrix-vector products and the determinant-trace contraction do not
-always, so those stay per row.  ``nondegenerate`` runs per row.
+last bit), on the row's Python floats: the kernel then runs the
+interpreter's arithmetic at about a third of the cost of numpy scalars,
+and an overflowing ``**`` raises as it does there.  A ``jac`` closure
+gets the whole batch as one (m, n) array and returns values (m, ...) and
+jacobians (m, n, ...); an ``fn`` closure gets one point at a time.  Every
+backing keeps one batch, its last: its rows, values and derivatives (when
+they were asked for).  Values at those rows are read from it, and so are
+derivatives if it holds them; nothing is kept per point.  Stacked
+``det``, ``inv``, ``@`` and the einsum contractions give each row the
+same bits as a batch of 1; norms, matrix-vector products and the
+determinant-trace contraction do not always, so those stay per row.  ``nondegenerate`` runs per row.
 ``in_point_order`` turns an error raised by a batch into the one a
 per-point loop meets first.
 """
@@ -288,11 +290,11 @@ class _Backing:
 
     def _kernel_rows(self, rows: np.ndarray) -> np.ndarray:
         """The kernel's outputs, one line per row; the kernel runs once per
-        row, in order.  ``take(self._gather, 1)`` gives per row: line 0, the
-        component values; line 1 + k, their derivatives along x_k.  An
-        arithmetic error of the kernel (an overflow, ``sin`` of an
-        infinity) comes out as the ``DomainError`` of the first component
-        that meets it."""
+        row, in order, on the row's Python floats.  ``take(self._gather,
+        1)`` gives per row: line 0, the component values; line 1 + k, their
+        derivatives along x_k.  An arithmetic error of the kernel (an
+        overflow, ``sin`` of an infinity) comes out as the ``DomainError``
+        of the first component that meets it."""
         outs = itertools.chain.from_iterable(map(self._kernel, rows.tolist()))
         try:
             return np.fromiter(outs, float, len(rows) * self._width).reshape(len(rows), -1)

@@ -171,8 +171,7 @@ def integrate_geodesic(
         failed_here = 0
         while True:
             if steps + rejected + edge_retries >= MAX_STEPS:
-                raise StepFailure(f"no step budget left near t={t:.6e} "
-                                  f"after {MAX_STEPS} attempted steps")
+                raise StepFailure(f"{MAX_STEPS} attempted steps, stuck near t={t:.6e}")
             bound = 0.0 if h > h_grid else margin
             left = False
             for i in range(1, 7):

@@ -47,13 +47,10 @@ def _as_square(a) -> np.ndarray:
 
 def frob(a) -> float:
     """Frobenius norm; the norm convention used throughout the package.
-    A real array takes ``np.linalg.norm``'s own route (one dot product of
-    the raveled entries, then the square root) without its wrapper, so
-    it has norm's bits."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        return float(np.linalg.norm(a))
-    x = a.astype(float, copy=False).ravel(order="K")
+    Real input takes ``np.linalg.norm``'s route without its wrapper."""
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.kind == "c":
+        return float(np.linalg.norm(x))
     return math.sqrt(x.dot(x))
 
 

@@ -104,9 +104,10 @@ def test_l_value_is_path_independent():
             assert other.tobytes() == v1.tobytes()
 
 
-def _reference_pair_tensor(gv, gbv, dgv, dgbv):
+def _reference_pair_tensor(gv, gbv, dgv, dgbv, three_factor=False):
     """The per-point pair tensor and its jacobian that the batched one
-    replaced, kept as the reference for its bits."""
+    replaced, kept as the reference for its bits; ``three_factor`` forms
+    d(gbar^-1 g) as the product rule through d(gbar^-1) instead."""
     n = len(gv)
     dg, dgb = float(np.linalg.det(gv)), float(np.linalg.det(gbv))
     ratio = dgb / dg
@@ -118,11 +119,12 @@ def _reference_pair_tensor(gv, gbv, dgv, dgbv):
     ddg = dg * np.einsum("ij,kji->k", np.linalg.inv(gv), dgv)
     ddgb = dgb * np.einsum("ij,kji->k", gbinv, dgbv)
     drho = rho * ((ddgb * dg - dgb * ddg) / dg**2) / ((n + 1) * ratio)
-    dgbinv = -np.einsum("ij,kjl,lm->kim", gbinv, dgbv, gbinv)
-    dl = (np.einsum("k,ij->kij", drho, core)
-          + rho * np.einsum("kij,jl->kil", dgbinv, gv)
-          + rho * np.einsum("ij,kjl->kil", gbinv, dgv))
-    return rho * core, dl
+    dl = np.einsum("k,ij->kij", drho, core)
+    if three_factor:
+        dgbinv = -np.einsum("ij,kjl,lm->kim", gbinv, dgbv, gbinv)
+        return rho * core, (dl + rho * np.einsum("kij,jl->kil", dgbinv, gv)
+                            + rho * np.einsum("ij,kjl->kil", gbinv, dgv))
+    return rho * core, dl + rho * (gbinv @ (dgv - dgbv @ core))
 
 
 def _reference_residual(g, lv, dl, p):
@@ -175,6 +177,21 @@ def test_batch_rows_match_batches_of_one(corpus, name, picks, seed):
         assert np.array_equal(lv[i], want_lv) and np.array_equal(dl[i], want_dl)
         want_res, want_resid = _reference_residual(g, want_lv, want_dl, p)
         assert res[i] == want_res and np.array_equal(resid[i], want_resid)
+
+
+def test_pair_tensor_jacobian_matches_the_three_factor_form(corpus):
+    # d(gbar^-1 g) = gbar^-1 (dg - dgbar gbar^-1 g) agrees with the product
+    # rule through d(gbar^-1) = -gbar^-1 dgbar gbar^-1 to rounding
+    tol = 1e-13
+    for name, (g, gbar) in corpus.items():
+        rows = sample_points(g.chart, 20, seed=5)
+        _, dl = l_tensor_field(g, gbar).value_and_derivative(rows)
+        gv, dgv = g.value_and_derivative(rows)
+        gbv, dgbv = gbar.value_and_derivative(rows)
+        for i in range(len(rows)):
+            _, want = _reference_pair_tensor(gv[i], gbv[i], dgv[i], dgbv[i],
+                                             three_factor=True)
+            assert frob(dl[i] - want) <= tol * (1.0 + frob(dl[i])), name
 
 
 def test_l_self_adjointness(corpus):

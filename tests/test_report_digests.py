@@ -20,16 +20,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 CASES = [
     (["check", "scenes/lc3.json", "--points", "20"],
-     "05415b6fb846073545f5eea93e99915ab7b69b7b3e17239e33a19aabf4662f12"),
+     "82c3e01a4ef3973318a63c57427fba86ff6791056ac589d982d28644d5464e0f"),
     (["split", "scenes/lc3.json", "--groups", "0|1,2", "--points", "4"],
-     "ab5a20ca7b7549139c3a1bd5e8f54d82963990382c7d0869b4d55b06bd56bd6f"),
+     "2f9fdb8c630878c462d4160560b86851862033839813585c9f52f78bd39f63df"),
     (["ts", "scenes/lc3.json", "--f", "exp", "--points", "4"],
-     "c8bb8799e24a434e157e1209a1ed11575c267ab9e1822419cc3e8ef24e402505"),
+     "dbf805c09e2e79e33f21445e0cd62c23f88f6d74d08e00d5215cab95342c15f3"),
     (["oracle", "scenes/lc3.json", "--trajectories", "3"],
      "0d32aeb514f991737ef19a690f733e302e719097a46270c3292e50d04b7e92ed"),
     (["glue", "scenes/factor-a.json", "scenes/factor-b.json", "--points", "4",
       "--trajectories", "1"],
-     "859ce2ec0b4130d6468451d53b839f7c5b8273ed9f9bada1015b8cad0c3b8ff9"),
+     "1185a7306e9238a43cb5e3b6720b8b917bd0fdeb4ad72428a8a3aaffffd8e4b9"),
 ]
 
 
