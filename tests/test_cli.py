@@ -671,6 +671,7 @@ def test_kernel_overflow_exits_3_with_only_the_error_line(tmp_path, command):
     assert run.stderr.startswith("error: DomainError: OverflowError ")
     assert "evaluating (1e+200*x0)^2*0.0 + 1.0 at [" in run.stderr
 
+
 def test_stiff_geodesic_stops_at_the_step_budget(tmp_path, capsys, monkeypatch):
     # the steep exp(1000*x0) entry cannot meet the tolerance: the
     # integrator gives up after MAX_STEPS attempted steps of at most six

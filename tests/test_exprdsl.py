@@ -202,7 +202,7 @@ _coordinate = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]),
                         st.floats(-1e120, 1e120))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(_expr_strategy(2), _pow_strategy(2)),
        st.lists(_coordinate, min_size=2, max_size=2))
 def test_kernel_on_float_rows_matches_ndarray_rows_and_interpreter(e, p):

@@ -39,7 +39,7 @@ def small_matrix(seed, n, scale=1.0):
 def test_frob_has_the_bits_of_numpy_norm(scale):
     # real arrays take norm's own route without its wrapper; strided and
     # transposed views and the parts of a complex array included
-    rng = _rng(int(-np.log10(scale)) % 1000)
+    rng = _rng(7)
     for shape in [(1,), (5,), (3, 3), (8, 8), (4, 2, 3), (2, 3, 3, 3)]:
         a = scale * rng.standard_normal(shape)
         z = a + 1j * scale * rng.standard_normal(shape)
