@@ -45,10 +45,9 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
 
         dL = d rho (x) gbar^{-1} g + rho gbar^{-1} (dg - dgbar gbar^{-1} g),
 
-    d rho from d det A = det A tr(A^{-1} dA): O(n^4) per row, with no
-    d(gbar^{-1}).  The determinant ratio, its root and the
-    determinant-trace contraction are taken row by row, so each row has
-    the bits of a batch of 1.
+    O(n^4) per row, with no d(gbar^{-1}).  The determinant ratio, its root
+    and the determinant-trace contraction are taken row by row, so each
+    row has the bits of a batch of 1.
     """
     n = gv.shape[-1]
     flipped, rho, scalars = [], [], []
