@@ -52,9 +52,15 @@ class SceneError(Exception):
 
 
 def tolerance_ladder():
-    """Tolerances for dual-exact, one-FD-layer and two-FD-layer chains,
-    scaled uniformly by the GEQ_TOL_SCALE environment variable, which must
-    be a finite positive number."""
+    """Tolerances of the checks, scaled uniformly by the GEQ_TOL_SCALE
+    environment variable, which must be a finite positive number.
+
+    Every derivative is exact; the rungs keep the keys of the
+    finite-difference chains they were first set for.  ``dual`` (1e-9)
+    holds the pair checks of ``check``; ``fd1`` (1e-5) those of ``ts`` and
+    ``glue`` and the geodesic oracle; ``fd2`` (1e-4) the product structure
+    of ``split``.  A construction moves to a tighter rung only on evidence
+    that it meets it across seeds, function kinds and spectra."""
     text = os.environ.get("GEQ_TOL_SCALE", "1")
     try:
         scale = float(text)
@@ -236,7 +242,15 @@ def _integrator(rep) -> dict:
 
 
 def emit(report) -> int:
-    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
+    """Print the report; the exit code is its verdict.  A reader that has
+    closed stdout (``| head``) misses the report but not the verdict:
+    stdout then points at the null device, so neither this write nor the
+    flush at exit raises."""
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
 
 

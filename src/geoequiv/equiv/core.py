@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (DegenerateMetric, DomainError, DomainViolation, SingularL,
+from ..errors import (DegenerateMetric, DomainViolation, SingularL,
                       ZeroInImage)
 from ..fields import (
     MetricField,
@@ -44,13 +44,15 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
     determinant ratio,
 
         dL = d rho (x) gbar^{-1} g + rho gbar^{-1} (dg - dgbar gbar^{-1} g),
+        d ln rho = (tr(gbar^{-1} dgbar) - tr(g^{-1} dg)) / (n + 1),
 
-    O(n^4) per row, with no d(gbar^{-1}).  The determinant ratio, its root
-    and the determinant-trace contraction are taken row by row, so each
-    row has the bits of a batch of 1.
+    O(n^4) per row, with no d(gbar^{-1}) and no determinant in d rho, so
+    a constant rescaling of g or gbar cannot overflow it.  The determinant
+    ratio, its root and the trace contractions are taken row by row, so
+    each row has the bits of a batch of 1.
     """
     n = gv.shape[-1]
-    flipped, rho, scalars = [], [], []
+    flipped, rho = [], []
     for i, (dg, dgb) in enumerate(zip(np.linalg.det(gv).tolist(),
                                       np.linalg.det(gbv).tolist())):
         if not (nondegenerate(gv[i], dg) and nondegenerate(gbv[i], dgb)):
@@ -64,11 +66,6 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
             dg, ratio = -dg, -ratio
         flipped.append(flip)
         rho.append(np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1)))
-        try:
-            scalars.append((dg, dgb, ratio, dg**2))
-        except OverflowError:
-            raise DomainError(f"metric determinant {dg:.3e} at {rows[i]} "
-                              "squares past the float range") from None
     rho = np.array(rho)
     if any(flipped):
         flip = np.array(flipped)[:, None, None]
@@ -80,14 +77,11 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
     lv = rho[:, None, None] * core
     if dgv is None:
         return lv, None, flipped
-    dg, dgb, ratio, dg2 = np.array(scalars).T[:, :, None]  # each (m, 1)
-    # d det A = det A * tr(A^{-1} dA)
+    # d ln |det A| = tr(A^{-1} dA)
     tr = np.array([np.einsum("ij,kji->k", a, d)
                    for a, d in zip(np.linalg.inv(gv), dgv)])
     trb = np.array([np.einsum("ij,kji->k", a, d) for a, d in zip(gbinv, dgbv)])
-    ddg, ddgb = dg * tr, dgb * trb
-    dratio = (ddgb * dg - dgb * ddg) / dg2
-    drho = rho[:, None] * dratio / ((n + 1) * ratio)
+    drho = rho[:, None] * ((trb - tr) / (n + 1))
     dcore = gbinv[:, None] @ (dgv - dgbv @ core[:, None])
     dl = np.einsum("bk,bij->bkij", drho, core) + rho[:, None, None, None] * dcore
     return lv, dl, flipped
@@ -181,36 +175,52 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction):
     chart; checked eagerly on deterministic samples and lazily at every
     evaluation.  Applying the constant-one function returns the input
     fields unchanged.
+
+    Both metrics come from one closure with an exact jacobian,
+    d(g f(L)) = dg f(L) + g Df(L)[dL], symmetrized, where Df(L)[dL] is the
+    forward mode of ``matrix_function``: one call per point gives f(L) and
+    its derivative along every coordinate.
     """
     if f.name == "one":
         return g, gbar
     chart = g.chart
     L = l_tensor_field(g, gbar)
 
-    def f_of_l(p):
-        lv = L.value(p)
+    def f_of_l(lv, p, dl=None):
         spec = eigen(lv)
         for z, _ in spec.entries:
             if not f.domain_ok(z):
                 raise DomainViolation(
-                    f"eigenvalue {z} outside the domain of {f.name} at {np.asarray(p)}"
+                    f"eigenvalue {z} outside the domain of {f.name} at {p}"
                 )
         scale = 1.0 + max(abs(f.value(z)) for z, _ in spec.entries)
         for z, _ in spec.entries:
             if abs(f.value(z)) <= 1e-10 * scale:
                 raise ZeroInImage(
-                    f"f({z}) is numerically zero at {np.asarray(p)}",
+                    f"f({z}) is numerically zero at {p}",
                     witness=z,
                     point=p,
                 )
-        return matrix_function(lv, f)
+        return matrix_function(lv, f, dl)
 
-    def pair_fn(p):
-        fl = f_of_l(p)
-        ms = [metric.value(p) @ fl for metric in (g, gbar)]
-        return np.stack([0.5 * (m + m.T) for m in ms])
+    def symmetrized(m):
+        return 0.5 * (m + m.swapaxes(-1, -2))
 
-    gf, gbf = stacked_fields(MetricField, chart, 2, fn=pair_fn)
+    def pair_jac(rows, derivative):
+        if not derivative:
+            fl = np.array([f_of_l(lv, p) for lv, p in zip(L.value(rows), rows)])
+            gv = np.stack([g.value(rows), gbar.value(rows)], axis=1)
+            return symmetrized(gv @ fl[:, None])
+        lv, dl = L.value_and_derivative(rows)
+        fl, dfl = zip(*(f_of_l(a, p, d) for a, p, d in zip(lv, rows, dl)))
+        fl, dfl = np.array(fl), np.array(dfl)
+        (gv, dgv), (gbv, dgbv) = (m.value_and_derivative(rows) for m in (g, gbar))
+        gv, dgv = np.stack([gv, gbv], axis=1), np.stack([dgv, dgbv], axis=2)
+        # d(g f(L))[k] = dg[k] f(L) + g Df(L)[dL[k]]
+        dm = dgv @ fl[:, None, None] + gv[:, None] @ dfl[:, :, None]
+        return symmetrized(gv @ fl[:, None]), symmetrized(dm)
+
+    gf, gbf = stacked_fields(MetricField, chart, 2, jac=pair_jac)
     for p in probe_points(chart, 20):
         gf.value(p)
     return gf, gbf
@@ -235,19 +245,31 @@ def charpoly_differential_residual(L: OperatorField, t: float, p) -> np.ndarray:
 
 
 def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:
-    """Trace-free part of g^{-1} (Lie_v g): compatible with g whenever v
-    is a projective vector field of g."""
+    """Trace-free part of A = g^{-1} (Lie_v g): compatible with g whenever
+    v is a projective vector field of g.  Lie_v g is the expression-backed
+    metric of ``lie_derivative_metric``, so g must be expression-backed,
+    and the jacobian is exact: dA = g^{-1} (d(Lie_v g) - dg A)."""
     chart = g.chart
     n = chart.dim
+    h = lie_derivative_metric(v, g)
 
-    def fn(p):
-        gv = g.value(p)
-        if not nondegenerate(gv):
-            raise DegenerateMetric(f"metric degenerate at {np.asarray(p)}", point=p)
-        a = np.linalg.solve(gv, lie_derivative_metric(v, g, p))
-        return a - (np.trace(a) / (n + 1)) * np.eye(n)
+    def trace_free(a):
+        tr = np.trace(a, axis1=-2, axis2=-1)
+        return a - (tr / (n + 1))[..., None, None] * np.eye(n)
 
-    return OperatorField.from_function(chart, fn)
+    def jac(rows, derivative):
+        gv, dg = g.value_and_derivative(rows)
+        for gi, p in zip(gv, rows):
+            if not nondegenerate(gi):
+                raise DegenerateMetric(f"metric degenerate at {p}", point=p)
+        hv, dh = h.value_and_derivative(rows)
+        a = np.linalg.solve(gv, hv)
+        if not derivative:
+            return trace_free(a)
+        da = np.linalg.solve(gv[:, None], dh - dg @ a[:, None])
+        return trace_free(a), trace_free(da)
+
+    return OperatorField.from_function(chart, jac=jac)
 
 
 def shift_to_nondegenerate(L: OperatorField):

@@ -18,6 +18,9 @@ of a field), computing each distinct subtree once.  On a point of Python
 floats, as ``fields`` passes it, both give the same bits and raise the
 same errors; an overflowing ``**`` raises ``OverflowError`` there, where
 numpy scalars would give inf.
+
+``diff`` gives the derivative of a tree along one coordinate as a tree,
+so ``compile_dual`` of it gives second derivatives exactly.
 """
 
 from __future__ import annotations
@@ -499,6 +502,83 @@ _CALL_DERIVATIVE = {
     "cos": "-_sin({a})",
     "sqrt": "0.5 / {v}",
 }
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivatives
+
+
+def _is_num(e: Expr, value: float) -> bool:
+    return isinstance(e, Num) and e.value == value
+
+
+def add(a: Expr, b: Expr) -> Expr:
+    """The tree a + b, with a zero term dropped."""
+    if _is_num(b, 0.0):
+        return a
+    return b if _is_num(a, 0.0) else Add(a, b)
+
+
+def mul(a: Expr, b: Expr) -> Expr:
+    """The tree a * b; a zero factor gives zero, a unit factor is dropped."""
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return Num(0.0)
+    if _is_num(a, 1.0):
+        return b
+    return a if _is_num(b, 1.0) else Mul(a, b)
+
+
+def diff(e: Expr, k: int) -> Expr:
+    """The tree of the exact derivative of ``e`` along x_k: sum, product,
+    quotient and chain rules, with zero terms and unit factors dropped.
+    The derivative of a quotient divides by the same denominator, and that
+    of a negative power is a negative power of the same base, so both
+    raise where ``e`` does."""
+    if isinstance(e, Num):
+        return Num(0.0)
+    if isinstance(e, Coord):
+        return Num(1.0 if e.index == k else 0.0)
+    if isinstance(e, Add):
+        return add(diff(e.lhs, k), diff(e.rhs, k))
+    if isinstance(e, Sub):
+        da, db = diff(e.lhs, k), diff(e.rhs, k)
+        if _is_num(db, 0.0):
+            return da
+        return Neg(db) if _is_num(da, 0.0) else Sub(da, db)
+    if isinstance(e, Mul):
+        return add(mul(e.lhs, diff(e.rhs, k)), mul(e.rhs, diff(e.lhs, k)))
+    if isinstance(e, Div):
+        # (a / b)' = (a' - (a / b) b') / b
+        da, db = diff(e.lhs, k), diff(e.rhs, k)
+        if _is_num(da, 0.0) and _is_num(db, 0.0):
+            return Num(0.0)
+        top = da if _is_num(db, 0.0) else Sub(da, mul(e, db))
+        return Div(top, e.rhs)
+    if isinstance(e, Neg):
+        d = diff(e.operand, k)
+        return d if _is_num(d, 0.0) else Neg(d)
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return Num(0.0)
+        outer = Num(1.0) if e.exponent == 1 else mul(
+            Num(float(e.exponent)), Pow(e.base, e.exponent - 1))
+        return mul(outer, diff(e.base, k))
+    if isinstance(e, Call):
+        d = diff(e.arg, k)
+        if _is_num(d, 0.0):
+            return d
+        if e.fn == "exp":
+            return mul(e, d)
+        if e.fn == "log":
+            return Div(d, e.arg)
+        if e.fn == "sin":
+            return mul(Call("cos", e.arg), d)
+        if e.fn == "cos":
+            return Neg(mul(Call("sin", e.arg), d))
+        if e.fn == "sqrt":
+            return Div(mul(Num(0.5), d), e)
+        raise UnknownSymbol(f"unknown function {e.fn!r}")
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

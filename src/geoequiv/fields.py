@@ -1,15 +1,13 @@
 """Chart-based tensor fields with derivative access.
 
 Fields are backed either by closed-form expressions (exact forward-mode
-derivatives) or by one derived closure.  An exact derived field has a
-batch closure ``jac(rows, derivative)`` built from exact matrix calculus,
-which returns the values and, when asked, their derivatives (the pair
-tensor, the glued pair, the split pair, the spectral projectors, the
-iterated decomposition's factor pairs, coordinate leaves of exact
-fields).  The others have a value closure ``fn(p)`` at one point,
-differentiated by central finite differences, step 6e-6 * (1 + |x_k|)
-per coordinate (operator-function rescaling, the projective
-deformation).
+derivatives) or by one derived closure.  A derived field has a batch
+closure ``jac(rows, derivative)`` built from exact matrix calculus, which
+returns the values and, when asked, their derivatives (the pair tensor,
+the glued pair, the split pair, the spectral projectors, the iterated
+decomposition's factor pairs, the operator-function rescaling, the
+projective deformation, coordinate leaves).  Nothing is differentiated
+numerically.
 
 An expression-backed field evaluates through one compiled kernel
 (``exprdsl.compile_dual`` over its distinct components, cached per
@@ -35,15 +33,15 @@ last bit), on the row's Python floats: the kernel then runs the
 interpreter's arithmetic at about a third of the cost of numpy scalars,
 and an overflowing ``**`` raises as it does there.  A ``jac`` closure
 gets the whole batch as one (m, n) array and returns values (m, ...) and
-jacobians (m, n, ...); an ``fn`` closure gets one point at a time.  Every
-backing keeps one batch, its last: its rows, values and derivatives (when
-they were asked for).  Values at those rows are read from it, and so are
-derivatives if it holds them; nothing is kept per point.  Stacked
-``det``, ``inv``, ``@`` and the einsum contractions give each row the
-same bits as a batch of 1; norms, matrix-vector products and the
-determinant-trace contraction do not always, so those stay per row.  ``nondegenerate`` runs per row.
-``in_point_order`` turns an error raised by a batch into the one a
-per-point loop meets first.
+jacobians (m, n, ...).  Every backing keeps one batch, its last: its
+rows, values and derivatives (when they were asked for).  Values at those
+rows are read from it, and so are derivatives if it holds them; nothing
+is kept per point.  Stacked ``det``, ``inv``, ``solve``, ``@`` and the
+einsum contractions give each row the same bits as a batch of 1; norms,
+matrix-vector products and the trace contractions do not always, so
+those stay per row.  ``nondegenerate`` runs per row.  ``in_point_order``
+turns an error raised by a batch into the one a per-point loop meets
+first.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from .errors import DegenerateMetric, DimensionCap, DomainError
 from .smallmat import DIM_CAP
 
 DEG_TOL = 1e-10
-FD_STEP = 6e-6
 PROBE_SEED = 42
 
 
@@ -194,20 +191,6 @@ def in_point_order(fn, rows):
 # field backings
 
 
-def central_difference(fn, p: np.ndarray) -> np.ndarray:
-    """Central differences of fn at p; out[k] = d fn / d x_k, with step
-    ``FD_STEP * (1 + |x_k|)`` per coordinate."""
-    steps = FD_STEP * (1.0 + np.abs(p))
-    out = []
-    for k in range(len(p)):
-        pp = p.copy()
-        pm = p.copy()
-        pp[k] += steps[k]
-        pm[k] -= steps[k]
-        out.append((fn(pp) - fn(pm)) / (2.0 * steps[k]))
-    return np.array(out)
-
-
 _compile_cache: dict = {}
 
 
@@ -230,17 +213,19 @@ class _Backing:
     Expression-backed components are evaluated by one compiled kernel over
     the distinct components (equal reprs share a slot, so a mirrored
     entry is computed once); ``_gather`` spreads its output over every
-    entry.  A function-backed field has one closure: ``jac(rows,
-    derivative)`` for an exact field, or ``fn(p)`` at one point for a
-    finite-difference one.  Every backing keeps its last batch only.
+    entry.  A function-backed field has one closure, ``jac(rows,
+    derivative)``.  Every backing keeps its last batch only.
     """
 
-    def __init__(self, chart, shape, exprs=None, fn=None, jac=None):
-        if (exprs is None) + (fn is None) + (jac is None) != 2:
-            raise ValueError("a backing takes one of exprs, fn and jac")
+    # read by perfbench/tracer.py, which wraps a backing's ``_fn`` closure
+    # when it is set; no backing sets it
+    _fn = None
+
+    def __init__(self, chart, shape, exprs=None, jac=None):
+        if (exprs is None) == (jac is None):
+            raise ValueError("a backing takes one of exprs and jac")
         self.chart = chart
         self.shape = shape
-        self._fn = fn
         self._jac = jac
         self._exprs = exprs
         self._kept = (None, None, None)  # rows key, values, derivatives
@@ -278,13 +263,9 @@ class _Backing:
             table = self._kernel_rows(rows).take(self._gather, 1)
             vals = table[:, 0].reshape((m,) + self.shape)
             derivs = table[:, 1:].reshape((m, self.chart.dim) + self.shape)
-        elif self._jac is not None:
+        else:
             out = self._jac(rows, derivative)
             vals, derivs = out if derivative else (out, None)
-        else:
-            vals = np.array([self._fn(q) for q in rows], dtype=float)
-            derivs = (np.array([central_difference(self._fn, q) for q in rows])
-                      if derivative else None)
         self._kept = (key, vals, derivs)
         return vals, derivs
 
@@ -351,14 +332,12 @@ class _Field:
         self.component_exprs = exprs_matrix  # n x n tuple of Expr, or None
 
     @classmethod
-    def from_function(cls, chart: Chart, fn=None, jac=None):
+    def from_function(cls, chart: Chart, jac):
         """Field from one closure: ``jac(rows, derivative)`` takes an (m, n)
         batch and returns the values (m, n, n) and, with ``derivative``,
-        the pair of them and their exact derivatives (m, n, n, n); ``fn(p)``
-        gives the value at one point, differentiated by central
-        differences."""
+        the pair of them and their exact derivatives (m, n, n, n)."""
         n = chart.dim
-        return cls(chart, _Backing(chart, (n, n), fn=fn, jac=jac))
+        return cls(chart, _Backing(chart, (n, n), jac=jac))
 
     def value(self, p) -> np.ndarray:
         return self._backing.value(p)
@@ -410,16 +389,15 @@ class MetricField(_Field):
                 0.5 * (d + d.swapaxes(-1, -2)))
 
 
-def stacked_fields(cls, chart: Chart, count: int, fn=None, jac=None):
+def stacked_fields(cls, chart: Chart, count: int, jac):
     """``count`` fields of class ``cls`` from one closure that returns
     their (n, n) values stacked, given as for ``from_function``:
     ``jac(rows, derivative)`` with values (m, count, n, n) and derivatives
-    (m, n, count, n, n), or ``fn(p)`` with a (count, n, n) stack.  One
-    backing serves every field, so the others cost nothing at rows where
-    one has been evaluated; a metric field is symmetrized like
-    ``MetricField.from_function``."""
+    (m, n, count, n, n).  One backing serves every field, so the others
+    cost nothing at rows where one has been evaluated; a metric field is
+    symmetrized like ``MetricField.from_function``."""
     n = chart.dim
-    whole = _Backing(chart, (count, n, n), fn=fn, jac=jac)
+    whole = _Backing(chart, (count, n, n), jac=jac)
     return tuple(cls(chart, _Part(whole, i)) for i in range(count))
 
 
@@ -545,14 +523,27 @@ def nijenhuis(L: OperatorField, p) -> np.ndarray:
     return out[0] if single else out
 
 
-def lie_derivative_metric(v: VectorField, g: MetricField, p) -> np.ndarray:
-    """Lie derivative of the metric along v, as a symmetric matrix."""
-    p = np.asarray(p, dtype=float)
-    gv, dg = g.value_and_derivative(p)
-    vv = v.value(p)
-    dv = v.derivative(p)
-    # (L_v g)_{ij} = v^s d_s g_{ij} + g_{sj} d_i v^s + g_{is} d_j v^s
-    out = np.einsum("s,sij->ij", vv, dg)
-    out = out + np.einsum("sj,is->ij", gv, dv)
-    out = out + np.einsum("is,js->ij", gv, dv)
-    return 0.5 * (out + out.T)
+def lie_derivative_metric(v: VectorField, g: MetricField) -> MetricField:
+    """Lie derivative of the metric along v as an expression-backed metric,
+
+        (L_v g)_ij = v^s d_s g_ij + g_sj d_i v^s + g_is d_j v^s,
+
+    built from the trees of v and of g and their ``exprdsl.diff``
+    derivatives, so its jacobian is exact too.  g must be
+    expression-backed."""
+    if g.component_exprs is None:
+        raise ValueError("the Lie derivative needs an expression-backed metric")
+    n = g.chart.dim
+    ge, ve = g.component_exprs, v.component_exprs
+    dv = [[exprdsl.diff(ve[s], i) for s in range(n)] for i in range(n)]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = exprdsl.Num(0.0)
+            for s in range(n):
+                for term in (exprdsl.mul(ve[s], exprdsl.diff(ge[i][j], s)),
+                             exprdsl.mul(ge[s][j], dv[i][s]),
+                             exprdsl.mul(ge[i][s], dv[j][s])):
+                    entry = exprdsl.add(entry, term)
+            rows[i][j] = entry
+    return MetricField.from_exprs(g.chart, rows)

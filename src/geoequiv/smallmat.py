@@ -426,7 +426,27 @@ def _hermite_coefficients(nodes, f: ScalarFunction):
     return seq_z, coeffs
 
 
-def matrix_function(a, f: ScalarFunction) -> np.ndarray:
+def _newton_value(a, nodes, coeffs, da=None):
+    """The Newton form sum_j coeffs[j] prod_{i<j} (A - nodes[i]) at the
+    complex matrix ``a``; with directions ``da`` (K, n, n), also its
+    derivative along each, by the product rule through every factor."""
+    eye = np.eye(len(a), dtype=complex)
+    result = coeffs[0] * eye
+    prod = eye
+    if da is not None:
+        dprod = np.zeros(da.shape, dtype=complex)
+        dresult = np.zeros(da.shape, dtype=complex)
+    for j in range(1, len(coeffs)):
+        factor = a - nodes[j - 1] * eye
+        if da is not None:
+            dprod = dprod @ factor + prod @ da
+            dresult = dresult + coeffs[j] * dprod
+        prod = prod @ factor
+        result = result + coeffs[j] * prod
+    return result if da is None else (result, dresult)
+
+
+def matrix_function(a, f: ScalarFunction, da=None):
     """Evaluate f(A) by Hermite interpolation on the clustered spectrum.
 
     Eigenvalues within ``1e-8 * (1 + ||A||)`` are merged into a single
@@ -434,9 +454,17 @@ def matrix_function(a, f: ScalarFunction) -> np.ndarray:
     multiplicity, so derivative information of ``f`` is reproduced on
     defective clusters.  The result of the complex Newton
     evaluation must be real up to ``1e-10 * ||result||``.
+
+    Forward mode: given directions ``da`` of shape (K, n, n), returns
+    ``(value, derivative)`` with ``derivative[k]`` the Frechet derivative
+    of f at A along ``da[k]``.  That is the upper-right block of
+    f([[A, da[k]], [0, A]]) (Higham, *Functions of Matrices*, 2008,
+    ch. 3), whose spectrum is A's with every multiplicity doubled, so the
+    Hermite interpolant on the doubled nodes reproduces it; its Newton
+    form is differentiated along ``da[k]``.  The value has the same bits
+    either way.
     """
     a = _as_square(a)
-    n = a.shape[0]
     spec = eigen(a, cluster_tol=1e-8 * (1.0 + frob(a)))
 
     for z, _ in spec.entries:
@@ -447,19 +475,18 @@ def matrix_function(a, f: ScalarFunction) -> np.ndarray:
                 f"{f.name} violates conjugation symmetry at {z}"
             )
 
-    seq_z, coeffs = _hermite_coefficients(list(spec.entries), f)
     ac = a.astype(complex)
-    eye = np.eye(n, dtype=complex)
-    result = coeffs[0] * eye
-    prod = eye
-    for j in range(1, len(coeffs)):
-        prod = prod @ (ac - seq_z[j - 1] * eye)
-        result = result + coeffs[j] * prod
-
+    result = _newton_value(ac, *_hermite_coefficients(list(spec.entries), f))
     imag_norm = frob(result.imag)
     real_norm = frob(result.real)
     if imag_norm > 1e-10 * max(real_norm, 1e-300):
         raise ResidueTooLarge(
             f"imaginary residue {imag_norm:.3e} exceeds 1e-10 * ||result||"
         )
-    return np.ascontiguousarray(result.real)
+    value = np.ascontiguousarray(result.real)
+    if da is None:
+        return value
+    doubled = [(z, 2 * m) for z, m in spec.entries]
+    _, dresult = _newton_value(ac, *_hermite_coefficients(doubled, f),
+                               np.asarray(da, dtype=float))
+    return value, np.ascontiguousarray(dresult.real)

@@ -1,6 +1,9 @@
-"""Shared corpus of compatible pairs and negative controls, and the
-Hermite indicator the spectral projectors are tested against."""
+"""Shared corpus of compatible pairs and negative controls, the Hermite
+indicator the spectral projectors are tested against, closure-backed
+fixture fields, and the central-difference stencil that exact jacobians
+are compared with."""
 
+import numpy as np
 import pytest
 
 from geoequiv.equiv import (
@@ -9,6 +12,7 @@ from geoequiv.equiv import (
     SimpleEigenvalue,
     levi_civita_pair,
 )
+from geoequiv.exprdsl import Num
 from geoequiv.fields import Chart, MetricField
 from geoequiv.smallmat import ScalarFunction
 
@@ -170,6 +174,37 @@ def hermite_indicator(group1, group2):
         lambda z, k: 0.0 + 0.0j,
         lambda z: min(dist(z, g1), dist(z, g2)) <= radius,
     )
+
+
+def central_difference(fn, p, step=6e-6):
+    """Central differences of fn at p; out[k] = d fn / d x_k, with step
+    ``step * (1 + |x_k|)`` per coordinate."""
+    p = np.asarray(p, dtype=float)
+    out = []
+    for k in range(len(p)):
+        h = step * (1.0 + abs(p[k]))
+        pp, pm = p.copy(), p.copy()
+        pp[k] += h
+        pm[k] -= h
+        out.append((fn(pp) - fn(pm)) / (2.0 * h))
+    return np.array(out)
+
+
+def constant_metric(chart, m):
+    """The constant metric with matrix ``m`` (its upper triangle)."""
+    return MetricField.from_exprs(
+        chart, [[Num(float(x)) for x in row] for row in np.asarray(m)])
+
+
+def scaled(field, factor):
+    """``factor`` times ``field``, with the exact jacobian."""
+    def jac(rows, derivative):
+        if not derivative:
+            return factor * field.value(rows)
+        vals, derivs = field.value_and_derivative(rows)
+        return factor * vals, factor * derivs
+
+    return type(field).from_function(field.chart, jac=jac)
 
 
 def build_pair(name):

@@ -42,7 +42,7 @@ from geoequiv.fields import (
 from geoequiv.oracle import geodesic_defect_report
 from geoequiv.smallmat import ScalarFunction, char_poly, frob, matrix_function
 
-from conftest import CORPUS_SPECS, SPLITTABLE
+from conftest import CORPUS_SPECS, SPLITTABLE, scaled
 
 TOL_DUAL = 1e-9
 TOL_FD1 = 1e-5
@@ -70,10 +70,16 @@ def _f_family(c=10.0):
 
 
 def _f_of_l_field(L, f):
-    chart = L.chart
-    return OperatorField.from_function(
-        chart, lambda p: matrix_function(L.value(p), f)
-    )
+    """f(L) as an operator field, with the jacobian of the forward-mode
+    ``matrix_function``."""
+    def jac(rows, derivative):
+        if not derivative:
+            return np.array([matrix_function(lv, f) for lv in L.value(rows)])
+        lvs, dls = L.value_and_derivative(rows)
+        vals, derivs = zip(*(matrix_function(lv, f, dl) for lv, dl in zip(lvs, dls)))
+        return np.array(vals), np.array(derivs)
+
+    return OperatorField.from_function(L.chart, jac=jac)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +202,7 @@ def _weyl_factor(lam, rows, half=0.4, indefinite=False):
     k = len(rows)
     chart = Chart(k, ((-half, half),) * k, (0.0,) * k)
     h = MetricField.from_exprs(chart, rows)
-    hbar = MetricField.from_function(chart, lambda p: h.value(p) / lam ** (k + 1))
+    hbar = scaled(h, 1.0 / lam ** (k + 1))
     L = OperatorField.constant(chart, lam * np.eye(k))
     return h, hbar, L
 

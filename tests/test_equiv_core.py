@@ -28,6 +28,8 @@ from geoequiv.fields import (
 )
 from geoequiv.smallmat import ScalarFunction, frob
 
+from conftest import central_difference, constant_metric
+
 
 def euclidean_chart(n=2, half=0.5):
     chart = Chart(n, tuple((-half, half) for _ in range(n)), (0.0,) * n)
@@ -109,16 +111,16 @@ def _reference_pair_tensor(gv, gbv, dgv, dgbv, three_factor=False):
     replaced, kept as the reference for its bits; ``three_factor`` forms
     d(gbar^-1 g) as the product rule through d(gbar^-1) instead."""
     n = len(gv)
-    dg, dgb = float(np.linalg.det(gv)), float(np.linalg.det(gbv))
-    ratio = dgb / dg
+    ratio = float(np.linalg.det(gbv)) / float(np.linalg.det(gv))
     if (n + 1) % 2 == 0 and ratio < 0.0:
-        gv, dg, ratio, dgv = -gv, -dg, -ratio, -dgv
+        gv, ratio, dgv = -gv, -ratio, -dgv
     rho = np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1))
     gbinv = np.linalg.inv(gbv)
     core = gbinv @ gv
-    ddg = dg * np.einsum("ij,kji->k", np.linalg.inv(gv), dgv)
-    ddgb = dgb * np.einsum("ij,kji->k", gbinv, dgbv)
-    drho = rho * ((ddgb * dg - dgb * ddg) / dg**2) / ((n + 1) * ratio)
+    # d ln rho = (tr(gbar^-1 dgbar) - tr(g^-1 dg)) / (n + 1)
+    tr = np.einsum("ij,kji->k", np.linalg.inv(gv), dgv)
+    trb = np.einsum("ij,kji->k", gbinv, dgbv)
+    drho = rho * ((trb - tr) / (n + 1))
     dl = np.einsum("k,ij->kij", drho, core)
     if three_factor:
         dgbinv = -np.einsum("ij,kjl,lm->kim", gbinv, dgbv, gbinv)
@@ -230,7 +232,7 @@ def test_reconstruct_roundtrip_indefinite():
     want = gbar.value((0.0, 0.0))
     c = gb[0, 0] / want[0, 0]
     assert np.allclose(gb, c * want)
-    lv2 = compute_L(g, MetricField.from_function(chart, lambda p: gb), (0.0, 0.0))
+    lv2 = compute_L(g, constant_metric(chart, gb), (0.0, 0.0))
     assert np.allclose(lv2, lv)
 
 
@@ -309,8 +311,9 @@ def test_rescale_by_reciprocal_keeps_compatibility(corpus):
 
 
 def test_rescale_computes_f_of_l_once_per_point(corpus, monkeypatch):
-    # g f(L) and gbar f(L) share one f(L) per point: value and derivative
-    # of both at a fresh point take 2n + 1 matrix functions, not 2 (2n + 1)
+    # g f(L) and gbar f(L) share one f(L) per point, and its forward mode
+    # gives the derivative with the value: value and derivative of both at
+    # a fresh point take one matrix function
     from geoequiv.equiv import core
 
     g, gbar = corpus["lc2_sin"]
@@ -318,11 +321,11 @@ def test_rescale_computes_f_of_l_once_per_point(corpus, monkeypatch):
     calls = []
     real = core.matrix_function
     monkeypatch.setattr(core, "matrix_function",
-                        lambda a, f: calls.append(f) or real(a, f))
+                        lambda a, f, da=None: calls.append(f) or real(a, f, da))
     p = np.array([0.11, -0.07])
     gf.value_and_derivative(p)
     gbf.value_and_derivative(p)
-    assert len(calls) == 2 * g.chart.dim + 1
+    assert len(calls) == 1
 
 
 def test_rescale_zero_in_image(corpus):
@@ -330,6 +333,33 @@ def test_rescale_zero_in_image(corpus):
     # f(z) = z - 2 vanishes on the second eigenvalue branch
     with pytest.raises(ZeroInImage):
         topalov_sinjukov(g, gbar, ScalarFunction.polynomial([-2.0, 1.0]))
+
+
+def _exact_field_checks(make, points):
+    """Fields from three calls of ``make``: each value has the same bits with
+    and without the jacobian, row i of a batch has the bits of a batch of 1,
+    and the jacobian matches a central difference of the values."""
+    by_value, by_jac, by_batch = make(), make(), make()
+    for a, b, c in zip(by_value, by_jac, by_batch):
+        vals, derivs = c.value_and_derivative(points)
+        for i, p in enumerate(points):
+            assert a.value(p).tobytes() == b.value_and_derivative(p)[0].tobytes()
+            val, deriv = b.value_and_derivative(points[i:i + 1])
+            assert val.tobytes() == vals[i:i + 1].tobytes()
+            assert deriv.tobytes() == derivs[i:i + 1].tobytes()
+            fd = central_difference(a.value, p)
+            assert frob(derivs[i] - fd) <= 1e-7 * (1.0 + frob(derivs[i]))
+
+
+@pytest.mark.parametrize("name", ["lc3_mixed", "lc4_block3"])
+@pytest.mark.parametrize("f", [ScalarFunction.exponential(),
+                               ScalarFunction.polynomial([1.0, 0.3]),
+                               ScalarFunction.reciprocal(-1.0)],
+                         ids=["exp", "poly", "recip"])
+def test_rescaled_pair_has_an_exact_jacobian(corpus, name, f):
+    g, gbar = corpus[name]
+    _exact_field_checks(lambda: topalov_sinjukov(g, gbar, f),
+                        sample_points(g.chart, 5, seed=43))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +436,23 @@ def test_deformation_projective_translation_on_sphere():
     for p in sample_points(chart, 30, seed=42):
         res, _ = compatibility_residual(g, shifted, p)
         assert res <= 1e-5
+
+
+@pytest.mark.parametrize("components", [("1", "0"), ("x0*x1", "1 + sin(x0)")],
+                         ids=["translation", "curved"])
+def test_projective_deformation_has_an_exact_jacobian(components):
+    chart, g = _sphere_gnomonic_metric()
+    v = VectorField(chart, list(components))
+    _exact_field_checks(lambda: [projective_deformation(v, g)],
+                        sample_points(chart, 5, seed=44))
+
+
+def test_deformation_needs_an_expression_backed_metric():
+    chart, g = euclidean_chart(2)
+    closure = MetricField.from_function(chart, jac=lambda rows, derivative: (
+        g.value_and_derivative(rows) if derivative else g.value(rows)))
+    with pytest.raises(ValueError):
+        projective_deformation(VectorField(chart, ["x1", "x0"]), closure)
 
 
 def test_shift_to_nondegenerate_reports_constant():

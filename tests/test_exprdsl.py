@@ -25,6 +25,7 @@ from geoequiv.exprdsl import (
     Sub,
     _eval,
     compile_dual,
+    diff,
     eval_dual,
     parse,
     shift_coords,
@@ -403,3 +404,93 @@ def test_gradient_matches_fd_ten_thousand_samples():
                 pm[k] -= h
                 fd = (eval_dual(e, pp).value - eval_dual(e, pm).value) / (2 * h)
                 assert abs(fd - d.gradient[k]) <= 1e-6 * max(1.0, abs(d.gradient[k]))
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivatives
+
+
+def _to_sympy(e, xs):
+    import sympy as sp
+
+    if isinstance(e, Num):
+        return sp.Rational(e.value)
+    if isinstance(e, Coord):
+        return xs[e.index]
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        a, b = _to_sympy(e.lhs, xs), _to_sympy(e.rhs, xs)
+        if isinstance(e, Add):
+            return a + b
+        if isinstance(e, Sub):
+            return a - b
+        return a * b if isinstance(e, Mul) else a / b
+    if isinstance(e, Neg):
+        return -_to_sympy(e.operand, xs)
+    if isinstance(e, Pow):
+        return _to_sympy(e.base, xs) ** e.exponent
+    return getattr(sp, e.fn)(_to_sympy(e.arg, xs))
+
+
+def _sympy_value(expr, xs, p):
+    return float(expr.evalf(40, subs={x: v for x, v in zip(xs, p)}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expr_strategy(2), st.integers(0, 10_000))
+def test_diff_matches_the_dual_gradient_and_sympy(e, seed):
+    # the derivative tree evaluates to the dual gradient's bits (same
+    # operations; dropped terms are exact zeros), and its own gradient is
+    # sympy's second derivative
+    import sympy as sp
+
+    xs = sp.symbols("x0 x1")
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0, size=2)
+    grad = eval_dual(e, p).gradient
+    if not np.all(np.isfinite(grad)) or np.max(np.abs(grad)) > 1e6:
+        return
+    for k in range(2):
+        d = diff(e, k)
+        dual = eval_dual(d, p)
+        assert dual.value == grad[k]
+        assert compile_dual(d, 2)(p.tolist())[0] == grad[k]
+        first = sp.diff(_to_sympy(e, xs), xs[k])
+        want = _sympy_value(first, xs, p)
+        assert abs(dual.value - want) <= 1e-9 * (1.0 + abs(want))
+        for j in range(2):
+            want = _sympy_value(sp.diff(first, xs[j]), xs, p)
+            assert abs(dual.gradient[j] - want) <= 1e-9 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("text", [
+    "log(2 + x0^2 + x1^2)",
+    "sqrt(4 + x0*x1)",
+    "1/(3 + x0 + x1^2)",
+    "-(x0 + 0.5)^2/(2 + sin(x1))",
+    "sqrt(1 + x0^2)*log(3 + x1)",
+    "x0^-2*x1^-1 - 3",
+])
+def test_diff_of_quotients_logs_and_roots(text):
+    import sympy as sp
+
+    xs = sp.symbols("x0 x1")
+    e = parse(text, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        p = rng.uniform(0.5, 1.0, size=2)
+        grad = eval_dual(e, p).gradient
+        for k in range(2):
+            got = eval_dual(diff(e, k), p).value
+            want = _sympy_value(sp.diff(_to_sympy(e, xs), xs[k]), xs, p)
+            assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+            assert abs(got - grad[k]) <= 1e-14 * (1.0 + abs(grad[k]))
+
+
+def test_diff_drops_zero_terms_and_keeps_the_errors_of_e():
+    assert diff(parse("3*x1 + 2", 2), 0) == Num(0.0)
+    assert diff(parse("x0*x1", 2), 0) == Coord(1)
+    assert diff(parse("exp(x1)", 2), 0) == Num(0.0)
+    # a quotient's derivative divides by the same denominator
+    with pytest.raises(DomainError):
+        eval_dual(diff(parse("x1/x0", 2), 1), (0.0, 1.0))
+    with pytest.raises(DomainError):
+        eval_dual(diff(parse("x0^-2", 1), 0), (0.0,))

@@ -14,7 +14,6 @@ from geoequiv.fields import (
     MetricField,
     OperatorField,
     VectorField,
-    central_difference,
     christoffel,
     covariant_derivative_op,
     in_point_order,
@@ -24,6 +23,8 @@ from geoequiv.fields import (
     stacked_fields,
 )
 from geoequiv.smallmat import frob
+
+from conftest import central_difference
 
 
 def euclidean(n=2, half=1.0):
@@ -194,52 +195,90 @@ def test_nijenhuis_exact_antisymmetry():
 def test_lie_derivative_zero_field():
     chart, g = euclidean(2)
     v = VectorField(chart, ["0", "0"])
-    assert np.allclose(lie_derivative_metric(v, g, (0.1, 0.2)), 0.0)
+    assert np.allclose(lie_derivative_metric(v, g).value((0.1, 0.2)), 0.0)
 
 
 def test_lie_derivative_killing_rotation():
     chart, g = euclidean(2)
     v = VectorField(chart, ["-x1", "x0"])
-    assert np.allclose(lie_derivative_metric(v, g, (0.3, -0.2)), 0.0)
+    assert np.allclose(lie_derivative_metric(v, g).value((0.3, -0.2)), 0.0)
 
 
 def test_lie_derivative_euler_homothety():
     chart, g = euclidean(2)
     v = VectorField(chart, ["x0", "x1"])
     p = (0.3, -0.2)
-    assert np.allclose(lie_derivative_metric(v, g, p), 2.0 * g.value(p))
+    assert np.allclose(lie_derivative_metric(v, g).value(p), 2.0 * g.value(p))
+
+
+def test_lie_derivative_is_an_exact_expression_backed_metric():
+    # L_v g of a curved metric along a non-Killing field, against the
+    # pointwise formula and a central difference of its own values
+    chart = Chart(2, ((0.5, 1.5), (-0.5, 0.5)), (1.0, 0.0))
+    g = MetricField.from_exprs(
+        chart, [["1 + 0.3*x1^2", "0.1*x0*x1"], [None, "2 + sin(x0)"]])
+    v = VectorField(chart, ["x1^2", "exp(0.5*x0) - x1"])
+    h = lie_derivative_metric(v, g)
+    assert h.component_exprs is not None
+    for p in sample_points(chart, 10, seed=14):
+        gv, dg = g.value_and_derivative(p)
+        vv, dv = v.value(p), v.derivative(p)
+        want = (np.einsum("s,sij->ij", vv, dg) + np.einsum("sj,is->ij", gv, dv)
+                + np.einsum("is,js->ij", gv, dv))
+        hv, dh = h.value_and_derivative(p)
+        assert frob(hv - want) <= 1e-14 * (1 + frob(want))
+        fd = central_difference(h.value, p)
+        assert frob(dh - fd) <= 1e-7 * (1 + frob(dh))
 
 
 # ---------------------------------------------------------------------------
-# finite-difference backing
+# closure backing
+
+
+def _matrices(entries):
+    """(m, 2, 2) matrices from 2 x 2 nested entries, each an (m,) array."""
+    return np.stack([np.stack(row, -1) for row in entries], -2)
+
+
+def _analytic_metric(rows, derivative):
+    """[[1 + 0.3 x1^2, 0.1 x0 x1], [0.1 x0 x1, 2 + sin x0]] and its exact
+    jacobian, by hand."""
+    x0, x1 = rows[:, 0], rows[:, 1]
+    zero = np.zeros_like(x0)
+    vals = _matrices([[1 + 0.3 * x1**2, 0.1 * x0 * x1], [0.1 * x0 * x1, 2 + np.sin(x0)]])
+    if not derivative:
+        return vals
+    d0 = _matrices([[zero, 0.1 * x1], [0.1 * x1, np.cos(x0)]])
+    d1 = _matrices([[0.6 * x1, 0.1 * x0], [0.1 * x0, zero]])
+    return vals, np.stack([d0, d1], 1)
+
+
+def _analytic_pair():
+    chart = Chart(2, ((0.5, 1.5), (-0.5, 0.5)), (1.0, 0.0))
+    g_expr = MetricField.from_exprs(
+        chart, [["1 + 0.3*x1^2", "0.1*x0*x1"], ["0.1*x0*x1", "2 + sin(x0)"]]
+    )
+    return chart, g_expr, MetricField.from_function(chart, jac=_analytic_metric)
 
 
 def test_closure_backed_derivative_matches_expr_backed():
-    chart = Chart(2, ((0.5, 1.5), (-0.5, 0.5)), (1.0, 0.0))
-    g_expr = MetricField.from_exprs(
-        chart, [["1 + 0.3*x1^2", "0.1*x0*x1"], ["0.1*x0*x1", "2 + sin(x0)"]]
-    )
-    g_fn = MetricField.from_function(chart, lambda p: g_expr.value(p))
+    chart, g_expr, g_fn = _analytic_pair()
     for p in sample_points(chart, 10, seed=11):
         d_expr = g_expr.derivative(p)
         d_fn = g_fn.derivative(p)
-        assert frob(d_expr - d_fn) <= 1e-7 * (1 + frob(d_expr))
+        assert frob(d_expr - d_fn) <= 1e-15 * (1 + frob(d_expr))
 
 
 def test_metric_compatibility_closure_tolerance():
-    # one finite-difference layer: nabla g = 0 to 1e-5
-    chart = Chart(2, ((0.5, 1.5), (-0.5, 0.5)), (1.0, 0.0))
-    g_expr = MetricField.from_exprs(
-        chart, [["1 + 0.3*x1^2", "0.1*x0*x1"], ["0.1*x0*x1", "2 + sin(x0)"]]
-    )
-    g_fn = MetricField.from_function(chart, lambda p: g_expr.value(p))
+    # exact closure jacobian: nabla g = 0 to rounding
+    chart, _, g_fn = _analytic_pair()
     for p in sample_points(chart, 10, seed=13):
         gv, dg = g_fn.value_and_derivative(p)
         gamma = christoffel(g_fn, p)
         recon = np.einsum("ski,sj->kij", gamma, gv) + np.einsum(
             "skj,is->kij", gamma, gv
         )
-        assert frob(dg - recon) <= 1e-5 * (1 + frob(dg))
+        assert frob(dg - recon) <= 1e-13 * (1 + frob(dg))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +312,12 @@ def test_expr_backed_metric_is_exactly_symmetric():
 
 def test_function_backed_metric_is_symmetrized():
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
-    g = MetricField.from_function(
-        chart, lambda p: np.array([[2.0, p[0]], [p[0] + 0.5, 3.0]]))
+    def jac(rows, derivative):
+        vals = np.array([[[2.0, x0], [x0 + 0.5, 3.0]] for x0 in rows[:, 0]])
+        d = np.array([[[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2))])
+        return (vals, np.repeat(d[None], len(rows), 0)) if derivative else vals
+
+    g = MetricField.from_function(chart, jac=jac)
     p = np.array([0.25, 0.0])
     want = np.array([[2.0, 0.5], [0.5, 3.0]])
     assert np.array_equal(g.value(p), want)
@@ -287,18 +330,9 @@ def test_metric_pair_halves_match_separate_fields():
     # slices of one stacked backing give the bits of one field per half,
     # and a half that is not symmetric is still symmetrized
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
-
-    def first(p):
-        return np.array([[2.0 + np.sin(p[0]), p[0] * p[1]],
-                         [p[0] * p[1], 3.0 + p[1] ** 2]])
-
-    def second(p):
-        return np.array([[1.0 + p[0] ** 2, np.exp(p[1])], [p[0], 4.0]])
-
-    pair = stacked_fields(MetricField, chart, 2,
-                          fn=lambda p: np.stack([first(p), second(p)]))
-    for half, fn in zip(pair, (first, second)):
-        alone = MetricField.from_function(chart, fn)
+    pair = _stacked_pair(chart)
+    for half, fn in zip(pair, (_first, _second)):
+        alone = MetricField.from_function(chart, jac=fn)
         for p in sample_points(chart, 5, seed=9):
             v, d = half.value_and_derivative(p)
             want_v, want_d = alone.value_and_derivative(p)
@@ -323,8 +357,36 @@ def _counted(calls, fn):
     return counted
 
 
-def _metric_value(p):
-    return np.array([[2.0 + np.sin(p[0]), p[0] * p[1]], [p[0] * p[1], 3.0 + p[1] ** 2]])
+def _first(rows, derivative):
+    """[[2 + sin x0, x0 x1], [x0 x1, 3 + x1^2]] and its exact jacobian."""
+    x0, x1 = rows[:, 0], rows[:, 1]
+    z = np.zeros_like(x0)
+    vals = _matrices([[2.0 + np.sin(x0), x0 * x1], [x0 * x1, 3.0 + x1**2]])
+    if not derivative:
+        return vals
+    return vals, np.stack([_matrices([[np.cos(x0), x1], [x1, z]]),
+                           _matrices([[z, x0], [x0, 2.0 * x1]])], 1)
+
+
+def _second(rows, derivative):
+    """[[1 + x0^2, exp x1], [x0, 4]], not symmetric, and its exact jacobian."""
+    x0, x1 = rows[:, 0], rows[:, 1]
+    z = np.zeros_like(x0)
+    vals = _matrices([[1.0 + x0**2, np.exp(x1)], [x0, 4.0 + z]])
+    if not derivative:
+        return vals
+    return vals, np.stack([_matrices([[2.0 * x0, z], [1.0 + z, z]]),
+                           _matrices([[z, np.exp(x1)], [z, z]])], 1)
+
+
+def _stacked_pair(chart):
+    def jac(rows, derivative):
+        if not derivative:
+            return np.stack([_first(rows, False), _second(rows, False)], 1)
+        (v1, d1), (v2, d2) = _first(rows, True), _second(rows, True)
+        return np.stack([v1, v2], 1), np.stack([d1, d2], 2)
+
+    return stacked_fields(MetricField, chart, 2, jac=jac)
 
 
 def test_values_at_a_kept_derivative_batch_make_no_closure_call():
@@ -350,7 +412,7 @@ def test_values_at_a_kept_derivative_batch_make_no_closure_call():
 def test_finite_difference_backing_keeps_one_batch():
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
     calls = []
-    g = MetricField.from_function(chart, _counted(calls, _metric_value))
+    g = MetricField.from_function(chart, jac=_counted(calls, _first))
     pts = sample_points(chart, 100, seed=32)
     for p in pts:
         g.value(p)
@@ -361,16 +423,6 @@ def test_finite_difference_backing_keeps_one_batch():
     assert len(calls) == 101
     key, vals, derivs = g._backing._kept
     assert key == pts[0].tobytes() and vals.shape == (1, 2, 2) and derivs is None
-
-
-def test_finite_difference_jacobian_is_the_central_difference_of_the_closure():
-    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
-    op = OperatorField.from_function(chart, _metric_value)
-    rows = sample_points(chart, 4, seed=33)
-    vals, derivs = op.value_and_derivative(rows)
-    for p, v, d in zip(rows, vals, derivs):
-        assert v.tobytes() == _metric_value(p).tobytes()
-        assert d.tobytes() == central_difference(_metric_value, p).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +474,6 @@ def test_batch_rows_match_batches_of_one(corpus, name, picks, seed):
     # a single point of shape (n,) is row 0 of a batch of 1
     assert np.array_equal(christoffel(g, rows[0]), christoffel(g, rows[:1])[0])
     assert np.array_equal(g.value(rows[0]), g.value(rows[:1])[0])
-
-
-def _stacked_pair(chart):
-    def fn(p):
-        first = np.array([[2.0 + np.sin(p[0]), p[0] * p[1]],
-                          [p[0] * p[1], 3.0 + p[1] ** 2]])
-        second = np.array([[1.0 + p[0] ** 2, np.exp(p[1])], [p[0], 4.0]])
-        return np.stack([first, second])
-
-    return stacked_fields(MetricField, chart, 2, fn=fn)
 
 
 @settings(max_examples=30, deadline=None)

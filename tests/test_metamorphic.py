@@ -43,6 +43,8 @@ CHANGES = {
     "gbar*3": lambda s: dict(s, gbar=_map(s["gbar"], lambda e: f"3*({e})")),
     "gbar/3": lambda s: dict(s, gbar=_map(s["gbar"], lambda e: f"({e})/3")),
     "g*3": lambda s: dict(s, g=_map(s["g"], lambda e: f"3*({e})")),
+    "g,gbar*1e60": lambda s: dict(s, g=_map(s["g"], lambda e: f"1e60*({e})"),
+                                  gbar=_map(s["gbar"], lambda e: f"1e60*({e})")),
     "swap": lambda s: dict(s, g=s["gbar"], gbar=s["g"]),
     "x0<->x1": lambda s: _permuted(s, (1, 0, 2)),
     "x0->x2->x1->x0": lambda s: _permuted(s, (1, 2, 0)),

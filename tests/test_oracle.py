@@ -15,6 +15,8 @@ from geoequiv.oracle import (
     unparam_defect,
 )
 
+from conftest import scaled
+
 
 def test_straight_line_in_flat_metric():
     chart = Chart(2, ((-2.0, 2.0), (-2.0, 2.0)), (0.0, 0.0))
@@ -61,7 +63,7 @@ def test_truncation_flagged_on_box_exit():
 def test_conformal_pair_zero_defect():
     chart = Chart(2, ((-0.5, 0.5), (-0.5, 0.5)), (0.0, 0.0))
     g = MetricField.from_exprs(chart, [["1 + 0.2*x0^2", "0"], ["0", "1"]])
-    gbar = MetricField.from_function(chart, lambda p: 3.0 * g.value(p))
+    gbar = scaled(g, 3.0)
     traj = integrate_geodesic(g, (0.1, 0.0), (0.6, 0.8), T=0.3)
     rep = unparam_defect(traj, gbar)
     assert rep.max_defect <= 1e-10
@@ -90,7 +92,7 @@ def test_defect_report_deterministic(corpus):
 def test_near_null_directions_skipped():
     chart = Chart(2, ((-0.5, 0.5), (-0.5, 0.5)), (0.0, 0.0))
     g = MetricField.from_exprs(chart, [["1", "0"], ["0", "-1"]])
-    gbar = MetricField.from_function(chart, lambda p: 2.0 * g.value(p))
+    gbar = scaled(g, 2.0)
     rep = geodesic_defect_report(
         g, gbar, trajectories=8, seed=21, T=0.3, null_threshold=0.5
     )

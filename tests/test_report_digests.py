@@ -20,16 +20,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 CASES = [
     (["check", "scenes/lc3.json", "--points", "20"],
-     "82c3e01a4ef3973318a63c57427fba86ff6791056ac589d982d28644d5464e0f"),
+     "b2b336df27b002641f37ff058d9957a260632117183daf7c50f66fd86917b6d1"),
     (["split", "scenes/lc3.json", "--groups", "0|1,2", "--points", "4"],
-     "2f9fdb8c630878c462d4160560b86851862033839813585c9f52f78bd39f63df"),
+     "71e05901d16c2b3887ab2d5c8ac505e4a825ecb64af430514a376e6cec0ee30b"),
     (["ts", "scenes/lc3.json", "--f", "exp", "--points", "4"],
-     "dbf805c09e2e79e33f21445e0cd62c23f88f6d74d08e00d5215cab95342c15f3"),
+     "f1230b7f44e986367800a30a6dacbefb56ebe0b3e32145058e17ff8420b2e786"),
     (["oracle", "scenes/lc3.json", "--trajectories", "3"],
      "0d32aeb514f991737ef19a690f733e302e719097a46270c3292e50d04b7e92ed"),
     (["glue", "scenes/factor-a.json", "scenes/factor-b.json", "--points", "4",
       "--trajectories", "1"],
-     "1185a7306e9238a43cb5e3b6720b8b917bd0fdeb4ad72428a8a3aaffffd8e4b9"),
+     "af5cb1cf1e431e9ea7365a9446d4d8a5cfc8f01aedfd11ac241366140e811332"),
 ]
 
 

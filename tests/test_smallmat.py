@@ -1,5 +1,5 @@
 """Dense linear algebra: characteristic polynomials, eigen grouping and
-the Hermite functional calculus."""
+the Hermite functional calculus with its forward mode."""
 
 import mpmath
 import numpy as np
@@ -364,6 +364,34 @@ def test_exponential_matches_mpmath(a):
         want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
     got = matrix_function(a, ScalarFunction.exponential())
     assert frob(got - want) <= 1e-14 * frob(want)
+
+
+def _frechet_exp(a, e):
+    """Upper-right block of exp([[A, E], [0, A]]) at 50 digits: the
+    derivative of exp at A along E."""
+    n = len(a)
+    block = np.block([[a, e], [np.zeros_like(a), a]])
+    with mpmath.workdps(50):
+        big = mpmath.expm(mpmath.matrix(block.tolist()))
+        return np.array(big.tolist(), dtype=float)[:n, n:]
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(_similar(np.diag([0.5, 1.0, 2.0, -1.0])), id="simple"),
+    pytest.param(_similar(np.array([[1.0, -2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, -1.0]])),
+                 id="complex-pair"),
+    pytest.param(_similar(np.diag([0.5, 0.5, 2.0, -1.0])), id="repeated-semisimple"),
+])
+def test_exponential_derivative_matches_mpmath_block(a):
+    # forward mode along three directions; the value keeps its bits
+    f = ScalarFunction.exponential()
+    da = _rng(4).normal(size=(3,) + a.shape)
+    value, deriv = matrix_function(a, f, da)
+    assert value.tobytes() == matrix_function(a, f).tobytes()
+    for e, d in zip(da, deriv):
+        want = _frechet_exp(a, e)
+        assert frob(d - want) <= 1e-14 * frob(want)
 
 
 def test_domain_violation_sqrt_of_negative():

@@ -1,14 +1,12 @@
 """Splitting, gluing, block conditions and the iterated decomposition."""
 
-import contextlib
-import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geoequiv import fields
-from geoequiv.cli import load_scene, main
+from geoequiv.cli import load_scene
 from geoequiv.equiv import (
     GlueInput,
     LeviCivitaSpec,
@@ -30,14 +28,13 @@ from geoequiv.fields import (
     Chart,
     MetricField,
     OperatorField,
-    central_difference,
     christoffel,
     restrict,
     sample_points,
 )
 from geoequiv.smallmat import char_poly, eigen, frob
 
-from conftest import build_pair
+from conftest import build_pair, central_difference, constant_metric, scaled
 from test_factorization import _complex_pair_operator, _three_group_operator
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -68,8 +65,8 @@ def test_split_three_constant_groups():
     gm = np.diag([1.0, 1.0, -1.0])
     lm = np.diag([2.0, 3.0, 5.0])
     gbm = gm @ np.linalg.inv(lm) / np.linalg.det(lm)
-    g = MetricField.from_function(chart, lambda p: gm)
-    gbar = MetricField.from_function(chart, lambda p: gbm)
+    g = constant_metric(chart, gm)
+    gbar = constant_metric(chart, gbm)
     fact = admissible_factorization(l_tensor_field(g, gbar), ((0,), (1,), (2,)))
     sr = split(g, gbar, fact)
     assert len(sr.projectors) == 3
@@ -210,7 +207,7 @@ def test_glue_varying_pair_is_compatible():
     hB = MetricField.from_exprs(
         cB, [["1", "0.2*x1"], ["0.2*x1", "1.5 + 0.1*x0^2"]]
     )
-    hbB = MetricField.from_function(cB, lambda p: hB.value(p) / 4.0**3)
+    hbB = scaled(hB, 4.0**-3)
     inp = GlueInput(hA, hbA, hB, hbB, None,
                     OperatorField.constant(cB, 4.0 * np.eye(2)))
     g, gbar, l_direct = glue_fields(inp)
@@ -323,19 +320,6 @@ def test_glue_errors_same_through_value_and_jacobian(error, inp, bad):
         assert np.array_equal(np.asarray(e.point), np.array(bad))
 
 
-def test_glue_report_makes_no_finite_difference_evaluation(monkeypatch):
-    calls = []
-    real = fields.central_difference
-    monkeypatch.setattr(fields, "central_difference",
-                        lambda fn, p: calls.append(p) or real(fn, p))
-    monkeypatch.chdir(SCENES.parent)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["glue", "scenes/factor-a.json", "scenes/factor-b.json",
-                     "--points", "4", "--trajectories", "1"])
-    assert code == 0
-    assert calls == []
-
-
 def test_check_disjoint_computes_eigenvalues_once_per_probe_point(monkeypatch):
     # 31 probe points per factor, 93 checked pairs
     inp = _scene_factors()
@@ -361,7 +345,12 @@ def test_check_disjoint_raises_the_first_overlap_of_the_pair_loop():
     # the first factor's eigenvalue jumps from 2 to the second factor's 3
     # for x0 > 0.2, so the overlap first shows at a later probe point
     h1, hb1 = _one_dim("2")
-    L1 = OperatorField.from_function(h1.chart, lambda p: np.array([[3.0 if p[0] > 0.2 else 2.0]]))
+
+    def jump(rows, derivative):
+        vals = np.where(rows[:, :, None] > 0.2, 3.0, 2.0)
+        return (vals, np.zeros((len(rows), 1, 1, 1))) if derivative else vals
+
+    L1 = OperatorField.from_function(h1.chart, jac=jump)
     h2, hb2 = _one_dim("3")
     inp = GlueInput(h1, hb1, h2, hb2, L1, None)
     raised = []
@@ -453,7 +442,7 @@ def test_block_conditions_on_glued_pair():
     hB = MetricField.from_exprs(
         cB, [["1", "0.2*x1"], ["0.2*x1", "1.5 + 0.1*x0^2"]]
     )
-    hbB = MetricField.from_function(cB, lambda p: hB.value(p) / 4.0**3)
+    hbB = scaled(hB, 4.0**-3)
     inp = GlueInput(hA, hbA, hB, hbB, None,
                     OperatorField.constant(cB, 4.0 * np.eye(2)))
     g, gbar, l_direct = glue_fields(inp)
@@ -531,8 +520,8 @@ def test_full_decompose_complex_pair_bookkeeping():
     lm[2:, 2:] = [[1.0, -1.0], [1.0, 1.0]]  # eigenvalues 1 +- i
     det = float(np.linalg.det(lm))
     gbm = gm @ np.linalg.inv(lm) / det
-    g = MetricField.from_function(chart, lambda p: gm)
-    gbar = MetricField.from_function(chart, lambda p: gbm)
+    g = constant_metric(chart, gm)
+    gbar = constant_metric(chart, gbm)
     factors = full_decompose(g, gbar)
     dims = sorted(len(f.coords) for f in factors)
     assert dims == [1, 1, 2]
@@ -561,8 +550,8 @@ def test_full_decompose_not_adapted():
     )
     gm = q @ np.diag([1.0, 1.0]) @ q.T
     gbm = q @ np.diag([1.0 / 20.0, 1.0 / 50.0]) @ q.T
-    g = MetricField.from_function(chart, lambda p: gm)
-    gbar = MetricField.from_function(chart, lambda p: gbm)
+    g = constant_metric(chart, gm)
+    gbar = constant_metric(chart, gbm)
     with pytest.raises(NotAdapted):
         full_decompose(g, gbar)
 
