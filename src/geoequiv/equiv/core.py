@@ -220,7 +220,7 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction):
         dm = dgv @ fl[:, None, None] + gv[:, None] @ dfl[:, :, None]
         return symmetrized(gv @ fl[:, None]), symmetrized(dm)
 
-    gf, gbf = stacked_fields(MetricField, chart, 2, jac=pair_jac)
+    gf, gbf = stacked_fields((MetricField,) * 2, chart, jac=pair_jac)
     for p in probe_points(chart, 20):
         gf.value(p)
     return gf, gbf

@@ -137,7 +137,8 @@ def _min_gap(groups) -> float:
 
 
 def _check_step(values, labels, q, eps_gap):
-    """Validate one tracking step; returns the min cross-group gap."""
+    """Validate the groups at one point (a tracking step, or the base
+    point); returns the min cross-group gap."""
     groups = [values[labels == c] for c in sorted(set(labels))]
     gap = _min_gap(groups)
     if gap < eps_gap:
@@ -149,7 +150,7 @@ def _check_step(values, labels, q, eps_gap):
     if not np.any(values.imag):
         return gap
     for grp in groups:
-        z = unpaired_conjugate(grp, 1e-8, real_tol=1e-12)
+        z = unpaired_conjugate(grp, 1e-9, real_tol=1e-12)
         if z is not None:
             raise ConjugationViolation(
                 f"conjugate of {z} left its group near {q}", point=q
@@ -330,19 +331,25 @@ def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
     for c, part in enumerate(parts):
         labels[list(part)] = c
 
-    groups = [values[labels == c] for c in range(len(parts))]
-    for c, grp in enumerate(groups):
-        z = unpaired_conjugate(grp, 1e-9, real_tol=1e-12)
-        if z is not None:
-            raise ConjugationViolation(f"group {c} splits the conjugate pair of {z}")
-    gap = _min_gap(groups)
-    if gap < eps_gap:
-        raise AdmissibilityViolation(
-            f"base-point group gap {gap:.3e} below eps_gap {eps_gap:.3e}",
-            point=p0,
-            witness=gap,
-        )
+    _check_step(values, labels, p0, eps_gap)
     return FactorizationResult(L, values, labels, eps_gap)
+
+
+def spectral_pieces(fact: FactorizationResult, q, lv, dl):
+    """The per-point routine behind the projectors and the split pair: the
+    cofactors W_i of the tracked factors at q, the matrices W_i(L) and
+    S^-1 = (sum_i W_i(L))^-1, each with its derivatives along the
+    directions ``dl`` (K, n, n) of the operator value ``lv``, by forward
+    mode through ``factors_and_derivatives``, ``cofactors``,
+    ``eval_matrix`` and ``inverse_and_derivative``; then the projectors
+    W_i(L) S^-1 (k, n, n) and their derivatives (K, k, n, n).  Returns
+    ``(ws, dws), (a, da), (sinv, dsinv), (projectors, derivatives)``."""
+    ws, dws = cofactors(*factors_and_derivatives(fact, q, lv, dl))
+    a, da = zip(*(w.eval_matrix(lv, dl, dw) for w, dw in zip(ws, dws)))
+    sinv, dsinv = inverse_and_derivative(sum(a[1:], a[0]), sum(da[1:], da[0]), q)
+    projs = (np.array([ai @ sinv for ai in a]),
+             np.array([dai @ sinv + ai @ dsinv for ai, dai in zip(a, da)]).swapaxes(0, 1))
+    return (ws, dws), (a, da), (sinv, dsinv), projs
 
 
 def projectors(L: OperatorField, fact: FactorizationResult):
@@ -351,29 +358,20 @@ def projectors(L: OperatorField, fact: FactorizationResult):
     Projector i is W_i(L) S^{-1} with S = sum_j W_j(L) and the cofactors
     W_j of the tracked factors: on group j's invariant subspace every
     W_i(L) but the invertible W_j(L) vanishes, so S acts there as W_j(L).
-    The fields share one batch closure with an exact jacobian, forward
-    mode through the factor derivatives, ``eval_matrix`` and d(S^-1) =
-    -S^-1 dS S^-1, whose values have the same bits with or without it.
+    The fields share one batch closure over ``spectral_pieces`` with an
+    exact jacobian, whose values have the same bits with or without it.
     """
-    n = L.chart.dim
+    n, k = L.chart.dim, int(fact.base_labels.max()) + 1
 
     def stack(rows, derivative):
-        # every projector (m, k, n, n) and, with ``derivative``, their
-        # derivatives (m, n, k, n, n); without it there are no directions
+        vals = np.zeros((len(rows), k, n, n))
+        derivs = np.zeros((len(rows), n if derivative else 0, k, n, n))
         if derivative:
             lvs, dls = L.value_and_derivative(rows)
         else:
             lvs, dls = L.value(rows), np.zeros((len(rows), 0, n, n))
-        vals, derivs = [], []
-        for q, lv, dl in zip(rows, lvs, dls):
-            ws, dws = cofactors(*factors_and_derivatives(fact, q, lv, dl))
-            a, da = zip(*(w.eval_matrix(lv, dl, dw) for w, dw in zip(ws, dws)))
-            sinv, dsinv = inverse_and_derivative(sum(a[1:], a[0]), sum(da[1:], da[0]), q)
-            vals.append([ai @ sinv for ai in a])
-            derivs.append([dai @ sinv + ai @ dsinv for ai, dai in zip(a, da)])
-        if not derivative:
-            return np.array(vals)
-        return np.array(vals), np.array(derivs).swapaxes(1, 2)
+        for i, (q, lv, dl) in enumerate(zip(rows, lvs, dls)):
+            vals[i], derivs[i] = spectral_pieces(fact, q, lv, dl)[3]
+        return (vals, derivs) if derivative else vals
 
-    return stacked_fields(OperatorField, L.chart, int(fact.base_labels.max()) + 1,
-                          jac=stack)
+    return stacked_fields((OperatorField,) * k, L.chart, jac=stack)

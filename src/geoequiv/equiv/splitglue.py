@@ -45,6 +45,7 @@ from .factorization import (
     gap_tolerance,
     inverse_and_derivative,
     projectors,
+    spectral_pieces,
 )
 
 
@@ -84,28 +85,25 @@ class SplitResult:
 def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> SplitResult:
     """Splitting construction (see the module docstring) for a compatible
     pair and an admissible factorization into k >= 2 groups, each chi_j(0)
-    away from zero.  The returned metric fields share one batch closure
-    with an exact jacobian: forward mode through the factor derivatives of
-    ``factors_and_derivatives``, ``eval_matrix``, d(S^-1) = -S^-1 dS S^-1
-    and the quotient rule for the 1/W_i(0) factors.  Its values have the
-    same bits with or without the jacobian, and its checks run in the same
+    away from zero.  h, hbar and the k projectors share one batch closure
+    over ``spectral_pieces`` with an exact jacobian: forward mode through
+    the factor derivatives, ``eval_matrix``, d(S^-1) = -S^-1 dS S^-1 and
+    the quotient rule for the 1/W_i(0) factors.  Its values have the same
+    bits with or without the jacobian, and its checks run in the same
     order: h's symmetry, every chi_j(0), then hbar's symmetry."""
     chart = g.chart
     L = fact.lfield
-    n = chart.dim
+    n, k = chart.dim, int(fact.base_labels.max()) + 1
 
-    def pair(rows, derivative):
+    def stack(rows, derivative):
         fs = [_along_product(f, rows, 0, n, derivative) for f in (L, g, gbar)]
-        vals = np.zeros((len(rows), 2, n, n))
-        derivs = np.zeros((len(rows), n if derivative else 0, 2, n, n))
+        vals = np.zeros((len(rows), 2 + k, n, n))
+        derivs = np.zeros((len(rows), n if derivative else 0, 2 + k, n, n))
         for i, q in enumerate(rows):
             (lv, dl), (gv, dg), (gbv, dgb) = ((v[i], d[i]) for v, d in fs)
-            chis, dchis = factors_and_derivatives(fact, q, lv, dl)
-            ws, dws = cofactors(chis, dchis)
-            a, da = zip(*(w.eval_matrix(lv, dl, dw) for w, dw in zip(ws, dws)))
-            sinv = inverse_and_derivative(sum(a[1:], a[0]), sum(da[1:], da[0]), q)
+            (ws, dws), (a, da), sinv, projs = spectral_pieces(fact, q, lv, dl)
             h = _sym_product(gv, dg, *sinv, q, "split metric h")
-            for j, (chi, grp) in enumerate(zip(chis, fact.groups_at(q))):
+            for j, (chi, grp) in enumerate(zip(fact.chi_at(q), fact.groups_at(q))):
                 _chi_zero_checked(chi, grp, q, f"chi{j + 1}")
             m, dm = zip(*(_over(ai, dai, w(0.0), dw[:, 0])
                           for ai, dai, w, dw in zip(a, da, ws, dws)))
@@ -113,9 +111,11 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
             hbar = _sym_product(gbv, dgb, *minv, q, "split metric hbar")
             vals[i, 0], derivs[i, :, 0] = h
             vals[i, 1], derivs[i, :, 1] = hbar
+            vals[i, 2:], derivs[i, :, 2:] = projs
         return (vals, derivs) if derivative else vals
 
-    h, hbar = stacked_fields(MetricField, chart, 2, jac=pair)
+    h, hbar, *projs = stacked_fields((MetricField,) * 2 + (OperatorField,) * k,
+                                     chart, jac=stack)
 
     for p in probe_points(chart, 30):
         for name, m in (("h", h.value(p)), ("hbar", hbar.value(p))):
@@ -123,7 +123,7 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
                 raise DegenerateMetric(
                     f"split metric {name} degenerate at {p}", point=p
                 )
-    return SplitResult(h, hbar, projectors(L, fact), fact)
+    return SplitResult(h, hbar, tuple(projs), fact)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def glue_fields(inp: GlueInput):
     r = inp.chart1.dim
 
     g, gbar = stacked_fields(
-        MetricField, chart, 2,
+        (MetricField,) * 2, chart,
         jac=lambda rows, derivative: glue(inp, rows, derivative=derivative))
     n = chart.dim
 
@@ -480,7 +480,7 @@ def _factor_pair(g, gbar, L, fact, ci, idx, leaf):
                 *winv, x, "decomposition factor hbar")
         return (vals, derivs) if derivative else vals
 
-    return stacked_fields(MetricField, leaf, 2, jac=pair)
+    return stacked_fields((MetricField,) * 2, leaf, jac=pair)
 
 
 def _factor_residual(factor: DecompositionFactor, points: int) -> float:

@@ -16,10 +16,10 @@ derivative.  Expression-backed metrics mirror their upper triangle, so
 they are symmetric to the bit and are not re-symmetrized.
 
 A construction that maps a pair to a pair (split, glue, operator-function
-rescaling, iterated decomposition) builds both metrics, and
-``projectors`` its k projectors, with ``stacked_fields`` from one closure
-returning them stacked: the shared work runs once per point, and one
-backing holds what every field reads.  ``restrict`` gives a field on a
+rescaling, iterated decomposition) builds both metrics (split its k
+projectors too, and ``projectors`` the projectors alone) with
+``stacked_fields`` from one closure returning them stacked: the shared
+work runs once per point, and one backing holds what every field reads.  ``restrict`` gives a field on a
 coordinate leaf (the other coordinates frozen) whose value and jacobian
 are slices of the whole field's.
 
@@ -389,16 +389,16 @@ class MetricField(_Field):
                 0.5 * (d + d.swapaxes(-1, -2)))
 
 
-def stacked_fields(cls, chart: Chart, count: int, jac):
-    """``count`` fields of class ``cls`` from one closure that returns
+def stacked_fields(classes, chart: Chart, jac):
+    """One field of each class in ``classes`` from one closure that returns
     their (n, n) values stacked, given as for ``from_function``:
-    ``jac(rows, derivative)`` with values (m, count, n, n) and derivatives
-    (m, n, count, n, n).  One backing serves every field, so the others
-    cost nothing at rows where one has been evaluated; a metric field is
-    symmetrized like ``MetricField.from_function``."""
+    ``jac(rows, derivative)`` with values (m, k, n, n) and derivatives
+    (m, n, k, n, n) for k classes.  One backing serves every field, so the
+    others cost nothing at rows where one has been evaluated; a metric
+    field is symmetrized like ``MetricField.from_function``."""
     n = chart.dim
-    whole = _Backing(chart, (count, n, n), jac=jac)
-    return tuple(cls(chart, _Part(whole, i)) for i in range(count))
+    whole = _Backing(chart, (len(classes), n, n), jac=jac)
+    return tuple(cls(chart, _Part(whole, i)) for i, cls in enumerate(classes))
 
 
 class OperatorField(_Field):

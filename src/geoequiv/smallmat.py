@@ -262,26 +262,16 @@ def eigen(a, cluster_tol: float | None = None) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
+    # LAPACK returns the complex eigenvalues of a real matrix in exactly
+    # conjugate pairs, so the upper half-plane values stand for both (the
+    # count check below catches a lost partner)
     real_mask = np.abs(w.imag) <= cluster_tol
     reals = w.real[real_mask]
-    upper = w[(~real_mask) & (w.imag > 0)]
-    lower = w[(~real_mask) & (w.imag < 0)]
-    if len(upper) != len(lower):
-        # should not happen for real input; fall back to realifying extras
-        reals = np.concatenate([reals, w.real[(~real_mask)]])
-        upper = np.array([], dtype=complex)
+    paired = w[(~real_mask) & (w.imag > 0)]
 
     entries = []
     for members in cluster_indices(reals, cluster_tol):
         entries.append((complex(np.mean([reals[i] for i in members]), 0.0), len(members)))
-    # pair each upper-half value with its nearest lower-half partner and
-    # average so the stored pair is exactly conjugate
-    lower_left = list(lower)
-    paired = []
-    for z in sorted(upper, key=lambda z: (z.real, z.imag)):
-        j = min(range(len(lower_left)), key=lambda j: abs(lower_left[j].conjugate() - z))
-        zb = lower_left.pop(j)
-        paired.append(0.5 * (z + zb.conjugate()))
     for members in cluster_indices(paired, cluster_tol):
         rep = sum(paired[i] for i in members) / len(members)
         entries.append((rep, len(members)))

@@ -160,7 +160,7 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     # 60 points: one call of Christoffel and of L's closure with its
     # jacobian, not one per point; then L's value at the base point
     from geoequiv import cli, fields
-    from geoequiv.equiv import factorization
+    from geoequiv.equiv import factorization, splitglue
 
     jac_calls, christoffel_calls = [], []
     make_l = cli.l_tensor_field
@@ -182,17 +182,19 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     assert jac_calls == [(60, True), (1, False)]
     assert len(christoffel_calls) == 1
 
-    # split: the projectors share one batch, so P2's value at a sample
-    # point reads what P1's jacobian kept, and the projectors' closure
-    # inverts one cofactor sum per point
-    solves = []
-    real_solve = factorization.inverse_and_derivative
-    monkeypatch.setattr(factorization, "inverse_and_derivative",
-                        lambda *args: solves.append(1) or real_solve(*args))
+    # split: h, hbar and the projectors share one closure and one batch,
+    # so the factor pipeline runs once at each of the 31 probe points (the
+    # degeneracy scan of h and hbar) and once at each of the 6 sample
+    # points, where every read after the first hits the kept batch
+    runs = []
+    real_factors = factorization.factors_and_derivatives
+    for module in (factorization, splitglue):
+        monkeypatch.setattr(module, "factors_and_derivatives",
+                            lambda *args: runs.append(1) or real_factors(*args))
     code, report = _run(capsys, ["split", REPO_LC3, "--groups", "0|1,2",
                                  "--points", "6"])
     assert code == 0 and report["pass"] is True
-    assert len(solves) == 6
+    assert len(runs) == 31 + 6
 
 
 def test_check_raises_the_first_error_of_a_per_point_loop(tmp_path, capsys):
@@ -256,7 +258,7 @@ def test_split_report_shows_the_smallest_group_gap(capsys):
     code, report = _run(capsys, ["split", REPO_LC3, "--groups", "0|1,2",
                                  "--points", "6", "--seed", "5"])
     assert code == 0
-    chart, g, gbar, _ = load_scene(REPO_LC3)
+    chart, g, gbar = load_scene(REPO_LC3)
     L = l_tensor_field(g, gbar)
     gaps = []
     for p in sample_points(chart, 6, 5):
@@ -385,7 +387,7 @@ def test_generate_keeps_negative_block_eigenvalue(tmp_path, capsys):
                  "-o", out_path]) == 0
     capsys.readouterr()
     g, gbar = levi_civita_pair(LeviCivitaSpec.from_dict(spec))
-    chart, g2, gbar2, _ = load_scene(out_path)
+    chart, g2, gbar2 = load_scene(out_path)
     p = chart.base_point
     assert np.array_equal(g2.value(p), g.value(p))
     assert np.array_equal(gbar2.value(p), gbar.value(p))
@@ -594,7 +596,7 @@ def test_load_scene_mirrors_upper_triangle(tmp_path):
             "gbar": [["2", "0"], [None, "3"]],
         },
     )
-    chart, g, gbar, v = load_scene(scene)
+    chart, g, gbar = load_scene(scene)
     gv = g.value((0.3, 0.1))
     assert gv[1, 0] == gv[0, 1] == pytest.approx(0.03)
 
@@ -646,11 +648,13 @@ def test_arithmetic_error_exits_3(tmp_path, capsys, entry, command, error):
     assert f"error: {error}: " in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", [CHECK, TS], ids=["check", "ts"])
 def test_pair_with_a_huge_determinant_passes(tmp_path, capsys, command):
     # g = gbar = diag(exp(1000*x0) + 1, 1) is a valid pair whose determinant
-    # reaches 1e217: the pair tensor's derivative takes no determinant, so
-    # nothing squares it past the float range
+    # reaches 1e217: the pair tensor's derivative takes no determinant, and
+    # the self-adjointness ratio scales g L before its norms, so nothing
+    # squares it past the float range
     scene = _write(tmp_path, "steep.json", {
         "dim": 2,
         "box": [[-0.5, 0.5], [-0.5, 0.5]],

@@ -72,6 +72,23 @@ def test_grouping_validation_errors():
         admissible_factorization(Lc, ((0,), (1,)))
 
 
+def test_base_point_group_errors_carry_their_point():
+    # the base point is checked by the tracker's own step check, so its
+    # errors name the point and, for a gap, the gap as their witness
+    chart = Chart(3, ((-0.5, 0.5),) * 3, (0.1, -0.2, 0.3))
+    m = np.zeros((3, 3))
+    m[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+    m[2, 2] = 3.0
+    with pytest.raises(ConjugationViolation) as info:
+        admissible_factorization(OperatorField.constant(chart, m), ((0,), (1, 2)))
+    assert np.array_equal(info.value.point, chart.base_point)
+    close = OperatorField.constant(chart, np.diag([2.0, 5.0, 5.0 + 1e-8]))
+    with pytest.raises(AdmissibilityViolation) as info:
+        admissible_factorization(close, ((0, 1), (2,)))
+    assert np.array_equal(info.value.point, chart.base_point)
+    assert info.value.witness == pytest.approx(1e-8, rel=1e-6)
+
+
 def test_gap_collapse_inside_box_detected():
     chart = Chart(1, ((-1.0, 1.0),), (-0.9,))
     # eigenvalues 1 + x0 and 1 - x0 collide at x0 = 0

@@ -386,7 +386,7 @@ def _stacked_pair(chart):
         (v1, d1), (v2, d2) = _first(rows, True), _second(rows, True)
         return np.stack([v1, v2], 1), np.stack([d1, d2], 2)
 
-    return stacked_fields(MetricField, chart, 2, jac=jac)
+    return stacked_fields((MetricField,) * 2, chart, jac=jac)
 
 
 def test_values_at_a_kept_derivative_batch_make_no_closure_call():

@@ -22,7 +22,7 @@ CASES = [
     (["check", "scenes/lc3.json", "--points", "20"],
      "b2b336df27b002641f37ff058d9957a260632117183daf7c50f66fd86917b6d1"),
     (["split", "scenes/lc3.json", "--groups", "0|1,2", "--points", "4"],
-     "71e05901d16c2b3887ab2d5c8ac505e4a825ecb64af430514a376e6cec0ee30b"),
+     "520ae5de434e7f49aa5b39797b7ed6177cf88fe074a09c23185e20ff495d979f"),
     (["ts", "scenes/lc3.json", "--f", "exp", "--points", "4"],
      "f1230b7f44e986367800a30a6dacbefb56ebe0b3e32145058e17ff8420b2e786"),
     (["oracle", "scenes/lc3.json", "--trajectories", "3"],

@@ -221,6 +221,35 @@ def test_eigen_similarity_transformed_jordan():
     assert spec.entries[0][1] == 2
 
 
+def _rotation_blocks(seed, n):
+    """Q diag(B, ..., B, reals) Q^-1 with one 2 x 2 rotation block B
+    repeated 1 to n // 2 times and random reals after it: a repeated
+    conjugate pair, which LAPACK meets only after rounding."""
+    rng = _rng(seed)
+    d = np.diag(rng.standard_normal(n))
+    a, b = rng.standard_normal(), rng.uniform(0.1, 2.0)
+    for k in range(rng.integers(1, n // 2 + 1)):
+        d[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, -b], [b, a]]
+    q = rng.standard_normal((n, n)) + n * np.eye(n)
+    return q @ d @ np.linalg.inv(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10_000), st.booleans())
+def test_real_input_gives_exactly_conjugate_pairs(n, seed, blocks):
+    # eigen keeps only the upper half-plane values of a complex pair and
+    # mirrors them: that needs every nonreal eigenvalue LAPACK returns for
+    # a real matrix to come with its exact conjugate, as often as itself
+    a = _rotation_blocks(seed, n) if blocks else small_matrix(seed, n)
+    w = np.linalg.eigvals(a).tolist()
+    for z in w:
+        assert w.count(z.conjugate()) == w.count(z), (z, w)
+    entries = eigen(a).entries
+    assert sum(m for _, m in entries) == n
+    for z, m in entries:
+        assert (z.conjugate(), m) in entries, (z, entries)
+
+
 # ---------------------------------------------------------------------------
 # matrix functions
 

@@ -241,15 +241,15 @@ def test_glued_pair_calls_glue_once_per_point(monkeypatch):
 
 def _scene_factors():
     """Glue input of scenes/factor-a.json x scenes/factor-b.json."""
-    _, h1, hb1, _ = load_scene(str(SCENES / "factor-a.json"))
-    _, h2, hb2, _ = load_scene(str(SCENES / "factor-b.json"))
+    _, h1, hb1 = load_scene(str(SCENES / "factor-a.json"))
+    _, h2, hb2 = load_scene(str(SCENES / "factor-b.json"))
     return GlueInput(h1, hb1, h2, hb2)
 
 
 def _block_factors():
     """Glue input of factor-a.json (1-D) and a 2-D factor with one constant
     eigenvalue on a 2x2 block metric."""
-    _, h1, hb1, _ = load_scene(str(SCENES / "factor-a.json"))
+    _, h1, hb1 = load_scene(str(SCENES / "factor-a.json"))
     spec = LeviCivitaSpec.from_dict({"blocks": [{
         "lambda": "3.6", "dim": 2,
         "metric": [["1.1", "0.15*x1"], [None, "1.3 + 0.1*x0^2"]],
@@ -457,7 +457,7 @@ def test_block_conditions_exact_on_glued_levi_civita_factor():
     spec = LeviCivitaSpec.from_dict({"simple": [
         {"lambda": "1 + 0.1*sin(x0)", "interval": [-0.4, 0.4]},
         {"lambda": "2 + 0.1*x0", "interval": [-0.4, 0.4]}]})
-    _, h2, hb2, _ = load_scene(str(SCENES / "factor-b.json"))
+    _, h2, hb2 = load_scene(str(SCENES / "factor-b.json"))
     inp = GlueInput(*levi_civita_pair(spec), h2, hb2)
     g, _, _ = glue_fields(inp)
     for p in sample_points(g.chart, 10, seed=20):
