@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 2 a check failed, 3 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -511,7 +512,11 @@ def _count(text):
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it
+    costs about a tenth of a small ``check`` report, and parsing leaves
+    it as it was."""
     parser = _Parser(
         prog="geoequiv",
         description="Checks and constructions for geodesically equivalent "

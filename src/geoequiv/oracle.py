@@ -13,10 +13,17 @@ times in between come from the pair's continuous extension.  The defect
 compares both connections at the same sampled (x, x'), so an interpolated
 sample moves where the defect is measured, not how small it is on a
 geodesically equivalent pair (Gamma_bar - Gamma is a projective change).
+
+The trajectories of a report advance in lockstep, one Christoffel batch
+per Dormand-Prince stage; each keeps its own step control, so it has the
+bits of its own batch of 1, and a report's error is the one a loop over
+single trajectories meets first.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,12 +68,15 @@ _DP_P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
-# integrator tolerances, the uniform output times per trajectory, and the
-# attempted steps (accepted, rejected and edge retries) a trajectory may take
+# integrator tolerances, the uniform output times per trajectory, the
+# attempted steps (accepted, rejected and edge retries) a trajectory may
+# take, and the trajectories a report integrates in lockstep at a time
+# (which bounds the memory of its sample batches)
 RTOL = 1e-10
 ATOL = 1e-12
 SAMPLES = 64
 MAX_STEPS = 1000
+LOCKSTEP = 32
 
 
 @dataclass
@@ -117,21 +127,38 @@ class DefectReport:
     flags: dict = field(default_factory=dict)
 
 
-def _geodesic_rhs(g: MetricField, y: np.ndarray) -> np.ndarray:
-    n = len(y) // 2
-    x, v = y[:n], y[n:]
-    gamma = christoffel(g, x)
-    acc = -np.einsum("ijk,j,k->i", gamma, v, v)
-    return np.concatenate([v, acc])
+def _geodesic_rhs(g: MetricField, ys: np.ndarray, single: bool) -> np.ndarray:
+    """(x', -Gamma(x', x')) at the (m, 2n) states ``ys`` from one
+    Christoffel call, which takes the state as a single point when
+    ``single`` (the integration of one trajectory)."""
+    n = ys.shape[1] // 2
+    if single:
+        x, v = ys[0, :n], ys[0, n:]
+        acc = -np.einsum("ijk,j,k->i", christoffel(g, x), v, v)
+        return np.concatenate([v, acc])[None]
+    xs, vs = ys[:, :n], ys[:, n:]
+    acc = -np.einsum("bijk,bj,bk->bi", christoffel(g, xs), vs, vs)
+    return np.concatenate([vs, acc], axis=1)
 
 
-def integrate_geodesic(
-    g: MetricField,
-    p0,
-    v0,
-    T: float = 1.0,
-) -> GeodesicTrajectory:
-    """Integrate the geodesic equation with an embedded 5(4) pair.
+def _in_boxes(rows, boxes) -> list:
+    """Whether each row of positions lies in its box, given as
+    (lo, hi) per coordinate."""
+    inside = []
+    for row, box in zip(rows, boxes):
+        for (lo, hi), x in zip(box, row):
+            if not lo <= x <= hi:
+                inside.append(False)
+                break
+        else:
+            inside.append(True)
+    return inside
+
+
+def integrate_geodesics(g: MetricField, p0s, v0s, T: float = 1.0) -> list:
+    """Integrate the geodesic equation with an embedded 5(4) pair from
+    each row of the start points ``p0s`` and velocities ``v0s``; one
+    ``GeodesicTrajectory`` per row.
 
     The error controller alone picks the steps, clipped only to land on
     T; the ``SAMPLES`` uniform output times inside each accepted step are
@@ -143,110 +170,190 @@ def integrate_geodesic(
     sample once it leaves the chart, or when a stage lands beyond half
     the box's width outside it.  A trajectory that has attempted
     ``MAX_STEPS`` steps without reaching T raises ``StepFailure``.
+
+    The rows advance in lockstep: each stage is one Christoffel call on
+    the rows still attempting it, while each row keeps its own time, step
+    size, accept/reject state, step budget and truncation, so every
+    trajectory has the bits of its own batch of 1.  The error raised is
+    the first one the lockstep meets, which with several rows need not be
+    the first row's; ``geodesic_defect_report`` replays its trajectories
+    one at a time to raise that one.
     """
     chart = g.chart
-    p0 = np.asarray(p0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if not chart.contains(p0):
-        raise LeftChart(f"initial point {p0} outside the chart box", point=p0)
     n = chart.dim
+    y = np.hstack([np.asarray(p0s, dtype=float), np.asarray(v0s, dtype=float)])
+    m = len(y)
+    for p0 in y[:, :n]:
+        if not chart.contains(p0):
+            raise LeftChart(f"initial point {p0} outside the chart box", point=p0)
+    # where a stage must stay: the box while the step is longer than the
+    # sample spacing, and the box widened by the margin after that
+    margin = 0.5 * max(hi - lo for lo, hi in chart.box)
+    widened = tuple((lo - margin, hi + margin) for lo, hi in chart.box)
     out_times = np.linspace(0.0, T, SAMPLES)
-    states = np.empty((SAMPLES, 2 * n))
-    y = np.concatenate([p0, v0])
-    states[0] = y
-    kept = 1
-    truncated = False
-
-    t = 0.0
-    h = T / 100.0
     h_grid = T / (SAMPLES - 1)
     hmin = 1e-14 * max(T, 1.0)
-    margin = 0.5 * max(hi - lo for lo, hi in chart.box)
-    k = [_geodesic_rhs(g, y)] + [None] * 6
-    steps = rejected = edge_retries = 0
-    max_err = 0.0
+    states = np.empty((m, SAMPLES, 2 * n))
+    states[:, 0] = y
+    k0 = _geodesic_rhs(g, y, m == 1)  # each row's first stage (FSAL after a step)
+    # per row: time, next step size, failed attempts at this time, kept
+    # samples, and the statistics
+    t = [0.0] * m
+    h = [min(T / 100.0, T)] * m
+    failed = [0] * m
+    kept = [1] * m
+    truncated = [False] * m
+    steps, rejected, retries = [0] * m, [0] * m, [0] * m
+    max_err = [0.0] * m
+    active = list(range(m))
 
-    while kept < SAMPLES and not truncated:
-        h = min(h, T - t)
-        failed_here = 0
-        while True:
-            if steps + rejected + edge_retries >= MAX_STEPS:
-                raise StepFailure(f"{MAX_STEPS} attempted steps, stuck near t={t:.6e}")
-            bound = 0.0 if h > h_grid else margin
-            left = False
-            for i in range(1, 7):
-                yi = y + h * sum(a * k[j] for j, a in _DP_A_NZ[i])
-                if not chart.contains(yi[:n], margin=bound):
-                    left = True
+    while active:
+        for r in active:
+            if steps[r] + rejected[r] + retries[r] >= MAX_STEPS:
+                raise StepFailure(f"{MAX_STEPS} attempted steps, stuck near t={t[r]:.6e}")
+        # views while every row is active: a row writes its own state only
+        # after its last read of it
+        rows = slice(None) if len(active) == m else active
+        ya, hc = y[rows], np.array([h[r] for r in active])[:, None]
+        boxes = [widened if h[r] <= h_grid else chart.box for r in active]
+        ks = [k0[rows]]
+        # the rows still in the attempt; the arrays above keep their rows
+        live = active
+        for i in range(1, 7):
+            yi = ya + hc * sum(a * ks[j] for j, a in _DP_A_NZ[i])
+            stays = _in_boxes(yi[:, :n].tolist(), boxes)
+            if not all(stays):
+                for r in itertools.compress(live, [not s for s in stays]):
+                    if h[r] > h_grid:
+                        h[r] = h_grid
+                        retries[r] += 1
+                    else:
+                        # a stage far outside the box means the curve has
+                        # left the chart; truncate instead of fighting the
+                        # step size
+                        truncated[r] = True
+                live = list(itertools.compress(live, stays))
+                if not live:
                     break
-                k[i] = _geodesic_rhs(g, yi)
-            if left and h > h_grid:
-                h = h_grid
-                edge_retries += 1
+                boxes = list(itertools.compress(boxes, stays))
+                inside = np.array(stays)
+                ya, hc, yi = ya[inside], hc[inside], yi[inside]
+                ks = [kj[inside] for kj in ks]
+            ks.append(_geodesic_rhs(g, yi, m == 1))
+        if live:
+            y5 = ya + hc * sum(b * ks[j] for j, b in _DP_B5_NZ)
+            y4 = ya + hc * sum(b * ks[j] for j, b in _DP_B4_NZ)
+            scale = ATOL + RTOL * np.maximum(np.abs(ya), np.abs(y5))
+            # the RMS norm: np.mean's sum and division, without its overhead
+            errs = np.sqrt(np.add.reduce(((y5 - y4) / scale) ** 2, axis=1) / (2 * n)).tolist()
+        for q, r in enumerate(live):
+            hr, err = h[r], errs[q]
+            if not err <= 1.0:
+                rejected[r] += 1
+                failed[r] += 1
+                h[r] = hr * max(0.2, 0.9 * (1.0 / err) ** 0.2)
+                if h[r] < hmin or failed[r] > 60:
+                    raise StepFailure(
+                        f"cannot meet tolerance near t={t[r]:.6e} (err {err:.3e})"
+                    )
                 continue
-            if left:
-                # a stage far outside the box means the curve has left the
-                # chart; truncate instead of fighting the step size
-                truncated = True
-                break
-            y5 = y + h * sum(b * k[j] for j, b in _DP_B5_NZ)
-            y4 = y + h * sum(b * k[j] for j, b in _DP_B4_NZ)
-            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-            if err <= 1.0:
-                break
-            rejected += 1
-            failed_here += 1
-            h *= max(0.2, 0.9 * (1.0 / err) ** 0.2)
-            if h < hmin or failed_here > 60:
-                raise StepFailure(
-                    f"cannot meet tolerance near t={t:.6e} (err {err:.3e})"
-                )
-        if truncated:
-            break
-        t_next = T if h == T - t else t + h
-        stop = int(np.searchsorted(out_times, t_next, side="right"))
-        if stop > kept:
-            theta = (out_times[kept:stop] - t) / h
-            weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
-            fill = y + h * (weights @ np.array(k))
-            if t_next == T:
-                fill[-1] = y5
-            for row in fill:
-                if not chart.contains(row[:n]):
-                    truncated = True
-                    break
-                states[kept] = row
-                kept += 1
-        t, y = t_next, y5
-        k[0] = k[6]  # FSAL: the last stage sits at the accepted point
-        steps += 1
-        max_err = max(max_err, err)
-        h = h * min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-300)) ** 0.2))
+            tr = t[r]
+            t[r] = T if hr == T - tr else tr + hr
+            stop = int(np.searchsorted(out_times, t[r], side="right"))
+            if stop > kept[r]:
+                theta = (out_times[kept[r]:stop] - tr) / hr
+                weights = (theta[:, None] ** np.arange(1, 5)) @ _DP_P.T
+                fill = ya[q] + hr * (weights @ np.array([kj[q] for kj in ks]))
+                if t[r] == T:
+                    fill[-1] = y5[q]
+                stays = _in_boxes(fill[:, :n].tolist(), itertools.repeat(chart.box))
+                good = stays.index(False) if not all(stays) else len(fill)
+                states[r, kept[r]:kept[r] + good] = fill[:good]
+                kept[r] += good
+                truncated[r] = good < len(fill)
+            y[r], k0[r] = y5[q], ks[6][q]  # FSAL: the last stage sits at the new point
+            steps[r] += 1
+            max_err[r] = max(max_err[r], err)
+            grow = min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-300)) ** 0.2))
+            h[r] = min(hr * grow, T - t[r])  # clipped to land on T
+            failed[r] = 0
+        active = [r for r in active if kept[r] < SAMPLES and not truncated[r]]
 
-    # one batch of Christoffel symbols at the kept samples; the metric's
+    # one batch of Christoffel symbols at every kept sample; the metric's
     # backing keeps that batch, so g.value reads it without a kernel pass
-    xs, vs = states[:kept, :n], states[:kept, n:]
+    samples = np.concatenate([states[r, :kept[r]] for r in range(m)])
+    xs, vs = samples[:, :n], samples[:, n:]
     gammas = in_point_order(lambda rows: christoffel(g, rows), xs)
-    accelerations = np.array(
-        [-np.einsum("ijk,j,k->i", gamma, v, v) for gamma, v in zip(gammas, vs)]
-    )
-    energies = np.einsum("bi,bij,bj->b", vs, g.value(xs), vs)
-    drift = float(np.max(energies) - np.min(energies)) / max(
-        1e-12, float(np.max(np.abs(energies)))
-    )
+    accelerations = -np.einsum("bijk,bj,bk->bi", gammas, vs, vs)
+    gvals = g.value(xs)
+    trajs, off = [], 0
+    for r in range(m):
+        end = off + kept[r]
+        v = states[r, :kept[r], n:]
+        # per trajectory: on a batch of 1 this contraction gives other bits
+        energies = np.einsum("bi,bij,bj->b", v, gvals[off:end], v)
+        drift = float(np.max(energies) - np.min(energies)) / max(
+            1e-12, float(np.max(np.abs(energies)))
+        )
+        trajs.append(GeodesicTrajectory(
+            times=out_times[:kept[r]],
+            states=states[r, :kept[r]],
+            accelerations=accelerations[off:end],
+            steps=steps[r],
+            rejected=rejected[r],
+            edge_retries=retries[r],
+            max_local_error=max_err[r],
+            energy_drift=drift,
+            truncated=truncated[r],
+        ))
+        off = end
+    return trajs
 
-    return GeodesicTrajectory(
-        times=out_times[:kept],
-        states=states[:kept],
-        accelerations=accelerations,
-        steps=steps,
-        rejected=rejected,
-        edge_retries=edge_retries,
-        max_local_error=max_err,
-        energy_drift=drift,
-        truncated=truncated,
-    )
+
+def integrate_geodesic(g: MetricField, p0, v0, T: float = 1.0) -> GeodesicTrajectory:
+    """One trajectory: ``integrate_geodesics`` on a batch of 1."""
+    return integrate_geodesics(g, [p0], [v0], T)[0]
+
+
+def _defect_reports(trajs: list, gbar: MetricField) -> list:
+    """``unparam_defect`` of each trajectory, with Gamma_bar evaluated
+    along all their samples in one batch; an error is the first one met
+    in sample order."""
+    n = trajs[0].dim
+    samples = np.concatenate([traj.states for traj in trajs])
+    xs, vs = samples[:, :n], samples[:, n:]
+    speeds = [float(v @ v) for v in vs]
+    # a zero velocity at sample i comes before any failure of Gamma_bar
+    # after i
+    stop = next((i for i, s in enumerate(speeds) if s == 0.0), len(speeds))
+    gammas = in_point_order(lambda x: christoffel(gbar, x), xs[:stop]) if stop else ()
+    if stop < len(speeds):
+        raise ZeroVelocity("zero velocity sample in trajectory")
+    accs = np.concatenate([traj.accelerations for traj in trajs])
+    defects = []
+    for a, v, vnorm2 in zip(accs + np.einsum("bijk,bj,bk->bi", gammas, vs, vs),
+                            vs, speeds):
+        normal = a - (a @ v) / vnorm2 * v
+        # Euclidean norms: the sqrt of the dot product, as np.linalg.norm
+        # takes it, without its overhead
+        defects.append(math.sqrt(normal @ normal) / (1.0 + math.sqrt(a @ a)))
+    reports, off = [], 0
+    for traj in trajs:
+        own = defects[off:off + len(traj.states)]
+        off += len(own)
+        reports.append(DefectReport(
+            per_trajectory=[max(own)],
+            max_defect=max(own),
+            mean_defect=float(np.mean(own)),
+            skipped_null=0,
+            box_exits=int(traj.truncated),
+            trajectories=1,
+            steps_accepted=traj.steps,
+            steps_rejected=traj.rejected,
+            max_local_error=traj.max_local_error,
+            max_energy_drift=traj.energy_drift,
+        ))
+    return reports
 
 
 def unparam_defect(traj: GeodesicTrajectory, gbar: MetricField) -> DefectReport:
@@ -258,36 +365,7 @@ def unparam_defect(traj: GeodesicTrajectory, gbar: MetricField) -> DefectReport:
     normalized by 1 + ||a||.  Gamma_bar is evaluated along all samples in
     one batch.
     """
-    n = traj.dim
-    xs, vs = traj.states[:, :n], traj.states[:, n:]
-    speeds = [float(v @ v) for v in vs]
-    # the first error in sample order: a zero velocity at sample i comes
-    # before any failure of Gamma_bar after i
-    stop = next((i for i, s in enumerate(speeds) if s == 0.0), len(speeds))
-    gammas = in_point_order(lambda x: christoffel(gbar, x), xs[:stop]) if stop else ()
-    if stop < len(speeds):
-        raise ZeroVelocity("zero velocity sample in trajectory")
-    defects = []
-    for gamma, v, vnorm2, acc in zip(gammas, vs, speeds, traj.accelerations):
-        a = acc + np.einsum("ijk,j,k->i", gamma, v, v)
-        tangential = (a @ v) / vnorm2 * v
-        defect = float(np.linalg.norm(a - tangential)) / (
-            1.0 + float(np.linalg.norm(a))
-        )
-        defects.append(defect)
-    worst = max(defects)
-    return DefectReport(
-        per_trajectory=[worst],
-        max_defect=worst,
-        mean_defect=float(np.mean(defects)),
-        skipped_null=0,
-        box_exits=int(traj.truncated),
-        trajectories=1,
-        steps_accepted=traj.steps,
-        steps_rejected=traj.rejected,
-        max_local_error=traj.max_local_error,
-        max_energy_drift=traj.energy_drift,
-    )
+    return _defect_reports([traj], gbar)[0]
 
 
 def geodesic_defect_report(
@@ -304,39 +382,57 @@ def geodesic_defect_report(
     trajectories stay inside); directions are uniform on the Euclidean
     unit sphere, rejecting near-null directions |g(v, v)| below the
     threshold.  The rejection count is reported.
+
+    Integration draws no random numbers, so every start is drawn first;
+    the trajectories are then integrated in lockstep, ``LOCKSTEP`` at a
+    time, and Gamma_bar is evaluated along each group's samples in one
+    batch.  On any error the report replays the per-trajectory loop
+    (draw, integrate, defect), so the error that propagates is the first
+    one that loop meets.
     """
     chart = g.chart
     n = chart.dim
     rng = SplitMix64(seed)
     skipped = 0
-    reps = []
+    p0s, v0s = [], []
     budget = 50 * trajectories
-    while len(reps) < trajectories and budget > 0:
-        budget -= 1
-        p0 = np.array(
-            [
-                lo + (hi - lo) * (0.1 + 0.8 * rng.uniform())
-                for lo, hi in chart.box
-            ]
-        )
-        v = np.empty(n)
-        for i in range(0, n, 2):
-            a, b = rng.normal_pair()
-            v[i] = a
-            if i + 1 < n:
-                v[i + 1] = b
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        v /= norm
-        if abs(v @ g.value(p0) @ v) < null_threshold:
-            skipped += 1
-            continue
-        reps.append(unparam_defect(integrate_geodesic(g, p0, v, T=T), gbar))
-    if len(reps) < trajectories:
-        raise StepFailure(
-            f"could not assemble {trajectories} non-null trajectories"
-        )
+    try:
+        while len(p0s) < trajectories and budget > 0:
+            budget -= 1
+            p0 = np.array(
+                [
+                    lo + (hi - lo) * (0.1 + 0.8 * rng.uniform())
+                    for lo, hi in chart.box
+                ]
+            )
+            v = np.empty(n)
+            for i in range(0, n, 2):
+                a, b = rng.normal_pair()
+                v[i] = a
+                if i + 1 < n:
+                    v[i + 1] = b
+            norm = np.linalg.norm(v)
+            if norm == 0.0:
+                continue
+            v /= norm
+            if abs(v @ g.value(p0) @ v) < null_threshold:
+                skipped += 1
+                continue
+            p0s.append(p0)
+            v0s.append(v)
+        if len(p0s) < trajectories:
+            raise StepFailure(
+                f"could not assemble {trajectories} non-null trajectories"
+            )
+        reps = []
+        for i in range(0, trajectories, LOCKSTEP):
+            group = slice(i, i + LOCKSTEP)
+            reps += _defect_reports(
+                integrate_geodesics(g, p0s[group], v0s[group], T=T), gbar)
+    except Exception:
+        for p0, v in zip(p0s, v0s):
+            unparam_defect(integrate_geodesic(g, p0, v, T=T), gbar)
+        raise
     per = [r.max_defect for r in reps]
     return DefectReport(
         per_trajectory=per,

@@ -584,6 +584,22 @@ def test_bad_arguments_exit_3(capsys):
     assert main(["nonsense"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["split", REPO_LC3], ["nonsense"]],
+                         ids=["subcommand", "command"])
+def test_usage_error_after_a_report_matches_a_fresh_process(capsys, monkeypatch, argv):
+    # the parser is built once per process: a report parsed with it must
+    # leave it as a fresh process has it
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = subprocess.run([sys.executable, "-m", "geoequiv.cli"] + argv,
+                           capture_output=True, text=True)
+    assert main(["check", REPO_LC3, "--points", "2"]) == 0
+    capsys.readouterr()
+    code = main(argv)
+    assert code == fresh.returncode == 3
+    assert capsys.readouterr().err == fresh.stderr
+    assert fresh.stderr.startswith("usage: geoequiv")
+
+
 def test_load_scene_mirrors_upper_triangle(tmp_path):
     scene = _write(
         tmp_path,

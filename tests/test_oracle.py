@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from geoequiv.equiv import compatibility_residual, l_tensor_field
-from geoequiv.errors import DegenerateMetric, DomainError, LeftChart, ZeroVelocity
+from geoequiv.errors import (DegenerateMetric, DomainError, GeoequivError, LeftChart,
+                             StepFailure, ZeroVelocity)
 from geoequiv import oracle
-from geoequiv.fields import Chart, MetricField, christoffel, sample_points
+from geoequiv.fields import Chart, MetricField, SplitMix64, christoffel, sample_points
 from geoequiv.oracle import (
     SAMPLES,
     GeodesicTrajectory,
     geodesic_defect_report,
     integrate_geodesic,
+    integrate_geodesics,
     unparam_defect,
 )
 
@@ -277,13 +279,124 @@ def test_defect_report_carries_the_integrator_statistics(
     made = []
 
     def recording(*args, **kwargs):
-        made.append(integrate_geodesic(*args, **kwargs))
-        return made[-1]
+        trajs = integrate_geodesics(*args, **kwargs)
+        made.extend(trajs)
+        return trajs
 
-    monkeypatch.setattr(oracle, "integrate_geodesic", recording)
+    monkeypatch.setattr(oracle, "integrate_geodesics", recording)
     g, gbar = corpus["lc2_sin"]
     rep = geodesic_defect_report(g, gbar, trajectories=5, seed=3, T=0.5)
     assert len(made) == 5
     assert getattr(rep, field) == reduce(getattr(t, attribute) for t in made)
     if field == "max_local_error":
         assert 0.0 < rep.max_local_error <= 1.0  # accepted steps meet the tolerance
+
+
+# ---------------------------------------------------------------------------
+# lockstep integration
+
+
+def _starts(chart, count, seed):
+    # speeds from 0.3 to 3 across the box: some trajectories stay inside,
+    # some retry steps near the edge and leave it
+    rng = np.random.default_rng(seed)
+    p0s = sample_points(chart, count, seed=seed)
+    v0s = rng.standard_normal((count, chart.dim)) * np.resize([0.3, 1.0, 3.0], count)[:, None]
+    return p0s, v0s
+
+
+@pytest.mark.parametrize("name", ["lc2_sin", "lc3_sig"])
+def test_lockstep_trajectories_match_their_batches_of_one(corpus, name):
+    g, _ = corpus[name]
+    p0s, v0s = _starts(g.chart, 20, seed=5)
+    batch = integrate_geodesics(g, p0s, v0s, T=0.5)
+    assert len(batch) == 20
+    assert any(t.truncated for t in batch) and not all(t.truncated for t in batch)
+    assert any(t.edge_retries > 0 for t in batch)
+    assert any(t.rejected > 0 for t in batch)
+    for p0, v0, got in zip(p0s, v0s, batch):
+        want = integrate_geodesic(g, p0, v0, T=0.5)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.accelerations.tobytes() == want.accelerations.tobytes()
+        for attribute in ("steps", "rejected", "edge_retries", "max_local_error",
+                          "energy_drift", "truncated"):
+            assert getattr(got, attribute) == getattr(want, attribute), attribute
+
+
+def _per_trajectory_report(g, gbar, trajectories, seed, null_threshold):
+    # the reference for the report's errors: draw, integrate and measure
+    # one trajectory at a time
+    chart = g.chart
+    n = chart.dim
+    rng = SplitMix64(seed)
+    done = 0
+    for _ in range(50 * trajectories):
+        p0 = np.array([lo + (hi - lo) * (0.1 + 0.8 * rng.uniform()) for lo, hi in chart.box])
+        v = np.empty(n)
+        for i in range(0, n, 2):
+            v[i:i + 2] = rng.normal_pair()[:n - i]
+        if np.linalg.norm(v) == 0.0:
+            continue
+        v /= np.linalg.norm(v)
+        if abs(v @ g.value(p0) @ v) < null_threshold:
+            continue
+        unparam_defect(integrate_geodesic(g, p0, v, T=0.5), gbar)
+        done += 1
+        if done == trajectories:
+            return
+    raise StepFailure(f"could not assemble {trajectories} non-null trajectories")
+
+
+class _Replayed(Exception):
+    pass
+
+
+def _met_first(monkeypatch, g, trajectories, seed, null_threshold):
+    # the error the report meets before it replays the per-trajectory loop
+    def replay(*args, **kwargs):
+        raise _Replayed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "integrate_geodesic", replay)
+        with pytest.raises(_Replayed) as replayed:
+            geodesic_defect_report(g, g, trajectories=trajectories, seed=seed, T=0.5,
+                                   null_threshold=null_threshold)
+    return replayed.value.__context__
+
+
+SQRT = "x0*sqrt(0.5 - x0)"  # degenerate at x0 = 0, undefined beyond 0.5
+
+
+@pytest.mark.parametrize("entry, g11, trajectories, seed, threshold, error, overtaken", [
+    # the second trajectory degenerates earlier in integration time
+    ("x0", "1", 2, 27, 1e-3, DegenerateMetric, True),
+    # a later trajectory degenerates before an earlier one gives up
+    (SQRT, "1", 3, 16, 1e-3, StepFailure, True),
+    # the first trajectory degenerates; a later draw leaves the domain
+    (SQRT, "1", 2, 24, 1e-3, DegenerateMetric, True),
+    # the fourth draw leaves the domain after three trajectories pass
+    (SQRT, "1", 6, 11, 1e-3, DomainError, False),
+    # the steep entry exhausts the step budget
+    ("exp(1000*x0) + 1", "1", 1, 42, 1e-3, StepFailure, False),
+    # one direction in a hundred is far enough from null: one trajectory
+    # passes before the draws run out
+    ("x0", "-1", 2, 1, 0.9999, StepFailure, False),
+], ids=["degenerate", "tolerance", "draw-overtaken", "draw-domain", "step-budget",
+        "assemble"])
+def test_report_raises_the_per_trajectory_loops_error(
+        monkeypatch, entry, g11, trajectories, seed, threshold, error, overtaken):
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+    g = MetricField.from_exprs(chart, [[entry, "0"], ["0", g11]])
+    with pytest.raises(GeoequivError) as want:
+        _per_trajectory_report(g, g, trajectories, seed, threshold)
+    with pytest.raises(GeoequivError) as got:
+        geodesic_defect_report(g, g, trajectories=trajectories, seed=seed, T=0.5,
+                               null_threshold=threshold)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
+    assert np.array_equal(got.value.point, want.value.point)
+    if overtaken:
+        # the draws or the lockstep meet another trajectory's error first
+        first = _met_first(monkeypatch, g, trajectories, seed, threshold)
+        assert str(first) != str(want.value)
