@@ -103,11 +103,21 @@ class Chart:
         object.__setattr__(self, "base_point", base)
 
     def contains(self, p, margin: float = 0.0) -> bool:
-        p = np.asarray(p, dtype=float)
-        for k, (lo, hi) in enumerate(self.box):
-            if not (lo - margin <= p[k] <= hi + margin):
-                return False
-        return True
+        return self.contains_rows([np.asarray(p, dtype=float)], [margin])[0]
+
+    def contains_rows(self, rows, margins=None) -> list:
+        """Whether each row of points lies in the box widened by its own
+        entry of ``margins`` (0 when omitted); a NaN coordinate lies
+        outside."""
+        inside = []
+        for row, margin in zip(rows, itertools.repeat(0.0) if margins is None else margins):
+            for (lo, hi), x in zip(self.box, row):
+                if not lo - margin <= x <= hi + margin:
+                    inside.append(False)
+                    break
+            else:
+                inside.append(True)
+        return inside
 
     def product(self, other: "Chart") -> "Chart":
         return Chart(

@@ -127,32 +127,13 @@ class DefectReport:
     flags: dict = field(default_factory=dict)
 
 
-def _geodesic_rhs(g: MetricField, ys: np.ndarray, single: bool) -> np.ndarray:
+def _geodesic_rhs(g: MetricField, ys: np.ndarray) -> np.ndarray:
     """(x', -Gamma(x', x')) at the (m, 2n) states ``ys`` from one
-    Christoffel call, which takes the state as a single point when
-    ``single`` (the integration of one trajectory)."""
+    Christoffel call."""
     n = ys.shape[1] // 2
-    if single:
-        x, v = ys[0, :n], ys[0, n:]
-        acc = -np.einsum("ijk,j,k->i", christoffel(g, x), v, v)
-        return np.concatenate([v, acc])[None]
     xs, vs = ys[:, :n], ys[:, n:]
     acc = -np.einsum("bijk,bj,bk->bi", christoffel(g, xs), vs, vs)
     return np.concatenate([vs, acc], axis=1)
-
-
-def _in_boxes(rows, boxes) -> list:
-    """Whether each row of positions lies in its box, given as
-    (lo, hi) per coordinate."""
-    inside = []
-    for row, box in zip(rows, boxes):
-        for (lo, hi), x in zip(box, row):
-            if not lo <= x <= hi:
-                inside.append(False)
-                break
-        else:
-            inside.append(True)
-    return inside
 
 
 def integrate_geodesics(g: MetricField, p0s, v0s, T: float = 1.0) -> list:
@@ -186,16 +167,15 @@ def integrate_geodesics(g: MetricField, p0s, v0s, T: float = 1.0) -> list:
     for p0 in y[:, :n]:
         if not chart.contains(p0):
             raise LeftChart(f"initial point {p0} outside the chart box", point=p0)
-    # where a stage must stay: the box while the step is longer than the
-    # sample spacing, and the box widened by the margin after that
+    # a stage must stay in the box while the step is longer than the
+    # sample spacing, and in the box widened by this margin after that
     margin = 0.5 * max(hi - lo for lo, hi in chart.box)
-    widened = tuple((lo - margin, hi + margin) for lo, hi in chart.box)
     out_times = np.linspace(0.0, T, SAMPLES)
     h_grid = T / (SAMPLES - 1)
     hmin = 1e-14 * max(T, 1.0)
     states = np.empty((m, SAMPLES, 2 * n))
     states[:, 0] = y
-    k0 = _geodesic_rhs(g, y, m == 1)  # each row's first stage (FSAL after a step)
+    k0 = _geodesic_rhs(g, y)  # each row's first stage (FSAL after a step)
     # per row: time, next step size, failed attempts at this time, kept
     # samples, and the statistics
     t = [0.0] * m
@@ -215,13 +195,13 @@ def integrate_geodesics(g: MetricField, p0s, v0s, T: float = 1.0) -> list:
         # after its last read of it
         rows = slice(None) if len(active) == m else active
         ya, hc = y[rows], np.array([h[r] for r in active])[:, None]
-        boxes = [widened if h[r] <= h_grid else chart.box for r in active]
+        margins = [margin if h[r] <= h_grid else 0.0 for r in active]
         ks = [k0[rows]]
         # the rows still in the attempt; the arrays above keep their rows
         live = active
         for i in range(1, 7):
             yi = ya + hc * sum(a * ks[j] for j, a in _DP_A_NZ[i])
-            stays = _in_boxes(yi[:, :n].tolist(), boxes)
+            stays = chart.contains_rows(yi[:, :n].tolist(), margins)
             if not all(stays):
                 for r in itertools.compress(live, [not s for s in stays]):
                     if h[r] > h_grid:
@@ -235,11 +215,11 @@ def integrate_geodesics(g: MetricField, p0s, v0s, T: float = 1.0) -> list:
                 live = list(itertools.compress(live, stays))
                 if not live:
                     break
-                boxes = list(itertools.compress(boxes, stays))
+                margins = list(itertools.compress(margins, stays))
                 inside = np.array(stays)
                 ya, hc, yi = ya[inside], hc[inside], yi[inside]
                 ks = [kj[inside] for kj in ks]
-            ks.append(_geodesic_rhs(g, yi, m == 1))
+            ks.append(_geodesic_rhs(g, yi))
         if live:
             y5 = ya + hc * sum(b * ks[j] for j, b in _DP_B5_NZ)
             y4 = ya + hc * sum(b * ks[j] for j, b in _DP_B4_NZ)
@@ -266,7 +246,7 @@ def integrate_geodesics(g: MetricField, p0s, v0s, T: float = 1.0) -> list:
                 fill = ya[q] + hr * (weights @ np.array([kj[q] for kj in ks]))
                 if t[r] == T:
                     fill[-1] = y5[q]
-                stays = _in_boxes(fill[:, :n].tolist(), itertools.repeat(chart.box))
+                stays = chart.contains_rows(fill[:, :n].tolist())
                 good = stays.index(False) if not all(stays) else len(fill)
                 states[r, kept[r]:kept[r] + good] = fill[:good]
                 kept[r] += good

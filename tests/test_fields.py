@@ -51,6 +51,16 @@ def test_chart_validation():
         Chart(1, ((0.0, 1.0),), (2.0,))
 
 
+def test_chart_contains_rows_with_their_own_margins():
+    chart = Chart(2, ((-1.0, 1.0), (0.0, 2.0)), (0.0, 1.0))
+    rows = [(-1.0, 2.0), (1.5, 1.0), (1.5, 1.0), (0.0, math.nan), (0.0, -0.5)]
+    margins = [0.0, 0.0, 0.5, 1.0, 0.25]
+    want = [True, False, True, False, False]
+    assert chart.contains_rows(rows, margins) == want
+    assert [chart.contains(p, margin=m) for p, m in zip(rows, margins)] == want
+    assert chart.contains_rows(rows) == [True, False, False, False, False]
+
+
 # ---------------------------------------------------------------------------
 # Christoffel symbols
 

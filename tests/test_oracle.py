@@ -231,19 +231,19 @@ def _bump_metric():
 
 
 def test_rejected_steps_are_counted(monkeypatch):
-    # each attempted step evaluates six new stages; besides them the
-    # integrator evaluates the start point once and the kept samples in one
-    # batch
-    calls = {"points": 0, "batches": 0}
+    # each attempted step evaluates six new stages of the one row; besides
+    # them the integrator evaluates the start point once and the kept
+    # samples in one batch
+    rows = []
 
     def counting(g, p):
-        calls["points" if np.ndim(p) == 1 else "batches"] += 1
+        rows.append(len(np.atleast_2d(p)))
         return christoffel(g, p)
 
     monkeypatch.setattr(oracle, "christoffel", counting)
     traj = integrate_geodesic(_bump_metric(), (0.0, 0.0), (0.8, 0.6), T=1.0)
     assert traj.rejected > 0 and traj.edge_retries == 0 and not traj.truncated
-    assert calls == {"points": 1 + 6 * (traj.steps + traj.rejected), "batches": 1}
+    assert rows == [1] * (1 + 6 * (traj.steps + traj.rejected)) + [len(traj.states)]
 
 
 def test_edge_retries_are_counted_near_the_box_edge():
@@ -330,7 +330,7 @@ def _per_trajectory_report(g, gbar, trajectories, seed, null_threshold):
     chart = g.chart
     n = chart.dim
     rng = SplitMix64(seed)
-    done = 0
+    reports = []
     for _ in range(50 * trajectories):
         p0 = np.array([lo + (hi - lo) * (0.1 + 0.8 * rng.uniform()) for lo, hi in chart.box])
         v = np.empty(n)
@@ -341,10 +341,9 @@ def _per_trajectory_report(g, gbar, trajectories, seed, null_threshold):
         v /= np.linalg.norm(v)
         if abs(v @ g.value(p0) @ v) < null_threshold:
             continue
-        unparam_defect(integrate_geodesic(g, p0, v, T=0.5), gbar)
-        done += 1
-        if done == trajectories:
-            return
+        reports.append(unparam_defect(integrate_geodesic(g, p0, v, T=0.5), gbar))
+        if len(reports) == trajectories:
+            return reports
     raise StepFailure(f"could not assemble {trajectories} non-null trajectories")
 
 
@@ -368,26 +367,50 @@ def _met_first(monkeypatch, g, trajectories, seed, null_threshold):
 SQRT = "x0*sqrt(0.5 - x0)"  # degenerate at x0 = 0, undefined beyond 0.5
 
 
-@pytest.mark.parametrize("entry, g11, trajectories, seed, threshold, error, overtaken", [
-    # the second trajectory degenerates earlier in integration time
-    ("x0", "1", 2, 27, 1e-3, DegenerateMetric, True),
-    # a later trajectory degenerates before an earlier one gives up
-    (SQRT, "1", 3, 16, 1e-3, StepFailure, True),
-    # the first trajectory degenerates; a later draw leaves the domain
-    (SQRT, "1", 2, 24, 1e-3, DegenerateMetric, True),
-    # the fourth draw leaves the domain after three trajectories pass
-    (SQRT, "1", 6, 11, 1e-3, DomainError, False),
-    # the steep entry exhausts the step budget
-    ("exp(1000*x0) + 1", "1", 1, 42, 1e-3, StepFailure, False),
-    # one direction in a hundred is far enough from null: one trajectory
-    # passes before the draws run out
-    ("x0", "-1", 2, 1, 0.9999, StepFailure, False),
-], ids=["degenerate", "tolerance", "draw-overtaken", "draw-domain", "step-budget",
-        "assemble"])
+@pytest.mark.parametrize("name", ["lc2_sin", "lc3_sig"])
+def test_lockstep_groups_give_the_per_trajectory_report(monkeypatch, corpus, name):
+    g, gbar = corpus[name]
+    whole = geodesic_defect_report(g, gbar, trajectories=5, seed=3, T=0.5)
+    monkeypatch.setattr(oracle, "LOCKSTEP", 2)
+    grouped = geodesic_defect_report(g, gbar, trajectories=5, seed=3, T=0.5)
+    assert grouped == whole
+    reference = _per_trajectory_report(g, gbar, 5, 3, 1e-3)
+    assert grouped.per_trajectory == [r.max_defect for r in reference]
+    assert grouped.steps_accepted == sum(r.steps_accepted for r in reference)
+    assert grouped.max_energy_drift == max(r.max_energy_drift for r in reference)
+
+
+@pytest.mark.parametrize(
+    "entry, g11, trajectories, seed, threshold, lockstep, error, overtaken", [
+        # the second trajectory degenerates earlier in integration time
+        ("x0", "1", 2, 27, 1e-3, None, DegenerateMetric, True),
+        # a later trajectory degenerates before an earlier one gives up
+        (SQRT, "1", 3, 16, 1e-3, None, StepFailure, True),
+        # the first trajectory degenerates; a later draw leaves the domain
+        (SQRT, "1", 2, 24, 1e-3, None, DegenerateMetric, True),
+        # the fourth draw leaves the domain after three trajectories pass
+        (SQRT, "1", 6, 11, 1e-3, None, DomainError, False),
+        # the steep entry exhausts the step budget
+        ("exp(1000*x0) + 1", "1", 1, 42, 1e-3, None, StepFailure, False),
+        # one direction in a hundred is far enough from null: one trajectory
+        # passes before the draws run out
+        ("x0", "-1", 2, 1, 0.9999, None, StepFailure, False),
+        # groups of 2: the first group passes, and in a later group a
+        # trajectory degenerates before an earlier one does
+        ("x0", "1", 5, 50, 1e-3, 2, DegenerateMetric, True),
+        # groups of 2: the first group passes, and a later group's
+        # trajectory gives up; the lockstep meets a degenerate one first
+        (SQRT, "1", 5, 58, 1e-3, 2, StepFailure, True),
+    ], ids=["degenerate", "tolerance", "draw-overtaken", "draw-domain", "step-budget",
+            "assemble", "later-group-degenerate", "later-group-tolerance"])
 def test_report_raises_the_per_trajectory_loops_error(
-        monkeypatch, entry, g11, trajectories, seed, threshold, error, overtaken):
+        monkeypatch, entry, g11, trajectories, seed, threshold, lockstep, error,
+        overtaken):
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
     g = MetricField.from_exprs(chart, [[entry, "0"], ["0", g11]])
+    if lockstep is not None:
+        monkeypatch.setattr(oracle, "LOCKSTEP", lockstep)
+        _per_trajectory_report(g, g, lockstep, seed, threshold)  # the first group passes
     with pytest.raises(GeoequivError) as want:
         _per_trajectory_report(g, g, trajectories, seed, threshold)
     with pytest.raises(GeoequivError) as got:
