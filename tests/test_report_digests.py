@@ -42,3 +42,25 @@ def test_report_digest(argv, digest, monkeypatch):
         code = main(argv)
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# a longer split, whose 40 samples and other grouping exercise the group
+# tracker on many more paths than the 4-point case above
+def test_split_report_digest_many_points(monkeypatch):
+    test_report_digest(
+        ["split", "scenes/lc3.json", "--groups", "0,1|2", "--points", "40",
+         "--seed", "7"],
+        "26220b13f674386a2b465cf952b2a968c06fb53ab2acb7aa715e81f8e4a8cd98",
+        monkeypatch)
+
+
+def test_split_export_digest(tmp_path, monkeypatch):
+    # the grid file of --export: h, hbar and P1 at every lattice node
+    grid = tmp_path / "grid.json"
+    test_report_digest(
+        ["split", "scenes/lc3.json", "--groups", "0|1,2", "--points", "12",
+         "--export", str(grid)],
+        "1df694031f5cbbdd6655d4d0a307ac8b1497e516ae4b57d0d20b93a196b415db",
+        monkeypatch)
+    assert (hashlib.sha256(grid.read_bytes()).hexdigest()
+            == "c391f1cd04686a567d3824503f71c3f252832f69869c910f3a344922ca48156d")
