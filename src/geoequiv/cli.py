@@ -330,24 +330,33 @@ def cmd_split(args) -> int:
     P1, P2 = sr.projectors
     pts = sample_points(chart, args.points, args.seed)
 
-    ortho, nabla_h, nabla_hbar, charpoly_dev, gaps = [], [], [], [], []
-    for p in pts:
-        gaps.append(fact.gap_at(p))
+    def batch_checks(rows):
+        fact.track_rows(rows)
+        gaps = [fact.gap_at(p) for p in rows]
         # the covariant derivatives first: they run the split closure with
-        # its jacobian, and every later read at p hits the batch it keeps
-        nabla_h.append(frob(covariant_derivative_op(sr.h, P1, p)))
-        nabla_hbar.append(frob(covariant_derivative_op(sr.hbar, P1, p)))
-        p1, p2 = P1.value(p), P2.value(p)
-        ortho.append(max(frob(p1.T @ m @ p2) / (1.0 + frob(m))
-                         for m in (g.value(p), gbar.value(p))))
-        # factor characteristic polynomial on range(P1), spanned by the
-        # leading r left singular vectors of P1
-        q = np.linalg.svd(p1)[0][:, :fact.r]
-        lr = q.T @ L.value(p) @ q
-        chi1, _ = fact.chi_at(p)
-        charpoly_dev.append(
-            float(np.max(np.abs(np.array(char_poly(lr).coeffs) - chi1.coeffs)))
-        )
+        # its jacobian, and every later read at the rows hits the batch it
+        # keeps
+        nabla_h = [frob(t) for t in covariant_derivative_op(sr.h, P1, rows)]
+        nabla_hbar = [frob(t) for t in covariant_derivative_op(sr.hbar, P1, rows)]
+        ortho, charpoly_dev = [], []
+        for p, p1, p2, gv, gbv, lv in zip(rows, P1.value(rows), P2.value(rows),
+                                          g.value(rows), gbar.value(rows), L.value(rows)):
+            ortho.append(max(frob(p1.T @ m @ p2) / (1.0 + frob(m)) for m in (gv, gbv)))
+            # factor characteristic polynomial on range(P1), spanned by the
+            # leading r left singular vectors of P1
+            q = np.linalg.svd(p1)[0][:, :fact.r]
+            lr = q.T @ lv @ q
+            chi1, _ = fact.chi_at(p)
+            charpoly_dev.append(
+                float(np.max(np.abs(np.array(char_poly(lr).coeffs) - chi1.coeffs)))
+            )
+        return gaps, nabla_h, nabla_hbar, ortho, charpoly_dev
+
+    gaps, nabla_h, nabla_hbar, ortho, charpoly_dev = [], [], [], [], []
+    for start in range(0, len(pts), CHECK_BATCH):
+        for out, got in zip((gaps, nabla_h, nabla_hbar, ortho, charpoly_dev),
+                            in_point_order(batch_checks, pts[start:start + CHECK_BATCH])):
+            out += got
 
     checks = {
         "orthogonality": _stats(ortho, tols["orthogonality"]),

@@ -4,12 +4,16 @@ An admissible factorization splits the characteristic polynomial of an
 operator field into k >= 2 pairwise coprime monic factors whose root
 groups stay separated and conjugation-closed over the whole chart.
 Groups are fixed at the base point and continued to other points by
-greedy nearest-value matching of eigenvalues along a straight sample
-path, which starts at the nearest point the factorization has already
-tracked (the base point at first).  The last step lands on the point
-itself and each group's values are put in canonical order before its
-factor is multiplied out, so a factor depends only on the operator value
-there and the labels, not on the path or on which points came first.
+greedy nearest-value matching of eigenvalues along straight sample
+paths.  The points of one batch are tracked together: each starts at the
+nearest point tracked before the batch (the base point at first), and
+all their paths advance in lockstep, with one batch of operator values
+and one stacked eigenvalue call per step.  The last step lands on the
+point itself and each group's values are put in canonical order before
+its factor is multiplied out, so a factor depends only on the operator
+value there and the labels, not on the path or on which points came
+first.  An error a path meets belongs to its point and is raised when
+that point's groups are read.
 
 The factor values come from the tracked eigenvalues; their derivatives
 come from the derivative of char(L) through one linear solve with the
@@ -20,7 +24,6 @@ and the cofactors' from the product rule (``cofactors``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -53,94 +56,38 @@ def _paired_eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def _greedy_match(prev: np.ndarray, cur: np.ndarray):
-    """Greedy globally-minimal matching: pairs are taken in increasing
-    distance (the first in row-major order on ties) while their row and
-    column are both free.  Returns perm with cur[perm[i]] tracking prev[i],
-    and the largest matched distance."""
-    n = len(prev)
-    dist = np.abs(prev[:, None] - cur[None, :])
-    perm = np.full(n, -1)
-    used = np.zeros(n, dtype=bool)
-    max_d = 0.0
-    for flat in np.argsort(dist, axis=None, kind="stable").tolist():
-        i, j = divmod(flat, n)
-        if perm[i] < 0 and not used[j]:
-            perm[i], used[j] = j, True
-            max_d = max(max_d, dist[i, j])
-    return perm, max_d
+    """Greedy globally-minimal matching of each row of the (m, n) batches
+    ``prev`` and ``cur``: pairs are taken in increasing distance (the
+    first in row-major order on ties) while their row and column are both
+    free, one pair per round for every row.  Returns perm (m, n) with
+    cur[r, perm[r, i]] tracking prev[r, i], and each row's largest
+    matched distance (m,)."""
+    m, n = prev.shape
+    dist = np.abs(prev[:, :, None] - cur[:, None, :])
+    free = dist.copy()
+    perm = np.empty((m, n), dtype=int)
+    moved = np.zeros(m)
+    at = np.arange(m)
+    for _ in range(n):
+        i, j = np.divmod(free.reshape(m, n * n).argmin(axis=1), n)
+        perm[at, i] = j
+        moved = np.maximum(moved, dist[at, i, j])
+        free[at, i, :] = np.inf
+        free[at, :, j] = np.inf
+    return perm, moved
 
 
-def track_eigenvalue_groups(
-    L: OperatorField,
-    values: np.ndarray,
-    labels: np.ndarray,
-    p,
-    eps_gap: float,
-    start=None,
-):
-    """Continue the group labels of the eigenvalues ``values`` at ``start``
-    (default: the chart base point) to the point p.
-
-    Walks a straight path from ``start``, matching eigenvalues step to
-    step; the last step is p itself.  Each try evaluates L along its path
-    as one batch; if that raises, the walk evaluates L step by step, so
-    the error that propagates is the first one the walk meets (a failed
-    check of an earlier step included).  The first try takes
-    ``max(1, ceil(PATH_STEPS * |p - start| / |p - p0|))`` steps, so no
-    step is longer than those of the base-point path to p, and the step
-    count doubles (up to ``MAX_PATH_STEPS``) whenever eigenvalues move
-    more than a quarter of the admissibility gap within one step.
-    Returns ``(values, labels, trusted)`` at p in matched order;
-    ``trusted`` is False when a step still moved that far at the largest
-    step count, where two groups may have met between steps.
-    """
-    chart = L.chart
-    p = np.asarray(p, dtype=float)
-    p0 = np.asarray(chart.base_point)
-    start = p0 if start is None else np.asarray(start, dtype=float)
-    if np.array_equal(p, start):
-        return values.copy(), labels.copy(), True
-
-    hop, reach = float(np.linalg.norm(p - start)), float(np.linalg.norm(p - p0))
-    steps = PATH_STEPS if hop >= reach else max(1, math.ceil(PATH_STEPS * hop / reach))
-    start_values, start_labels = values, labels
-    while True:
-        qs = [start + (k / steps) * (p - start) for k in range(1, steps)] + [p]
-        try:
-            lvs = L.value(np.array(qs))
-        except Exception:
-            lvs = map(L.value, qs)
-        prev = start_values.copy()
-        labels = start_labels.copy()
-        ok = trusted = True
-        for q, lv in zip(qs, lvs):
-            cur = _paired_eigvals(lv)
-            perm, moved = _greedy_match(prev, cur)
-            prev = cur[perm]
-            gap = _check_step(prev, labels, q, eps_gap)
-            # matching is trustworthy only while per-step motion stays
-            # well below the actual group separation
-            if moved > 0.25 * gap:
-                if steps < MAX_PATH_STEPS:
-                    ok = False
-                    break
-                trusted = False
-        if ok:
-            return prev, labels, trusted
-        steps *= 2
+def _gaps(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Smallest distance between two values of different groups, for each
+    row of the (m, n) batches of values and their group labels."""
+    dist = np.abs(values[:, :, None] - values[:, None, :])
+    return np.where(labels[:, :, None] != labels[:, None, :], dist, np.inf).min(axis=(1, 2))
 
 
-def _min_gap(groups) -> float:
-    """Smallest distance between two values of different groups."""
-    return min(float(np.min(np.abs(a[:, None] - b[None, :])))
-               for a, b in itertools.combinations(groups, 2))
-
-
-def _check_step(values, labels, q, eps_gap):
+def _check_groups(values, labels, q, gap, eps_gap):
     """Validate the groups at one point (a tracking step, or the base
-    point); returns the min cross-group gap."""
-    groups = [values[labels == c] for c in sorted(set(labels))]
-    gap = _min_gap(groups)
+    point), given their min cross-group ``gap``: it must reach
+    ``eps_gap``, and no group may hold a value without its conjugate."""
     if gap < eps_gap:
         raise AdmissibilityViolation(
             f"group gap {gap:.3e} below {eps_gap:.3e} at {q}",
@@ -148,14 +95,136 @@ def _check_step(values, labels, q, eps_gap):
             witness=gap,
         )
     if not np.any(values.imag):
-        return gap
-    for grp in groups:
-        z = unpaired_conjugate(grp, 1e-9, real_tol=1e-12)
+        return
+    for c in sorted(set(labels.tolist())):
+        z = unpaired_conjugate(values[labels == c], 1e-9, real_tol=1e-12)
         if z is not None:
             raise ConjugationViolation(
                 f"conjugate of {z} left its group near {q}", point=q
             )
-    return gap
+
+
+class _Walk:
+    """One point's straight path from its start: the step count, the step
+    reached and its point ``q``, and the values matched so far with their
+    labels.  ``outcome`` is None while the walk goes on, then ``(values,
+    labels, trusted)`` at the point, or the error the walk met."""
+
+    def __init__(self, p, start, base, p0):
+        self.p, self.p0, self.base = p, p0, base
+        self.on_base = start is None
+        self.outcome = None
+        self.begin(*((p0,) + base if start is None else start))
+
+    def begin(self, start, values, labels):
+        """A fresh path from ``start``, whose (values, labels) are given."""
+        self.start, self.start_values, self.start_labels = start, values, labels
+        if np.array_equal(self.p, start):
+            self.outcome = (values.copy(), labels.copy(), True)
+            return
+        hop = float(np.linalg.norm(self.p - start))
+        reach = float(np.linalg.norm(self.p - self.p0))
+        self.retry(PATH_STEPS if hop >= reach
+                   else max(1, math.ceil(PATH_STEPS * hop / reach)))
+
+    def retry(self, steps):
+        self.steps, self.k, self.trusted = steps, 1, True
+        self.prev, self.labels = self.start_values, self.start_labels.copy()
+
+    def step_point(self):
+        self.q = (self.p if self.k == self.steps
+                  else self.start + (self.k / self.steps) * (self.p - self.start))
+        return self.q
+
+    def advance(self, matched, real, moved, gap):
+        """Take the values matched at step k; then retry with twice the
+        steps, or go on, or finish (on the base-point path instead, when
+        an untrusted path did not start there)."""
+        self.prev = matched
+        # matching is trustworthy only while per-step motion stays well
+        # below the actual group separation
+        if moved > 0.25 * gap:
+            if self.steps < MAX_PATH_STEPS:
+                self.retry(2 * self.steps)
+                return
+            self.trusted = False
+        if self.k < self.steps:
+            self.k += 1
+        elif not self.trusted and not self.on_base:
+            # the short path may have passed where groups meet: take the
+            # base-point path, as if no point had come before
+            self.on_base = True
+            self.begin(self.p0, *self.base)
+        else:
+            self.outcome = (matched.real if real else matched, self.labels, self.trusted)
+
+
+def _stacked(fn, walks, items):
+    """``fn`` of the stacked ``items``, one per walk.  If that raises,
+    ``fn`` runs on one item at a time, and a walk whose item raises ends
+    with that error.  Returns the walks whose items gave a value, and the
+    values stacked."""
+    try:
+        return walks, fn(np.asarray(items))
+    except Exception:
+        kept, outs = [], []
+        for walk, item in zip(walks, items):
+            try:
+                outs.append(fn(item[None])[0])
+            except Exception as exc:
+                walk.outcome = exc
+            else:
+                kept.append(walk)
+        return kept, np.array(outs)
+
+
+def track_eigenvalue_groups(L: OperatorField, rows, starts, base, eps_gap: float):
+    """Continue group labels from a start to each row of the (m, n) batch
+    ``rows``, all paths in lockstep.
+
+    ``starts`` holds one ``(point, values, labels)`` per row, or None for
+    the base point, whose ``(values, labels)`` are ``base``.  Each row
+    walks a straight path from its start, matching eigenvalues step to
+    step; the last step is the row itself.  A step evaluates L once for
+    every row still walking and takes their eigenvalues in one stacked
+    call; if that raises, the step runs one row at a time, so each row
+    meets its own error at its own step.  A path's first try takes
+    ``max(1, ceil(PATH_STEPS * |p - start| / |p - p0|))`` steps, so no
+    step is longer than those of the base-point path to p, and its step
+    count doubles (up to ``MAX_PATH_STEPS``) whenever eigenvalues move
+    more than a quarter of the admissibility gap within one step.  A path
+    that still moves that far at the largest step count is not trusted,
+    since two groups may have met between steps; a row that did not start
+    at the base point then walks the base-point path instead.
+
+    Returns one entry per row: ``(values, labels, trusted)`` at the row in
+    matched order, real where the row's spectrum is real (as ``eigvals``
+    gives a single matrix's), or the first error its walk met (a failed
+    check of a step, or an error of L or ``eigvals`` there).
+    """
+    p0 = np.asarray(L.chart.base_point)
+    walks = [_Walk(p, start, base, p0) for p, start in zip(rows, starts)]
+    active = [w for w in walks if w.outcome is None]
+    while active:
+        going, eigs = _stacked(lambda qs: np.linalg.eigvals(L.value(qs)), active,
+                               [w.step_point() for w in active])
+        if going:
+            cur = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real), axis=-1), -1)
+            perm, moved = _greedy_match(np.array([w.prev for w in going]), cur)
+            matched = np.take_along_axis(cur, perm, -1)
+            labels = np.array([w.labels for w in going])
+            real = (~np.any(cur.imag, axis=1)).tolist()
+            for w, vals, labs, is_real, mv, gap in zip(going, matched, labels, real,
+                                                       moved.tolist(),
+                                                       _gaps(matched, labels).tolist()):
+                try:
+                    _check_groups(vals, labs, w.q, gap, eps_gap)
+                except (AdmissibilityViolation, ConjugationViolation) as exc:
+                    w.outcome = exc
+                else:
+                    w.advance(vals, is_real, mv, gap)
+        active = [w for w in active if w.outcome is None]
+    return [w.outcome for w in walks]
 
 
 class FactorizationResult:
@@ -164,11 +233,14 @@ class FactorizationResult:
 
     ``groups_at``/``chi_at`` return one entry per group, in group order,
     at arbitrary chart points; the groups and their factors are built
-    once per point and cached.  A new point is tracked from the nearest
-    point whose own path was trusted (the base point at first), and from
-    the base point when that shorter path is not trusted, so labels pass
-    on only along paths where the groups never came near each other.
-    ``r`` is the degree of the first factor.
+    once per point and cached.  ``track_rows`` tracks the new points of a
+    batch together, each from the nearest point tracked on a trusted path
+    before the batch (the base point at first), and from the base point
+    when that shorter path is not trusted, so labels pass on only along
+    paths where the groups never came near each other; a single point is
+    a batch of 1.  An error met on a point's path is cached with the
+    point and raised whenever its groups or factors are read.  ``r`` is
+    the degree of the first factor.
     """
 
     def __init__(self, L: OperatorField, base_values, base_labels, eps_gap: float):
@@ -187,43 +259,70 @@ class FactorizationResult:
     def r(self) -> int:
         return int(np.sum(self.base_labels == 0))
 
+    def track_rows(self, rows):
+        """Track the groups at every point of the (m, n) batch ``rows`` that
+        has none cached yet, all in one ``track_eigenvalue_groups`` call;
+        reading them later costs a lookup."""
+        new = {}
+        for p in np.asarray(rows, dtype=float):
+            key = p.tobytes()
+            if key not in self._cache:
+                new.setdefault(key, p.copy())
+        if not new:
+            return
+        known = np.array(self._points)
+        starts = []
+        for p in new.values():
+            near = int(np.argmin(np.linalg.norm(known - p, axis=1)))
+            starts.append((self._points[near],) + self._states[near] if near else None)
+        outcomes = track_eigenvalue_groups(self.lfield, list(new.values()), starts,
+                                           self._states[0], self.eps_gap)
+        for (key, p), outcome in zip(new.items(), outcomes):
+            if not isinstance(outcome, Exception):
+                try:
+                    outcome = self._entry(p, *outcome)
+                except ConjugationViolation as exc:
+                    outcome = exc
+            self._cache[key] = outcome
+
+    def _entry(self, p, values, labels, trusted):
+        """Cache entry at p from its tracked values: the groups and their
+        factors; a factor with non-real coefficients raises
+        ``ConjugationViolation``."""
+        order = np.lexsort((values.imag, values.real))
+        values, labels = values[order], labels[order]
+        if trusted:
+            self._points.append(p)
+            self._states.append((values, labels))
+        groups = tuple(values[labels == c] for c in range(labels.max() + 1))
+        try:
+            return groups, tuple(MonicPoly.from_roots(grp) for grp in groups)
+        except NotConjugationClosed as exc:
+            raise ConjugationViolation(
+                f"factor coefficients not real at {p}: {exc}", point=p
+            ) from exc
+
+    def _read(self, p):
+        p = np.asarray(p, dtype=float)
+        self.track_rows(p[None])
+        entry = self._cache[p.tobytes()]
+        if isinstance(entry, Exception):
+            raise entry.with_traceback(None)
+        return entry
+
     def groups_at(self, p):
         """Eigenvalues of each group at p, in canonical order."""
-        p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        if key not in self._cache:
-            near = int(np.argmin(np.linalg.norm(np.array(self._points) - p, axis=1)))
-            values, labels, trusted = track_eigenvalue_groups(
-                self.lfield, *self._states[near], p, self.eps_gap,
-                start=self._points[near])
-            if not trusted and near:
-                # the short path may have passed where groups meet: take
-                # the base-point path, as if no point had come before
-                values, labels, trusted = track_eigenvalue_groups(
-                    self.lfield, self.base_values, self.base_labels, p, self.eps_gap)
-            order = np.lexsort((values.imag, values.real))
-            values, labels = values[order], labels[order]
-            if trusted:
-                self._points.append(p)
-                self._states.append((values, labels))
-            groups = tuple(values[labels == c] for c in range(labels.max() + 1))
-            try:
-                chis = tuple(MonicPoly.from_roots(grp) for grp in groups)
-            except NotConjugationClosed as exc:
-                raise ConjugationViolation(
-                    f"factor coefficients not real at {p}: {exc}", point=p
-                ) from exc
-            self._cache[key] = groups, chis
-        return self._cache[key][0]
+        return self._read(p)[0]
 
     def chi_at(self, p):
         """Monic factor chi_i of each group at p."""
-        self.groups_at(p)
-        return self._cache[np.asarray(p, dtype=float).tobytes()][1]
+        return self._read(p)[1]
 
     def gap_at(self, p) -> float:
         """Smallest distance between eigenvalues of different groups at p."""
-        return _min_gap(self.groups_at(p))
+        groups = self.groups_at(p)
+        labels = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])
+        return float(_gaps(np.concatenate(groups)[None], labels[None])[0])
 
 
 def _shifted(poly: MonicPoly, count: int, width: int) -> np.ndarray:
@@ -331,7 +430,7 @@ def admissible_factorization(L: OperatorField, grouping) -> FactorizationResult:
     for c, part in enumerate(parts):
         labels[list(part)] = c
 
-    _check_step(values, labels, p0, eps_gap)
+    _check_groups(values, labels, p0, float(_gaps(values[None], labels[None])[0]), eps_gap)
     return FactorizationResult(L, values, labels, eps_gap)
 
 
@@ -370,6 +469,7 @@ def projectors(L: OperatorField, fact: FactorizationResult):
             lvs, dls = L.value_and_derivative(rows)
         else:
             lvs, dls = L.value(rows), np.zeros((len(rows), 0, n, n))
+        fact.track_rows(rows)
         for i, (q, lv, dl) in enumerate(zip(rows, lvs, dls)):
             vals[i], derivs[i] = spectral_pieces(fact, q, lv, dl)[3]
         return (vals, derivs) if derivative else vals

@@ -33,7 +33,8 @@ from ..errors import (
     ZeroChiAtZero,
 )
 from ..fields import (PROBE_SEED, Chart, MetricField, OperatorField, as_batch,
-                      nondegenerate, probe_points, restrict, stacked_fields)
+                      in_point_order, nondegenerate, probe_points, restrict,
+                      stacked_fields)
 from ..smallmat import MonicPoly, char_poly, cluster_indices as _base_clusters, frob
 from .core import compatibility_residual, l_tensor_field
 from .factorization import (
@@ -90,7 +91,10 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
     the factor derivatives, ``eval_matrix``, d(S^-1) = -S^-1 dS S^-1 and
     the quotient rule for the 1/W_i(0) factors.  Its values have the same
     bits with or without the jacobian, and its checks run in the same
-    order: h's symmetry, every chi_j(0), then hbar's symmetry."""
+    order: h's symmetry, every chi_j(0), then hbar's symmetry.  The
+    closure tracks the groups of its whole batch before its per-row loop,
+    and h and hbar are probed for degeneracy on one batch of probe points,
+    whose errors come out in point order."""
     chart = g.chart
     L = fact.lfield
     n, k = chart.dim, int(fact.base_labels.max()) + 1
@@ -99,6 +103,7 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
         fs = [_along_product(f, rows, 0, n, derivative) for f in (L, g, gbar)]
         vals = np.zeros((len(rows), 2 + k, n, n))
         derivs = np.zeros((len(rows), n if derivative else 0, 2 + k, n, n))
+        fact.track_rows(rows)
         for i, q in enumerate(rows):
             (lv, dl), (gv, dg), (gbv, dgb) = ((v[i], d[i]) for v, d in fs)
             (ws, dws), (a, da), sinv, projs = spectral_pieces(fact, q, lv, dl)
@@ -117,12 +122,15 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
     h, hbar, *projs = stacked_fields((MetricField,) * 2 + (OperatorField,) * k,
                                      chart, jac=stack)
 
-    for p in probe_points(chart, 30):
-        for name, m in (("h", h.value(p)), ("hbar", hbar.value(p))):
-            if not nondegenerate(m):
-                raise DegenerateMetric(
-                    f"split metric {name} degenerate at {p}", point=p
-                )
+    def probe(rows):
+        for p, hv, hbv in zip(rows, h.value(rows), hbar.value(rows)):
+            for name, m in (("h", hv), ("hbar", hbv)):
+                if not nondegenerate(m):
+                    raise DegenerateMetric(
+                        f"split metric {name} degenerate at {p}", point=p
+                    )
+
+    in_point_order(probe, probe_points(chart, 30))
     return SplitResult(h, hbar, tuple(projs), fact)
 
 
@@ -467,6 +475,7 @@ def _factor_pair(g, gbar, L, fact, ci, idx, leaf):
             fs = [(v, d[:, idx]) for v, d in fs]
         vals = np.zeros((len(rows), 2, len(idx), len(idx)))
         derivs = np.zeros((len(rows), len(idx) if derivative else 0) + vals.shape[1:])
+        fact.track_rows(qs)
         for i, (x, q) in enumerate(zip(rows, qs)):
             (lv, dl), (gv, dg), (gbv, dgb) = ((v[i], d[i]) for v, d in fs)
             ws, dws = cofactors(*factors_and_derivatives(fact, q, lv, dl))
@@ -485,8 +494,9 @@ def _factor_pair(g, gbar, L, fact, ci, idx, leaf):
 
 def _factor_residual(factor: DecompositionFactor, points: int) -> float:
     lf = l_tensor_field(factor.h, factor.hbar)
+    res = in_point_order(lambda rows: compatibility_residual(factor.h, lf, rows)[0],
+                         probe_points(factor.chart, points))
     worst = 0.0
-    for p in probe_points(factor.chart, points):
-        res, _ = compatibility_residual(factor.h, lf, p)
-        worst = max(worst, res)
+    for r in res.tolist():
+        worst = max(worst, r)
     return worst

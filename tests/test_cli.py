@@ -191,10 +191,39 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     for module in (factorization, splitglue):
         monkeypatch.setattr(module, "factors_and_derivatives",
                             lambda *args: runs.append(1) or real_factors(*args))
+    # and the split closure runs once for the probe scan and once, with
+    # its jacobian, per chunk of CHECK_BATCH sample points
+    closure_calls = []
+    make_fields = splitglue.stacked_fields
+
+    def counted_fields(classes, chart, jac):
+        return make_fields(classes, chart, lambda rows, derivative: closure_calls.append(
+            (len(rows), derivative)) or jac(rows, derivative))
+
+    monkeypatch.setattr(splitglue, "stacked_fields", counted_fields)
     code, report = _run(capsys, ["split", REPO_LC3, "--groups", "0|1,2",
                                  "--points", "6"])
     assert code == 0 and report["pass"] is True
     assert len(runs) == 31 + 6
+    assert closure_calls == [(31, False), (6, True)]
+    closure_calls.clear()
+    monkeypatch.setattr(cli, "CHECK_BATCH", 4)
+    code, chunked = _run(capsys, ["split", REPO_LC3, "--groups", "0|1,2",
+                                  "--points", "6"])
+    assert code == 0 and chunked == report
+    assert closure_calls == [(31, False), (4, True), (2, True)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: check samples points "
+                   "and never meets the line x0 = 0 where g degenerates")
+@pytest.mark.parametrize("seed", ["42", "3"])
+def test_check_fails_a_metric_that_degenerates_inside_the_box(tmp_path, capsys, seed):
+    # g = gbar = diag(x0, 1) is degenerate on x0 = 0, inside the box
+    scene = _write(tmp_path, "degenerate.json", {
+        "dim": 2, "box": [[-1, 1], [-1, 1]], "base_point": [0.5, 0.0],
+        "g": [["x0", "0"], [None, "1"]], "gbar": [["x0", "0"], [None, "1"]]})
+    code, _ = _run(capsys, ["check", scene, "--points", "50", "--seed", seed])
+    assert code != 0
 
 
 def test_check_raises_the_first_error_of_a_per_point_loop(tmp_path, capsys):

@@ -167,21 +167,39 @@ def _greedy_reference(prev, cur):
     return perm, max_d
 
 
+def _greedy_case(rng, n, ties):
+    if ties:
+        # small integers: many tied distances
+        prev = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
+        cur = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
+    else:
+        prev = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cur = prev + 0.1 * rng.normal(size=n)
+    return prev, cur
+
+
 def test_greedy_match_matches_brute_force_with_ties():
+    # the batched matcher, on batches of 1
     rng = np.random.default_rng(3)
     for trial in range(400):
-        n = 1 + trial % 8
-        if trial % 2:
-            # small integers: many tied distances
-            prev = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
-            cur = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n)
-        else:
-            prev = rng.normal(size=n) + 1j * rng.normal(size=n)
-            cur = prev + 0.1 * rng.normal(size=n)
-        perm, max_d = _greedy_match(prev, cur)
+        prev, cur = _greedy_case(rng, 1 + trial % 8, trial % 2)
+        perm, max_d = _greedy_match(prev[None], cur[None])
         want_perm, want_d = _greedy_reference(prev, cur)
-        assert perm.tolist() == want_perm
-        assert max_d == want_d
+        assert perm[0].tolist() == want_perm
+        assert max_d[0] == want_d
+
+
+def test_greedy_match_rows_match_like_their_batches_of_one():
+    # each row of a batch, ties and near-identities mixed, matches as it
+    # does alone
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        prevs, curs = zip(*(_greedy_case(rng, n, trial % 2) for trial in range(24)))
+        perm, max_d = _greedy_match(np.array(prevs), np.array(curs))
+        for r, (prev, cur) in enumerate(zip(prevs, curs)):
+            alone_perm, alone_d = _greedy_match(prev[None], cur[None])
+            assert perm[r].tolist() == alone_perm[0].tolist()
+            assert max_d[r] == alone_d[0]
 
 
 def _three_group_operator():
@@ -351,6 +369,81 @@ def test_factors_do_not_depend_on_the_tracking_order(case):
             assert (np.sort_complex(np.concatenate(groups)).tobytes()
                     == np.sort_complex(w).tobytes())
     assert bits[0] == bits[1] == bits[2]
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_a_batch_tracks_with_the_bits_of_one_point_at_a_time(case):
+    # a batch starts every row at the base point, one point at a time
+    # starts each at the nearest point before it; groups and factors must
+    # not tell the two apart, dtype included
+    make, grouping = ORDER_CASES[case]
+    L = make()
+    pts = sample_points(L.chart, 12, seed=26)
+    batch, alone = (admissible_factorization(L, grouping) for _ in range(2))
+    batch.track_rows(pts)
+    for p in pts:
+        alone.groups_at(p)
+    for p in pts:
+        for got, want in zip(batch.groups_at(p), alone.groups_at(p)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ([np.array(chi.coeffs).tobytes() for chi in batch.chi_at(p)]
+                == [np.array(chi.coeffs).tobytes() for chi in alone.chi_at(p)])
+
+
+def _collision_operator():
+    # the groups 1 + x0 and 1 - x0 meet on x0 = 0
+    return OperatorField.from_exprs(
+        Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (-0.9, 0.0)),
+        [["1 + x0", "0"], ["0", "1 - x0"]],
+    )
+
+
+def test_a_batch_keeps_each_error_with_its_row():
+    # the path to (0.9, 0) crosses the collision; the rows around it are
+    # served, and its error is raised only when that row is read
+    L2 = _collision_operator()
+    good = [(-0.5, 0.0), (-0.2, 0.3), (-0.7, -0.4)]
+    fact = admissible_factorization(L2, ((0,), (1,)))
+    fact.track_rows(np.array(good[:2] + [(0.9, 0.0)] + good[2:]))
+    alone = admissible_factorization(L2, ((0,), (1,)))
+    for p in good:
+        for got, want in zip(fact.groups_at(p), alone.groups_at(p)):
+            assert got.tobytes() == want.tobytes()
+    for read in (fact.groups_at, fact.chi_at, fact.gap_at):
+        with pytest.raises(AdmissibilityViolation) as info:
+            read((0.9, 0.0))
+        assert info.value.point[1] == 0.0 and -0.9 < info.value.point[0] < 0.9
+
+
+def test_a_domain_error_stays_with_its_row():
+    # L has no value past x0 = 1.5: the path to (2, 0) meets that at its
+    # step 7, where the step's L batch raises and runs row by row; the
+    # other rows walk on, and the error is the one tracking (2, 0) alone
+    # meets
+    chart = Chart(2, ((-0.5, 2.5), (-0.5, 0.5)), (0.0, 0.0))
+    L = OperatorField.from_exprs(chart, [["x0 + 3", "sqrt(1.5 - x0)"], ["0", "1"]])
+    good = [(1.0, 0.0), (0.5, 0.1)]
+    fact = admissible_factorization(L, ((0,), (1,)))
+    fact.track_rows(np.array([good[0], (2.0, 0.0), good[1]]))
+    alone = admissible_factorization(L, ((0,), (1,)))
+    for p in good:
+        for got, want in zip(fact.groups_at(p), alone.groups_at(p)):
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(DomainError) as info:
+        fact.groups_at((2.0, 0.0))
+    with pytest.raises(DomainError) as want:
+        admissible_factorization(L, ((0,), (1,))).groups_at((2.0, 0.0))
+    assert str(info.value) == str(want.value)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a path can step over "
+                   "the point where two groups cross and pass on swapped labels")
+def test_a_crossing_between_path_steps_is_detected():
+    # from the base point (-0.9, 0) the path to (0.5, 0) crosses x0 = 0,
+    # where 1 + x0 and 1 - x0 meet; today the labels come out swapped
+    fact = admissible_factorization(_collision_operator(), ((0,), (1,)))
+    with pytest.raises(AdmissibilityViolation):
+        fact.groups_at((0.5, 0.0))
 
 
 def test_gap_collapse_is_detected_in_every_tracking_order():

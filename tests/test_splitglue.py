@@ -29,6 +29,7 @@ from geoequiv.fields import (
     MetricField,
     OperatorField,
     christoffel,
+    probe_points,
     restrict,
     sample_points,
 )
@@ -539,6 +540,18 @@ def test_full_decompose_corpus_three_factors(corpus):
     assert sorted(len(f.coords) for f in factors) == [1, 1, 1]
     for f in factors:
         assert f.residual_max <= 1e-5
+
+
+@pytest.mark.parametrize("name", ["lc3_simple", "lc3_mixed", "lc4_block3"])
+def test_factor_residual_is_the_max_of_the_per_point_loop(name):
+    # the batched residual folds its rows as the per-point loop did, so
+    # residual_max keeps its bits
+    for f in full_decompose(*build_pair(name), residual_points=7):
+        lf = l_tensor_field(f.h, f.hbar)
+        worst = 0.0
+        for p in probe_points(f.chart, 7):
+            worst = max(worst, compatibility_residual(f.h, lf, p)[0])
+        assert f.residual_max == worst and type(f.residual_max) is type(worst)
 
 
 def test_full_decompose_not_adapted():
