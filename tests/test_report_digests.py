@@ -64,3 +64,15 @@ def test_split_export_digest(tmp_path, monkeypatch):
         monkeypatch)
     assert (hashlib.sha256(grid.read_bytes()).hexdigest()
             == "c391f1cd04686a567d3824503f71c3f252832f69869c910f3a344922ca48156d")
+
+
+def test_glue_export_digest(tmp_path, monkeypatch):
+    # the grid file of glue's --export: g and gbar over the product chart
+    grid = tmp_path / "grid.json"
+    test_report_digest(
+        ["glue", "scenes/factor-a.json", "scenes/factor-b.json", "--points", "4",
+         "--trajectories", "1", "--export", str(grid)],
+        "af5cb1cf1e431e9ea7365a9446d4d8a5cfc8f01aedfd11ac241366140e811332",
+        monkeypatch)
+    assert (hashlib.sha256(grid.read_bytes()).hexdigest()
+            == "29d6e94fad8d00b59dd32739e7489caaf5e17c177063fc4a810c93c3b87b4180")
