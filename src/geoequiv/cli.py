@@ -195,8 +195,9 @@ def _spectrum_entry_list(spec):
     return [[z.real, z.imag, m] for z, m in spec.entries]
 
 
-# sample points per batch of the pair checks: bounds the memory one batch
-# takes (a few arrays of m * n^3 floats) whatever --points is
+# points per batch of the pair checks and of --export's lattice: bounds the
+# memory one batch takes (a few arrays of m * n^3 floats) whatever --points
+# or --grid is
 CHECK_BATCH = 128
 
 
@@ -306,15 +307,17 @@ def _grid_nodes(chart, k):
 
 def _export_grid(path, chart, k, fields):
     nodes = _grid_nodes(chart, k)
+    values = {name: [] for name in fields}
+    for start in range(0, len(nodes), CHECK_BATCH):
+        rows = nodes[start:start + CHECK_BATCH]
+        for name, fld in fields.items():
+            values[name] += in_point_order(fld.value, rows).reshape(len(rows), -1).tolist()
     payload = {
         "grid": k,
         "dim": chart.dim,
         "box": [list(iv) for iv in chart.box],
         "order": "row-major over coordinates, then row-major matrix entries",
-        "fields": {
-            name: [[float(v) for v in fld.value(p).reshape(-1)] for p in nodes]
-            for name, fld in fields.items()
-        },
+        "fields": values,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

@@ -214,8 +214,12 @@ def levi_civita_pair(spec: LeviCivitaSpec):
     chart = Chart(n, tuple(box), tuple(base))
     m = len(lam_exprs)
 
-    def lam_values(p):
-        return np.array([exprdsl.eval_dual(e, p).value for e in lam_exprs])
+    def values(exprs):
+        """``exprs``' values at a point, from one compiled kernel."""
+        kernel = exprdsl.compile_dual(tuple(exprs), n)
+        return lambda p: np.array(kernel(p.tolist())[::n + 1])
+
+    lam_values = values(lam_exprs)
 
     pts = probe_points(chart, 40)
     lam_scale = 1.0 + max(np.max(np.abs(lam_values(p))) for p in pts)
@@ -250,7 +254,7 @@ def levi_civita_pair(spec: LeviCivitaSpec):
 
     base_arr = np.asarray(chart.base_point)
     lam0 = lam_values(base_arr)
-    rawp0 = np.array([exprdsl.eval_dual(e, base_arr).value for e in raw_p])
+    rawp0 = values(raw_p)(base_arr)
     s = [signs[i] * (1.0 if rawp0[i] > 0 else -1.0) for i in range(m)]
     # the rho weights inherit the P signs (the pair tensor of the result
     # is then the direct sum of the lambda_i blocks), up to one global
@@ -287,11 +291,12 @@ def levi_civita_pair(spec: LeviCivitaSpec):
     g = MetricField.from_exprs(chart, g_rows)
     gbar = MetricField.from_exprs(chart, gb_rows)
 
+    g_weight_values = values(g_weights)
     for p in pts:
         for name, fld in (("g", g), ("gbar", gbar)):
             if not nondegenerate(fld.value(p)):
                 raise DegenerateMetric(f"{name} degenerate at {p}", point=p)
-        gw = np.array([exprdsl.eval_dual(w, p).value for w in g_weights])
+        gw = g_weight_values(p)
         if np.any(np.sign(gw) != np.array(signs, dtype=float)):
             raise NonPositiveWeight(
                 f"a block weight changed sign inside the box near {p}", point=p

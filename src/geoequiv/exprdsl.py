@@ -12,12 +12,14 @@ scene files and the normal-form generator:
 with fn in {exp, log, sin, cos, sqrt} and coordinates x0 .. x{dim-1}.
 Evaluation returns the value together with its exact gradient.
 
-``eval_dual`` interprets a tree; ``compile_dual`` generates one flat
-Python function for an expression or for a tuple of them (all components
-of a field), computing each distinct subtree once.  On a point of Python
-floats, as ``fields`` passes it, both give the same bits and raise the
-same errors; an overflowing ``**`` raises ``OverflowError`` there, where
-numpy scalars would give inf.
+``compile_dual`` is the one evaluator: it generates one flat Python
+function for an expression or for a tuple of them (all components of a
+field), computing each distinct subtree once.  On a point of Python
+floats, as ``fields`` passes it, an overflowing ``**`` raises where numpy
+scalars would give inf.  Every error comes out as ``DomainError``: a
+singularity names its subtree, and an arithmetic error of the float
+operations (``OverflowError``, ``ValueError``) names the component that
+met it.
 
 ``diff`` gives the derivative of a tree along one coordinate as a tree,
 so ``compile_dual`` of it gives second derivatives exactly.
@@ -93,18 +95,6 @@ class Call:
 
 
 Expr = Union[Num, Coord, Add, Sub, Mul, Div, Neg, Pow, Call]
-
-
-@dataclass(frozen=True)
-class DualScalar:
-    """Value of an expression together with its coordinate gradient."""
-
-    value: float
-    gradient: np.ndarray
-
-    def __iter__(self):
-        yield self.value
-        yield self.gradient
 
 
 # ---------------------------------------------------------------------------
@@ -292,91 +282,19 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dual evaluation (reference interpreter)
-
-
-def _eval(e: Expr, p, n: int):
-    if isinstance(e, Num):
-        return e.value, [0.0] * n
-    if isinstance(e, Coord):
-        g = [0.0] * n
-        g[e.index] = 1.0
-        return float(p[e.index]), g
-    if isinstance(e, Add):
-        va, ga = _eval(e.lhs, p, n)
-        vb, gb = _eval(e.rhs, p, n)
-        return va + vb, [x + y for x, y in zip(ga, gb)]
-    if isinstance(e, Sub):
-        va, ga = _eval(e.lhs, p, n)
-        vb, gb = _eval(e.rhs, p, n)
-        return va - vb, [x - y for x, y in zip(ga, gb)]
-    if isinstance(e, Mul):
-        va, ga = _eval(e.lhs, p, n)
-        vb, gb = _eval(e.rhs, p, n)
-        return va * vb, [va * y + vb * x for x, y in zip(ga, gb)]
-    if isinstance(e, Div):
-        va, ga = _eval(e.lhs, p, n)
-        vb, gb = _eval(e.rhs, p, n)
-        if vb == 0.0:
-            raise DomainError("division by zero", expr=e)
-        inv = 1.0 / vb
-        return va * inv, [(x - va * inv * y) * inv for x, y in zip(ga, gb)]
-    if isinstance(e, Neg):
-        v, g = _eval(e.operand, p, n)
-        return -v, [-x for x in g]
-    if isinstance(e, Pow):
-        v, g = _eval(e.base, p, n)
-        k = e.exponent
-        if k == 0:
-            return 1.0, [0.0] * n
-        if v == 0.0 and k < 0:
-            raise DomainError("zero base with negative exponent", expr=e)
-        val = v ** k
-        dcoef = k * v ** (k - 1)
-        return val, [dcoef * x for x in g]
-    if isinstance(e, Call):
-        v, g = _eval(e.arg, p, n)
-        if e.fn == "exp":
-            val = math.exp(v)
-            d = val
-        elif e.fn == "log":
-            if v <= 0.0:
-                raise DomainError("log of a non-positive value", expr=e)
-            val = math.log(v)
-            d = 1.0 / v
-        elif e.fn == "sin":
-            val = math.sin(v)
-            d = math.cos(v)
-        elif e.fn == "cos":
-            val = math.cos(v)
-            d = -math.sin(v)
-        elif e.fn == "sqrt":
-            if v <= 0.0:
-                raise DomainError("sqrt of a non-positive value", expr=e)
-            val = math.sqrt(v)
-            d = 0.5 / val
-        else:  # pragma: no cover - parser rejects unknown functions
-            raise UnknownSymbol(f"unknown function {e.fn!r}")
-        return val, [d * x for x in g]
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def eval_dual(e: Expr, p) -> DualScalar:
-    """Evaluate with forward-mode duals: exact value and gradient at p."""
-    p = np.asarray(p, dtype=float)
-    v, g = _eval(e, p, len(p))
-    return DualScalar(v, np.array(g))
-
-
-# ---------------------------------------------------------------------------
-# compiled fast path
+# compiled evaluation
 #
 # Field evaluation sits inside geodesic integration loops, so all component
 # expressions of a field are compiled once into a single flat Python
 # function returning (value, g0, ..., g{n-1}) for each component in turn:
 # one call per field evaluation, with every distinct subtree computed once.
-# Semantics (including domain errors) match the interpreter above;
-# agreement is covered by tests.
+
+
+def _arithmetic_error(exc, e, p):
+    """Raise the ``DomainError`` naming component ``e`` of a kernel whose
+    arithmetic raised ``exc`` at the point ``p``."""
+    raise DomainError(f"{type(exc).__name__} ({exc}) evaluating {to_text(e)} "
+                      f"at {np.asarray(p, dtype=float)}", expr=e) from exc
 
 
 def compile_dual(e, dim: int):
@@ -385,11 +303,18 @@ def compile_dual(e, dim: int):
     ``e`` may also be a tuple of expressions; fn(p) then returns
     (value, *gradient) of each one in turn, flattened into one tuple, and
     raises the ``DomainError`` that evaluating them one by one, in order,
-    would raise first.  Equal subtrees are emitted once.  Subtrees count as
-    equal when their reprs are: each node is keyed on its operator and the
-    variables of its operands, and a number leaf on the repr of its value,
-    so ``Num(0.0)`` and ``Num(-0.0)`` (equal as dataclasses) never share
-    code.
+    would raise first.  Equal subtrees are emitted once, in the first
+    component that uses them.  Subtrees count as equal when their reprs
+    are: each node is keyed on its operator and the variables of its
+    operands, and a number leaf on the repr of its value, so ``Num(0.0)``
+    and ``Num(-0.0)`` (equal as dataclasses) never share code.
+
+    A singularity (division by zero, the log or sqrt of a non-positive
+    value, a zero base with a negative exponent) raises ``DomainError``
+    with the offending subtree as ``.expr``.  An arithmetic error of
+    Python's float operations (an overflowing ``**`` or ``exp``, ``sin``
+    of an infinity) raises ``DomainError`` naming the component whose code
+    met it, with the original exception as ``__cause__``.
     """
     exprs = e if isinstance(e, tuple) else (e,)
     lines = []
@@ -474,8 +399,13 @@ def compile_dual(e, dim: int):
         return v, g
 
     out = []
-    for expr in exprs:
+    for i, expr in enumerate(exprs):
+        start = len(lines)
         v, g = emit(expr)
+        if len(lines) > start:
+            lines[start:] = ["    try:", *("    " + line for line in lines[start:]),
+                             "    except (ArithmeticError, ValueError) as exc:",
+                             f"        _arithmetic_error(exc, _exprs[{i}], p)"]
         out.append(v)
         out.extend(g)
     src = ("def _compiled(p):\n" + "\n".join(lines)
@@ -487,7 +417,9 @@ def compile_dual(e, dim: int):
         "_cos": math.cos,
         "_sqrt": math.sqrt,
         "_DomainError": DomainError,
+        "_arithmetic_error": _arithmetic_error,
         "_sub": tuple(subexprs),
+        "_exprs": exprs,
     }
     label = to_text(exprs[0])[:40] if exprs else ""
     exec(compile(src, f"<expr:{label}>", "exec"), namespace)

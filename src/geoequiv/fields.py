@@ -29,19 +29,19 @@ of shape (n,) or a batch of points of shape (m, n); a batch puts a leading
 axis of length m on every output, and a single point is a batch of 1.  An
 expression-backed field still calls its scalar compiled kernel once per
 row (numpy's vectorized exp and ``**`` differ from the scalar ones in the
-last bit), on the row's Python floats: the kernel then runs the
-interpreter's arithmetic at about a third of the cost of numpy scalars,
-and an overflowing ``**`` raises as it does there.  A ``jac`` closure
-gets the whole batch as one (m, n) array and returns values (m, ...) and
-jacobians (m, n, ...).  Every backing keeps one batch, its last: its
-rows, values and derivatives (when they were asked for).  Values at those
-rows are read from it, and so are derivatives if it holds them; nothing
-is kept per point.  Stacked ``det``, ``inv``, ``solve``, ``@`` and the
-einsum contractions give each row the same bits as a batch of 1; norms,
-matrix-vector products and the trace contractions do not always, so
-those stay per row.  ``nondegenerate`` runs per row.  ``in_point_order``
-turns an error raised by a batch into the one a per-point loop meets
-first.
+last bit), on the row's Python floats: that costs about a third of numpy
+scalars, and an overflowing ``**`` raises instead of giving inf, so the
+kernel names the component that met it in a ``DomainError``.  A ``jac``
+closure gets the whole batch as one (m, n) array and returns values
+(m, ...) and jacobians (m, n, ...).  Every backing keeps one batch, its
+last: its rows, values and derivatives (when they were asked for).
+Values at those rows are read from it, and so are derivatives if it
+holds them; nothing is kept per point.  Stacked ``det``, ``inv``,
+``solve``, ``@`` and the einsum contractions give each row the same bits
+as a batch of 1; norms, matrix-vector products and the trace
+contractions do not always, so those stay per row.  ``nondegenerate``
+runs per row.  ``in_point_order`` turns an error raised by a batch into
+the one a per-point loop meets first.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl
-from .errors import DegenerateMetric, DimensionCap, DomainError
+from .errors import DegenerateMetric, DimensionCap
 from .smallmat import DIM_CAP
 
 DEG_TOL = 1e-10
@@ -247,7 +247,6 @@ class _Backing:
                     distinct.setdefault(key, e)
                     keys.append(key)
             self._kernel = _compiled(distinct, chart.dim)
-            self._components = tuple(distinct.values())
             slots = {key: i for i, key in enumerate(distinct)}
             width = chart.dim + 1
             self._width = len(distinct) * width  # kernel outputs per point
@@ -283,23 +282,10 @@ class _Backing:
         """The kernel's outputs, one line per row; the kernel runs once per
         row, in order, on the row's Python floats.  ``take(self._gather,
         1)`` gives per row: line 0, the component values; line 1 + k, their
-        derivatives along x_k.  An arithmetic error of the kernel (an
-        overflow, ``sin`` of an infinity) comes out as the ``DomainError``
-        of the first component that meets it."""
+        derivatives along x_k.  The first row whose kernel raises raises
+        its ``DomainError``."""
         outs = itertools.chain.from_iterable(map(self._kernel, rows.tolist()))
-        try:
-            return np.fromiter(outs, float, len(rows) * self._width).reshape(len(rows), -1)
-        except (ArithmeticError, ValueError):
-            # the interpreter meets the same error at the same component
-            for p in rows:
-                for e in self._components:
-                    try:
-                        exprdsl.eval_dual(e, p)
-                    except (ArithmeticError, ValueError) as exc:
-                        raise DomainError(
-                            f"{type(exc).__name__} ({exc}) evaluating "
-                            f"{exprdsl.to_text(e)} at {p}", expr=e) from exc
-            raise
+        return np.fromiter(outs, float, len(rows) * self._width).reshape(len(rows), -1)
 
     def value(self, p: np.ndarray) -> np.ndarray:
         rows, single = as_batch(p)

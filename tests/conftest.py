@@ -1,7 +1,11 @@
 """Shared corpus of compatible pairs and negative controls, the Hermite
 indicator the spectral projectors are tested against, closure-backed
-fixture fields, and the central-difference stencil that exact jacobians
-are compared with."""
+fixture fields, the central-difference stencil that exact jacobians are
+compared with, and the reference interpreter that compiled expression
+kernels are compared with."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from geoequiv.equiv import (
     SimpleEigenvalue,
     levi_civita_pair,
 )
-from geoequiv.exprdsl import Num
+from geoequiv.errors import DomainError, UnknownSymbol
+from geoequiv.exprdsl import Add, Call, Coord, Div, Mul, Neg, Num, Pow, Sub
 from geoequiv.fields import Chart, MetricField
 from geoequiv.smallmat import ScalarFunction
 
@@ -249,3 +254,89 @@ def corpus():
 @pytest.fixture(scope="session")
 def negatives():
     return negative_pairs()
+
+
+# ---------------------------------------------------------------------------
+# reference interpreter: a tree walk with forward-mode duals, which the
+# compiled kernels of ``exprdsl.compile_dual`` are tested against
+
+
+@dataclass(frozen=True)
+class DualScalar:
+    """Value of an expression together with its coordinate gradient."""
+
+    value: float
+    gradient: np.ndarray
+
+
+def _eval(e, p, n: int):
+    if isinstance(e, Num):
+        return e.value, [0.0] * n
+    if isinstance(e, Coord):
+        g = [0.0] * n
+        g[e.index] = 1.0
+        return float(p[e.index]), g
+    if isinstance(e, Add):
+        va, ga = _eval(e.lhs, p, n)
+        vb, gb = _eval(e.rhs, p, n)
+        return va + vb, [x + y for x, y in zip(ga, gb)]
+    if isinstance(e, Sub):
+        va, ga = _eval(e.lhs, p, n)
+        vb, gb = _eval(e.rhs, p, n)
+        return va - vb, [x - y for x, y in zip(ga, gb)]
+    if isinstance(e, Mul):
+        va, ga = _eval(e.lhs, p, n)
+        vb, gb = _eval(e.rhs, p, n)
+        return va * vb, [va * y + vb * x for x, y in zip(ga, gb)]
+    if isinstance(e, Div):
+        va, ga = _eval(e.lhs, p, n)
+        vb, gb = _eval(e.rhs, p, n)
+        if vb == 0.0:
+            raise DomainError("division by zero", expr=e)
+        inv = 1.0 / vb
+        return va * inv, [(x - va * inv * y) * inv for x, y in zip(ga, gb)]
+    if isinstance(e, Neg):
+        v, g = _eval(e.operand, p, n)
+        return -v, [-x for x in g]
+    if isinstance(e, Pow):
+        v, g = _eval(e.base, p, n)
+        k = e.exponent
+        if k == 0:
+            return 1.0, [0.0] * n
+        if v == 0.0 and k < 0:
+            raise DomainError("zero base with negative exponent", expr=e)
+        val = v ** k
+        dcoef = k * v ** (k - 1)
+        return val, [dcoef * x for x in g]
+    if isinstance(e, Call):
+        v, g = _eval(e.arg, p, n)
+        if e.fn == "exp":
+            val = math.exp(v)
+            d = val
+        elif e.fn == "log":
+            if v <= 0.0:
+                raise DomainError("log of a non-positive value", expr=e)
+            val = math.log(v)
+            d = 1.0 / v
+        elif e.fn == "sin":
+            val = math.sin(v)
+            d = math.cos(v)
+        elif e.fn == "cos":
+            val = math.cos(v)
+            d = -math.sin(v)
+        elif e.fn == "sqrt":
+            if v <= 0.0:
+                raise DomainError("sqrt of a non-positive value", expr=e)
+            val = math.sqrt(v)
+            d = 0.5 / val
+        else:  # pragma: no cover - parser rejects unknown functions
+            raise UnknownSymbol(f"unknown function {e.fn!r}")
+        return val, [d * x for x in g]
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def eval_dual(e, p) -> DualScalar:
+    """Evaluate with forward-mode duals: exact value and gradient at p."""
+    p = np.asarray(p, dtype=float)
+    v, g = _eval(e, p, len(p))
+    return DualScalar(v, np.array(g))
