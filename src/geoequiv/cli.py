@@ -149,8 +149,6 @@ def parse_function_spec(spec: str) -> ScalarFunction:
             coeffs = [float(c) for c in spec[5:].split(",")]
         except ValueError as exc:
             raise SceneError(f"bad polynomial coefficients: {exc}", "--f")
-        if not coeffs:
-            raise SceneError("polynomial needs coefficients", "--f")
         return ScalarFunction.polynomial(coeffs)
     if spec.startswith("recip:"):
         try:

@@ -25,6 +25,7 @@ from ..fields import (
     VectorField,
     as_batch,
     covariant_derivative_op,
+    in_point_order,
     lie_derivative_metric,
     nondegenerate,
     probe_points,
@@ -172,7 +173,8 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction):
     For f holomorphic near the spectrum of L and conjugation-symmetric,
     the transformed pair is geodesically equivalent whenever the input
     pair is.  Requires 0 outside ``f(spectrum L)`` everywhere on the
-    chart; checked eagerly on deterministic samples and lazily at every
+    chart; checked eagerly on one batch of deterministic probe points,
+    whose errors come out in point order, and lazily at every
     evaluation.  Applying the constant-one function returns the input
     fields unchanged.
 
@@ -221,8 +223,7 @@ def topalov_sinjukov(g: MetricField, gbar: MetricField, f: ScalarFunction):
         return symmetrized(gv @ fl[:, None]), symmetrized(dm)
 
     gf, gbf = stacked_fields((MetricField,) * 2, chart, jac=pair_jac)
-    for p in probe_points(chart, 20):
-        gf.value(p)
+    in_point_order(gf.value, probe_points(chart, 20))
     return gf, gbf
 
 

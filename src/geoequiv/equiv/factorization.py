@@ -4,16 +4,16 @@ An admissible factorization splits the characteristic polynomial of an
 operator field into k >= 2 pairwise coprime monic factors whose root
 groups stay separated and conjugation-closed over the whole chart.
 Groups are fixed at the base point and continued to other points by
-greedy nearest-value matching of eigenvalues along straight sample
-paths.  The points of one batch are tracked together: each starts at the
-nearest point tracked before the batch (the base point at first), and
-all their paths advance in lockstep, with one batch of operator values
-and one stacked eigenvalue call per step.  The last step lands on the
-point itself and each group's values are put in canonical order before
-its factor is multiplied out, so a factor depends only on the operator
-value there and the labels, not on the path or on which points came
-first.  An error a path meets belongs to its point and is raised when
-that point's groups are read.
+greedy nearest-value matching of eigenvalues along the straight path
+from the base point.  The points of one batch are tracked together: all
+their paths advance in lockstep, with one batch of operator values and
+one stacked eigenvalue call per step.  The last step lands on the point
+itself and each group's values are put in canonical order before its
+factor is multiplied out, so a factor depends only on the operator value
+there and the labels; and since every path leaves from the base point,
+the labels depend on the point alone, not on which points came before.
+An error a path meets belongs to its point and is raised when that
+point's groups are read.
 
 The factor values come from the tracked eigenvalues; their derivatives
 come from the derivative of char(L) through one linear solve with the
@@ -24,7 +24,6 @@ and the cofactors' from the product rule (``cofactors``).
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -105,58 +104,42 @@ def _check_groups(values, labels, q, gap, eps_gap):
 
 
 class _Walk:
-    """One point's straight path from its start: the step count, the step
-    reached and its point ``q``, and the values matched so far with their
-    labels.  ``outcome`` is None while the walk goes on, then ``(values,
-    labels, trusted)`` at the point, or the error the walk met."""
+    """One point's straight path from the base point ``p0``, whose values
+    and labels are ``base``: the step count, the step reached and its
+    point ``q``, and the values matched so far.  ``outcome`` is None while
+    the walk goes on, then ``(values, labels)`` at the point, or the error
+    the walk met."""
 
-    def __init__(self, p, start, base, p0):
-        self.p, self.p0, self.base = p, p0, base
-        self.on_base = start is None
+    def __init__(self, p, p0, base):
+        self.p, self.p0 = p, p0
+        self.base_values, self.labels = base
         self.outcome = None
-        self.begin(*((p0,) + base if start is None else start))
-
-    def begin(self, start, values, labels):
-        """A fresh path from ``start``, whose (values, labels) are given."""
-        self.start, self.start_values, self.start_labels = start, values, labels
-        if np.array_equal(self.p, start):
-            self.outcome = (values.copy(), labels.copy(), True)
-            return
-        hop = float(np.linalg.norm(self.p - start))
-        reach = float(np.linalg.norm(self.p - self.p0))
-        self.retry(PATH_STEPS if hop >= reach
-                   else max(1, math.ceil(PATH_STEPS * hop / reach)))
+        if np.array_equal(p, p0):
+            self.outcome = base
+        else:
+            self.retry(PATH_STEPS)
 
     def retry(self, steps):
-        self.steps, self.k, self.trusted = steps, 1, True
-        self.prev, self.labels = self.start_values, self.start_labels.copy()
+        self.steps, self.k, self.prev = steps, 1, self.base_values
 
     def step_point(self):
         self.q = (self.p if self.k == self.steps
-                  else self.start + (self.k / self.steps) * (self.p - self.start))
+                  else self.p0 + (self.k / self.steps) * (self.p - self.p0))
         return self.q
 
     def advance(self, matched, real, moved, gap):
         """Take the values matched at step k; then retry with twice the
-        steps, or go on, or finish (on the base-point path instead, when
-        an untrusted path did not start there)."""
+        steps, or go on, or finish."""
         self.prev = matched
         # matching is trustworthy only while per-step motion stays well
-        # below the actual group separation
-        if moved > 0.25 * gap:
-            if self.steps < MAX_PATH_STEPS:
-                self.retry(2 * self.steps)
-                return
-            self.trusted = False
-        if self.k < self.steps:
+        # below the actual group separation; past the largest step count
+        # the walk goes on regardless (ROADMAP item 2)
+        if moved > 0.25 * gap and self.steps < MAX_PATH_STEPS:
+            self.retry(2 * self.steps)
+        elif self.k < self.steps:
             self.k += 1
-        elif not self.trusted and not self.on_base:
-            # the short path may have passed where groups meet: take the
-            # base-point path, as if no point had come before
-            self.on_base = True
-            self.begin(self.p0, *self.base)
         else:
-            self.outcome = (matched.real if real else matched, self.labels, self.trusted)
+            self.outcome = (matched.real if real else matched, self.labels)
 
 
 def _stacked(fn, walks, items):
@@ -178,32 +161,27 @@ def _stacked(fn, walks, items):
         return kept, np.array(outs)
 
 
-def track_eigenvalue_groups(L: OperatorField, rows, starts, base, eps_gap: float):
-    """Continue group labels from a start to each row of the (m, n) batch
-    ``rows``, all paths in lockstep.
+def track_eigenvalue_groups(L: OperatorField, rows, base, eps_gap: float):
+    """Continue group labels from the base point to each row of the (m, n)
+    batch ``rows``, all paths in lockstep.
 
-    ``starts`` holds one ``(point, values, labels)`` per row, or None for
-    the base point, whose ``(values, labels)`` are ``base``.  Each row
-    walks a straight path from its start, matching eigenvalues step to
-    step; the last step is the row itself.  A step evaluates L once for
-    every row still walking and takes their eigenvalues in one stacked
-    call; if that raises, the step runs one row at a time, so each row
-    meets its own error at its own step.  A path's first try takes
-    ``max(1, ceil(PATH_STEPS * |p - start| / |p - p0|))`` steps, so no
-    step is longer than those of the base-point path to p, and its step
-    count doubles (up to ``MAX_PATH_STEPS``) whenever eigenvalues move
-    more than a quarter of the admissibility gap within one step.  A path
-    that still moves that far at the largest step count is not trusted,
-    since two groups may have met between steps; a row that did not start
-    at the base point then walks the base-point path instead.
+    ``base`` holds the ``(values, labels)`` at the base point p0.  Each row
+    walks the straight path from p0, matching eigenvalues step to step;
+    the last step is the row itself, so a row's groups depend on the row
+    alone.  A step evaluates L once for every row still walking and takes
+    their eigenvalues in one stacked call; if that raises, the step runs
+    one row at a time, so each row meets its own error at its own step.
+    A path's first try takes ``PATH_STEPS`` steps, and its step count
+    doubles (up to ``MAX_PATH_STEPS``) whenever eigenvalues move more than
+    a quarter of the admissibility gap within one step.
 
-    Returns one entry per row: ``(values, labels, trusted)`` at the row in
-    matched order, real where the row's spectrum is real (as ``eigvals``
-    gives a single matrix's), or the first error its walk met (a failed
-    check of a step, or an error of L or ``eigvals`` there).
+    Returns one entry per row: ``(values, labels)`` at the row in matched
+    order, real where the row's spectrum is real (as ``eigvals`` gives a
+    single matrix's), or the first error its walk met (a failed check of
+    a step, or an error of L or ``eigvals`` there).
     """
     p0 = np.asarray(L.chart.base_point)
-    walks = [_Walk(p, start, base, p0) for p, start in zip(rows, starts)]
+    walks = [_Walk(p, p0, base) for p in rows]
     active = [w for w in walks if w.outcome is None]
     while active:
         going, eigs = _stacked(lambda qs: np.linalg.eigvals(L.value(qs)), active,
@@ -232,15 +210,14 @@ class FactorizationResult:
     eigenvalue group.
 
     ``groups_at``/``chi_at`` return one entry per group, in group order,
-    at arbitrary chart points; the groups and their factors are built
-    once per point and cached.  ``track_rows`` tracks the new points of a
-    batch together, each from the nearest point tracked on a trusted path
-    before the batch (the base point at first), and from the base point
-    when that shorter path is not trusted, so labels pass on only along
-    paths where the groups never came near each other; a single point is
-    a batch of 1.  An error met on a point's path is cached with the
-    point and raised whenever its groups or factors are read.  ``r`` is
-    the degree of the first factor.
+    at arbitrary chart points; each point's groups come from the path
+    from the base point to it, so they depend on the point alone.
+    ``track_rows`` tracks a batch of points together and keeps their
+    groups and factors until the next batch, as a field backing keeps
+    its last batch; a read of a point outside it tracks that point as a
+    batch of 1.  An error met on a point's path is kept with the point
+    and raised whenever its groups or factors are read.  ``r`` is the
+    degree of the first factor.
     """
 
     def __init__(self, L: OperatorField, base_values, base_labels, eps_gap: float):
@@ -249,11 +226,7 @@ class FactorizationResult:
         self.base_values = np.asarray(base_values, dtype=complex)
         self.base_labels = np.asarray(base_labels, dtype=int)
         self.eps_gap = float(eps_gap)
-        self._cache: dict = {}
-        # points tracked on trusted paths, and their (values, labels):
-        # the starts of later paths
-        self._points = [np.asarray(self.chart.base_point)]
-        self._states = [(self.base_values, self.base_labels)]
+        self._cache: dict = {}  # the last batch: point bytes -> entry
 
     @property
     def r(self) -> int:
@@ -261,39 +234,32 @@ class FactorizationResult:
 
     def track_rows(self, rows):
         """Track the groups at every point of the (m, n) batch ``rows`` that
-        has none cached yet, all in one ``track_eigenvalue_groups`` call;
-        reading them later costs a lookup."""
-        new = {}
-        for p in np.asarray(rows, dtype=float):
-            key = p.tobytes()
-            if key not in self._cache:
-                new.setdefault(key, p.copy())
-        if not new:
-            return
-        known = np.array(self._points)
-        starts = []
-        for p in new.values():
-            near = int(np.argmin(np.linalg.norm(known - p, axis=1)))
-            starts.append((self._points[near],) + self._states[near] if near else None)
-        outcomes = track_eigenvalue_groups(self.lfield, list(new.values()), starts,
-                                           self._states[0], self.eps_gap)
-        for (key, p), outcome in zip(new.items(), outcomes):
-            if not isinstance(outcome, Exception):
-                try:
-                    outcome = self._entry(p, *outcome)
-                except ConjugationViolation as exc:
-                    outcome = exc
-            self._cache[key] = outcome
+        the last batch does not hold, all in one ``track_eigenvalue_groups``
+        call, and keep the batch in place of the last; reading its points
+        later costs a lookup."""
+        batch = {p.tobytes(): p for p in np.asarray(rows, dtype=float)}
+        kept = {key: self._cache[key] for key in batch if key in self._cache}
+        new = {key: p.copy() for key, p in batch.items() if key not in kept}
+        if new:
+            outcomes = track_eigenvalue_groups(self.lfield, list(new.values()),
+                                               (self.base_values, self.base_labels),
+                                               self.eps_gap)
+            for (key, p), outcome in zip(new.items(), outcomes):
+                if not isinstance(outcome, Exception):
+                    try:
+                        outcome = self._entry(p, *outcome)
+                    except ConjugationViolation as exc:
+                        outcome = exc
+                kept[key] = outcome
+        self._cache = kept
 
-    def _entry(self, p, values, labels, trusted):
+    @staticmethod
+    def _entry(p, values, labels):
         """Cache entry at p from its tracked values: the groups and their
         factors; a factor with non-real coefficients raises
         ``ConjugationViolation``."""
         order = np.lexsort((values.imag, values.real))
         values, labels = values[order], labels[order]
-        if trusted:
-            self._points.append(p)
-            self._states.append((values, labels))
         groups = tuple(values[labels == c] for c in range(labels.max() + 1))
         try:
             return groups, tuple(MonicPoly.from_roots(grp) for grp in groups)
@@ -304,8 +270,10 @@ class FactorizationResult:
 
     def _read(self, p):
         p = np.asarray(p, dtype=float)
-        self.track_rows(p[None])
-        entry = self._cache[p.tobytes()]
+        key = p.tobytes()
+        if key not in self._cache:
+            self.track_rows(p[None])
+        entry = self._cache[key]
         if isinstance(entry, Exception):
             raise entry.with_traceback(None)
         return entry

@@ -81,7 +81,7 @@ def nondegenerate(m, det=None, tol: float = DEG_TOL) -> bool:
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinate box with a distinguished base point."""
+    """Finite coordinate box with a distinguished base point."""
 
     dim: int
     box: tuple
@@ -97,6 +97,10 @@ class Chart:
         for k, (lo, hi) in enumerate(box):
             if not lo < hi:
                 raise ValueError(f"box interval {k} must have lo < hi")
+            if not math.isfinite(hi - lo):
+                # so both bounds are finite, and so is the base point
+                # checked to lie between them
+                raise ValueError(f"box interval {k} must have a finite width")
             if not lo <= base[k] <= hi:
                 raise ValueError(f"base point coordinate {k} outside the box")
         object.__setattr__(self, "box", box)

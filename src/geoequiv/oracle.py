@@ -31,8 +31,8 @@ import numpy as np
 from .errors import LeftChart, StepFailure, ZeroVelocity
 from .fields import Chart, MetricField, SplitMix64, christoffel, in_point_order
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; the geodesic right-hand side is autonomous,
+# so the nodes c_i are not needed
 _DP_A = [
     [],
     [1 / 5],

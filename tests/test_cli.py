@@ -220,6 +220,22 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     assert code == 0 and chunked == report
     assert closure_calls == [(31, False), (4, True), (2, True)]
 
+    # ts: the pair closure runs once for its 21 probe points, once at the
+    # base point (the sign of L), then once, with its jacobian, per chunk
+    # of sample points
+    from geoequiv.equiv import core
+    pair_calls = []
+    make_pair = core.stacked_fields
+
+    def counted_pair(classes, chart, jac):
+        return make_pair(classes, chart, lambda rows, derivative: pair_calls.append(
+            (len(rows), derivative)) or jac(rows, derivative))
+
+    monkeypatch.setattr(core, "stacked_fields", counted_pair)
+    code, report = _run(capsys, ["ts", REPO_LC3, "--f", "exp", "--points", "6"])
+    assert code == 0 and report["pass"] is True
+    assert pair_calls == [(21, False), (1, False), (4, True), (2, True)]
+
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: check samples points "
                    "and never meets the line x0 = 0 where g degenerates")
@@ -630,6 +646,19 @@ def test_non_finite_literal_exits_3(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert "g[0][0]: number literal '1e999' is not finite (at offset 0)" in err
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+@pytest.mark.parametrize("box", [[float("-inf"), 1.0], [0.0, float("inf")], [-1e308, 1e308]],
+                         ids=["infinite-lo", "infinite-hi", "width-overflows"])
+def test_a_box_that_is_not_finite_exits_3(tmp_path, capsys, command, box):
+    # an infinite bound made every sample point NaN, so every check of
+    # `check` passed on nothing
+    scene = {"dim": 1, "box": [box], "base_point": [0.0], "g": [["1"]], "gbar": [["2"]]}
+    code = main([command, _write(tmp_path, "box.json", scene)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: box/base_point: box interval 0 must have a finite width\n"
 
 
 def test_bad_arguments_exit_3(capsys):

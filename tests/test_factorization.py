@@ -15,7 +15,7 @@ from geoequiv.equiv.factorization import (_greedy_match, cofactors,
                                           factors_and_derivatives,
                                           inverse_and_derivative)
 from geoequiv.errors import AdmissibilityViolation, ConjugationViolation, DomainError
-from geoequiv.fields import Chart, OperatorField, sample_points
+from geoequiv.fields import Chart, MetricField, OperatorField, probe_points, sample_points
 from geoequiv.smallmat import MonicPoly, char_poly, frob, matrix_function
 
 from conftest import build_pair, hermite_indicator
@@ -348,8 +348,8 @@ ORDER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ORDER_CASES))
 def test_factors_do_not_depend_on_the_tracking_order(case):
-    # each point is tracked from the nearest point tracked before it, so
-    # the paths differ with the order; the factor bits must not
+    # the points are read one at a time, in three orders, and each read
+    # tracks its point as a batch of 1; the factor bits must not change
     make, grouping = ORDER_CASES[case]
     L = make()
     pts = sample_points(L.chart, 12, seed=26)
@@ -373,9 +373,9 @@ def test_factors_do_not_depend_on_the_tracking_order(case):
 
 @pytest.mark.parametrize("case", sorted(ORDER_CASES))
 def test_a_batch_tracks_with_the_bits_of_one_point_at_a_time(case):
-    # a batch starts every row at the base point, one point at a time
-    # starts each at the nearest point before it; groups and factors must
-    # not tell the two apart, dtype included
+    # a batch walks every row's path in lockstep, stacking the rows of
+    # each step; groups and factors must not tell that apart from one
+    # point at a time, dtype included
     make, grouping = ORDER_CASES[case]
     L = make()
     pts = sample_points(L.chart, 12, seed=26)
@@ -388,6 +388,52 @@ def test_a_batch_tracks_with_the_bits_of_one_point_at_a_time(case):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert ([np.array(chi.coeffs).tobytes() for chi in batch.chi_at(p)]
                 == [np.array(chi.coeffs).tobytes() for chi in alone.chi_at(p)])
+
+
+def _crossing_pair_operator():
+    # g = I, gbar = diag(1/(a^2 b), 1/(a b^2), 1) with a = 2 + x0, b = 2 - x0:
+    # L's eigenvalues a^(5/4) b^(1/4) and a^(1/4) b^(5/4), in different
+    # groups from the base point, cross on x0 = 0
+    chart = Chart(3, ((-1.0, 1.0),) * 3, (0.6, 0.2, 0.1))
+    g = MetricField.from_exprs(chart, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    gbar = MetricField.from_exprs(chart, [
+        ["1/((2 + x0)^2*(2 - x0))", "0", "0"],
+        ["0", "1/((2 + x0)*(2 - x0)^2)", "0"],
+        ["0", "0", "1"],
+    ])
+    return l_tensor_field(g, gbar)
+
+
+def _groups_or_error(fact, p):
+    try:
+        return [grp.tobytes() for grp in fact.groups_at(p)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_a_points_groups_do_not_depend_on_the_points_before_it():
+    # 31 probe points tracked first must not change the groups, or the
+    # error, at the sample points: the point near (-0.090, 0.060, -0.128)
+    # once raised AdmissibilityViolation only after them, its path chained
+    # from an earlier point that stepped near the crossing
+    L = _crossing_pair_operator()
+    grouping = ((0, 1), (2,))
+    fact = admissible_factorization(L, grouping)
+    fact.track_rows(probe_points(L.chart, 30))
+    for p in sample_points(L.chart, 5, 1):
+        assert (_groups_or_error(fact, p)
+                == _groups_or_error(admissible_factorization(L, grouping), p))
+
+
+def test_a_factorization_keeps_its_last_batch_only():
+    L = _crossing_pair_operator()
+    fact = admissible_factorization(L, ((0, 1), (2,)))
+    b1, b2 = sample_points(L.chart, 6, 3), sample_points(L.chart, 4, 4)
+    fact.track_rows(b1)
+    first = [_groups_or_error(fact, p) for p in b1]
+    fact.track_rows(np.vstack([b2, b1[:2]]))
+    assert set(fact._cache) == {p.tobytes() for p in np.vstack([b2, b1[:2]])}
+    assert [_groups_or_error(fact, p) for p in b1] == first
 
 
 def _collision_operator():

@@ -1,7 +1,7 @@
 """Dead-code guard: every module-level function and class in the package,
-and every non-dunder method of its classes, is referenced by name
-somewhere in ``src/`` or ``tests/``; every error class is raised or
-subclassed in ``src/``."""
+every non-dunder method of its classes and every non-dunder name assigned
+at module level is loaded by name somewhere in ``src/`` or ``tests/``;
+every error class is raised or subclassed in ``src/``."""
 
 import ast
 from pathlib import Path
@@ -20,7 +20,7 @@ def _referenced_names():
     names = set()
     for _, tree in _trees(ROOT / "src", ROOT / "tests"):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -52,6 +52,22 @@ def test_every_method_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used
+    ]
+    assert unused == []
+
+
+def test_every_module_level_assignment_is_loaded():
+    used = _referenced_names()
+    unused = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {name.id}"
+        for path, tree in _trees(PACKAGE)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+        and not (name.id.startswith("__") and name.id.endswith("__"))
+        and name.id not in used
     ]
     assert unused == []
 
