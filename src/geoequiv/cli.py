@@ -37,7 +37,7 @@ from .errors import ExprError, GeoequivError
 from .fields import (Chart, MetricField, covariant_derivative_op, in_point_order,
                      nijenhuis, nondegenerate, sample_points)
 from .oracle import geodesic_defect_report
-from .smallmat import ScalarFunction, char_poly, eigen, frob
+from .smallmat import ScalarFunction, char_poly, eigen, frob, frob_ratio_rows, frob_rows
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 2
@@ -176,11 +176,12 @@ def _stats(values, tol):
     arr = np.asarray(values, dtype=float)
     non_finite = int(np.count_nonzero(~np.isfinite(arr)))
     with np.errstate(invalid="ignore"):
+        q50, q90 = np.percentile(arr, [50, 90])
         out = {
             "max": _finite(np.max(arr)),
             "mean": _finite(np.mean(arr)),
-            "q50": _finite(np.percentile(arr, 50)),
-            "q90": _finite(np.percentile(arr, 90)),
+            "q50": _finite(q50),
+            "q90": _finite(q90),
             "tol": tol,
             "pass": bool(non_finite == 0 and np.max(arr) <= tol),
         }
@@ -203,16 +204,15 @@ def _pair_checks(g, gbar, L, points, tols, residual_tier):
     def batch_checks(rows):
         res, _ = compatibility_residual(g, L, rows)
         lv, dl = L.value_and_derivative(rows)
-        nij = [frob(t) / (1.0 + frob(d)) for t, d in zip(nijenhuis(L, rows), dl)]
+        nij = frob_ratio_rows(nijenhuis(L, rows), dl)
         gl = g.value(rows) @ lv
         # frob squares the entries: a row with an entry of 2^500 or more is
         # first scaled by a power of two (the 1 with it), which keeps its
         # ratio; below 2^500 nothing is scaled, so the bits stay too
         shift = np.maximum(np.frexp(np.abs(gl).max(axis=(1, 2)))[1] - 500, 0)
-        ones = np.ldexp(1.0, -shift)
-        selfadj = [frob(a - a.T) / (one + frob(a))
-                   for a, one in zip(np.ldexp(gl, -shift[:, None, None]), ones)]
-        return res.tolist(), nij, selfadj
+        gl = np.ldexp(gl, -shift[:, None, None])
+        selfadj = frob_ratio_rows(gl - gl.swapaxes(1, 2), gl, np.ldexp(1.0, -shift))
+        return res.tolist(), nij.tolist(), selfadj.tolist()
 
     residuals, nij, selfadj = [], [], []
     for start in range(0, len(points), CHECK_BATCH):
@@ -264,7 +264,7 @@ def cmd_check(args) -> int:
     L = l_tensor_field(g, gbar)
     pts = sample_points(chart, args.points, args.seed)
     checks = _pair_checks(g, gbar, L, pts, tols, "dual")
-    spec = eigen(L.value(chart.base_point))
+    spec = eigen(L.base_value)
     report = {
         "command": "check",
         "scene": args.scene,
@@ -337,8 +337,8 @@ def cmd_split(args) -> int:
         # the covariant derivatives first: they run the split closure with
         # its jacobian, and every later read at the rows hits the batch it
         # keeps
-        nabla_h = [frob(t) for t in covariant_derivative_op(sr.h, P1, rows)]
-        nabla_hbar = [frob(t) for t in covariant_derivative_op(sr.hbar, P1, rows)]
+        nabla_h = frob_rows(covariant_derivative_op(sr.h, P1, rows)).tolist()
+        nabla_hbar = frob_rows(covariant_derivative_op(sr.hbar, P1, rows)).tolist()
         ortho, charpoly_dev = [], []
         for p, p1, p2, gv, gbv, lv in zip(rows, P1.value(rows), P2.value(rows),
                                           g.value(rows), gbar.value(rows), L.value(rows)):

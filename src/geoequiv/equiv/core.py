@@ -25,13 +25,15 @@ from ..fields import (
     VectorField,
     as_batch,
     covariant_derivative_op,
+    first_degenerate,
     in_point_order,
     lie_derivative_metric,
     nondegenerate,
     probe_points,
     stacked_fields,
 )
-from ..smallmat import ScalarFunction, char_poly, eigen, frob, matrix_function
+from ..smallmat import (ScalarFunction, char_poly, eigen, frob, frob_ratio_rows,
+                        matrix_function)
 
 
 def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
@@ -53,14 +55,17 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
     each row has the bits of a batch of 1.
     """
     n = gv.shape[-1]
+    dets, dets_bar = np.linalg.det(gv).tolist(), np.linalg.det(gbv).tolist()
+    failed = [i for i in (first_degenerate(gv, dets), first_degenerate(gbv, dets_bar))
+              if i is not None]
+    if failed:
+        i = min(failed)
+        raise DegenerateMetric(
+            f"metric degenerate at {rows[i]} (dets {dets[i]:.3e}, {dets_bar[i]:.3e})",
+            point=rows[i],
+        )
     flipped, rho = [], []
-    for i, (dg, dgb) in enumerate(zip(np.linalg.det(gv).tolist(),
-                                      np.linalg.det(gbv).tolist())):
-        if not (nondegenerate(gv[i], dg) and nondegenerate(gbv[i], dgb)):
-            raise DegenerateMetric(
-                f"metric degenerate at {rows[i]} (dets {dg:.3e}, {dgb:.3e})",
-                point=rows[i],
-            )
+    for dg, dgb in zip(dets, dets_bar):
         ratio = dgb / dg
         flip = (n + 1) % 2 == 0 and ratio < 0.0
         if flip:
@@ -109,8 +114,8 @@ def l_tensor_field(g: MetricField, gbar: MetricField) -> OperatorField:
     Derivatives are obtained by forward-mode matrix calculus through the
     determinant, inverse and root, so they are as accurate as the metric
     derivatives themselves (exact for expression-backed metrics); the
-    closure takes a batch of points.  The field carries ``sign_flipped``
-    reflecting the orientation fix at the base point.
+    closure takes a batch of points.  The field carries ``sign_flipped``,
+    the orientation fix at the base point, and ``base_value``, L there.
     """
     chart = g.chart
 
@@ -122,7 +127,8 @@ def l_tensor_field(g: MetricField, gbar: MetricField) -> OperatorField:
         return _pair_tensor(gv, gbv, rows, dgv, dgbv)[:2]
 
     field = OperatorField.from_function(chart, jac=jac)
-    _, field.sign_flipped = compute_L(g, gbar, chart.base_point, return_flag=True)
+    field.base_value, field.sign_flipped = compute_L(g, gbar, chart.base_point,
+                                                     return_flag=True)
     return field
 
 
@@ -154,14 +160,14 @@ def compatibility_residual(g: MetricField, L: OperatorField, p):
     ginv = np.linalg.inv(gv)
     n = g.chart.dim
     eye = np.eye(n)
-    raised = np.array([a @ v for a, v in zip(ginv, l_cov)])
+    raised = (ginv @ l_cov[..., None])[..., 0]
     # 1/2 (delta^i_k l_j + g^{is} l_s g_{kj}); differentiation index k last
     rhs = 0.5 * (
         np.einsum("ik,bj->bijk", eye, l_cov)
         + np.einsum("bi,bkj->bijk", raised, gv)
     )
     resid = nabla - rhs
-    scalar = np.array([frob(r) / (1.0 + frob(d)) for r, d in zip(resid, dl)])
+    scalar = frob_ratio_rows(resid, dl)
     if single:
         return float(scalar[0]), resid[0]
     return scalar, resid
@@ -260,9 +266,9 @@ def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:
 
     def jac(rows, derivative):
         gv, dg = g.value_and_derivative(rows)
-        for gi, p in zip(gv, rows):
-            if not nondegenerate(gi):
-                raise DegenerateMetric(f"metric degenerate at {p}", point=p)
+        i = first_degenerate(gv, np.linalg.det(gv).tolist())
+        if i is not None:
+            raise DegenerateMetric(f"metric degenerate at {rows[i]}", point=rows[i])
         hv, dh = h.value_and_derivative(rows)
         a = np.linalg.solve(gv, hv)
         if not derivative:

@@ -43,55 +43,75 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 # AST
 
 
-@dataclass(frozen=True)
+# Hand-written reprs, the dataclass strings without the recursion guard:
+# the kernel cache keys on them, so Num(0.0) and Num(-0.0) never share code.
+
+
+@dataclass(frozen=True, repr=False)
 class Num:
     value: float
 
+    def __repr__(self):
+        return f"Num(value={self.value!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Coord:
     index: int
 
+    def __repr__(self):
+        return f"Coord(index={self.index!r})"
 
-@dataclass(frozen=True)
-class Add:
+
+@dataclass(frozen=True, repr=False)
+class _Binary:
     lhs: "Expr"
     rhs: "Expr"
 
-
-@dataclass(frozen=True)
-class Sub:
-    lhs: "Expr"
-    rhs: "Expr"
+    def __repr__(self):
+        return f"{type(self).__name__}(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
-@dataclass(frozen=True)
-class Mul:
-    lhs: "Expr"
-    rhs: "Expr"
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Div:
-    lhs: "Expr"
-    rhs: "Expr"
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    pass
+
+
+class Div(_Binary):
+    pass
+
+
+@dataclass(frozen=True, repr=False)
 class Neg:
     operand: "Expr"
 
+    def __repr__(self):
+        return f"Neg(operand={self.operand!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Pow:
     base: "Expr"
     exponent: int
 
+    def __repr__(self):
+        return f"Pow(base={self.base!r}, exponent={self.exponent!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Call:
     fn: str
     arg: "Expr"
+
+    def __repr__(self):
+        return f"Call(fn={self.fn!r}, arg={self.arg!r})"
 
 
 Expr = Union[Num, Coord, Add, Sub, Mul, Div, Neg, Pow, Call]
@@ -100,28 +120,24 @@ Expr = Union[Num, Coord, Add, Sub, Mul, Div, Neg, Pow, Call]
 # ---------------------------------------------------------------------------
 # parsing
 
+# one scan: every character outside a token and whitespace is ``bad``
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
+_COORD = re.compile(r"x(\d+)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}",
-                                  len(text) - len(stripped))
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -212,7 +228,7 @@ class _Parser:
                 raise ExprSyntaxError(f"number literal {val!r} is not finite", off)
             return Num(float(val))
         if kind == "ident":
-            m = re.fullmatch(r"x(\d+)", val)
+            m = _COORD.fullmatch(val)
             if m and m.group(1) == str(int(m.group(1))):
                 idx = int(m.group(1))
                 if idx >= self.dim:

@@ -35,13 +35,18 @@ kernel names the component that met it in a ``DomainError``.  A ``jac``
 closure gets the whole batch as one (m, n) array and returns values
 (m, ...) and jacobians (m, n, ...).  Every backing keeps one batch, its
 last: its rows, values and derivatives (when they were asked for).
-Values at those rows are read from it, and so are derivatives if it
-holds them; nothing is kept per point.  Stacked ``det``, ``inv``,
-``solve``, ``@`` and the einsum contractions give each row the same bits
-as a batch of 1; norms, matrix-vector products and the trace
-contractions do not always, so those stay per row.  ``nondegenerate``
-runs per row.  ``in_point_order`` turns an error raised by a batch into
-the one a per-point loop meets first.
+Values at those rows, or at its last rows, are read from it, and so are
+derivatives if it holds them; nothing is kept per point.  Stacked
+``det``, ``inv``, ``solve``, ``@`` and the einsum contractions give each
+row the same bits as a batch of 1.  Norms and products go through a
+stacked ``@`` (``smallmat.frob_rows`` and ``dot_rows``), which runs each
+row's own BLAS call, where ``einsum`` and ``np.linalg.norm`` sum in
+another order; the pair tensor's trace contraction has no stacked form
+with its bits and stays per row.  ``first_degenerate`` tests a stack in
+one loop of Python floats: on batches of a few rows, as the oracle's
+stages are, numpy's per-call cost makes a vectorized test slower.
+``in_point_order`` turns an error raised by a batch into the one a
+per-point loop meets first.
 """
 
 from __future__ import annotations
@@ -60,19 +65,31 @@ DEG_TOL = 1e-10
 PROBE_SEED = 42
 
 
-def nondegenerate(m, det=None, tol: float = DEG_TOL) -> bool:
-    """Scale-relative nondegeneracy test, the only one in the package.
+def first_degenerate(stack, dets, tol: float = DEG_TOL):
+    """Index of the first matrix of the (m, n, n) array ``stack`` that fails
+    the scale-relative nondegeneracy test, the only one in the package, or
+    None; ``dets`` lists their determinants.
 
-    Passes when |det M| exceeds ``tol`` times the product of M's row
-    norms (Hadamard's bound on |det M|) and every row norm exceeds
-    ``tol``: a row that small counts as a zero row.  ``det`` may be
-    passed when the caller has it already.
+    A matrix passes when |det M| exceeds ``tol`` times the product of its
+    row norms (Hadamard's bound on |det M|) and every row norm exceeds
+    ``tol``: a row that small counts as a zero row.  One pass of Python
+    floats over the stack, which beats numpy's per-call cost on the few
+    rows of a batch.
     """
+    for i, (m, det) in enumerate(zip(stack.tolist(), dets)):
+        rows = [math.hypot(*row) for row in m]
+        if not (min(rows) > tol and abs(det) > tol * math.prod(rows)):
+            return i
+    return None
+
+
+def nondegenerate(m, det=None, tol: float = DEG_TOL) -> bool:
+    """``first_degenerate``'s test on one matrix; ``det`` may be passed when
+    the caller has it already."""
     m = np.asarray(m, dtype=float)
     if det is None:
         det = np.linalg.det(m)
-    rows = [math.hypot(*row) for row in m.tolist()]
-    return bool(min(rows) > tol and abs(det) > tol * math.prod(rows))
+    return first_degenerate(m[None], [det], tol) is None
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +152,34 @@ class SplitMix64:
     """splitmix64 stream; reproducible across platforms."""
 
     _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
         self.state = seed & self._MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+    @classmethod
+    def _mix(cls, z):
+        """The output function, on a Python int or, wrapping mod 2^64 as
+        the mask does, on a uint64 array."""
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & cls._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & cls._MASK
         return z ^ (z >> 31)
+
+    def next_u64(self) -> int:
+        self.state = (self.state + self._GAMMA) & self._MASK
+        return self._mix(self.state)
 
     def uniform(self) -> float:
         return self.next_u64() / 2.0**64
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` draws of ``uniform`` in one uint64 pass: the
+        integers are exact and both conversions to float round correctly,
+        so the floats are the same."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        draws = self._mix(self.state + steps * np.uint64(self._GAMMA))
+        self.state = (self.state + count * self._GAMMA) & self._MASK
+        return draws / 2.0**64
 
     def normal_pair(self):
         # Box-Muller; u1 shifted away from 0
@@ -158,13 +190,10 @@ class SplitMix64:
 
 
 def sample_points(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
-    """Deterministic uniform samples in the chart box (splitmix64)."""
-    rng = SplitMix64(seed)
-    pts = np.empty((count, chart.dim))
-    for i in range(count):
-        for k, (lo, hi) in enumerate(chart.box):
-            pts[i, k] = lo + (hi - lo) * rng.uniform()
-    return pts
+    """Deterministic uniform samples in the chart box (splitmix64): draw
+    i * dim + k + 1 of the stream gives coordinate k of sample i."""
+    lo, hi = np.array(chart.box).T
+    return lo + (hi - lo) * SplitMix64(seed).uniforms(count * chart.dim).reshape(count, chart.dim)
 
 
 def probe_points(chart: Chart, count: int, seed: int = PROBE_SEED) -> np.ndarray:
@@ -265,11 +294,15 @@ class _Backing:
         same rows that it holds enough for: the layers of one batch of
         checks (Christoffel, the pair tensor's jacobian, the residual,
         self-adjointness) ask for the same field at the same points, and
-        keeping one batch bounds memory however many batches run."""
+        keeping one batch bounds memory however many batches run.  It
+        serves its last rows too, as a probe batch that ends at the base
+        point serves that point: a row has the bits of a batch of 1."""
         key = rows.tobytes()
         kept_key, vals, derivs = self._kept
-        if key == kept_key and (derivs is not None or not derivative):
-            return vals, derivs
+        if (kept_key is not None and kept_key.endswith(key)
+                and (derivs is not None or not derivative)):
+            start = len(vals) - len(rows)
+            return vals[start:], None if derivs is None else derivs[start:]
         m = len(rows)
         if self._exprs is not None:
             # the kernel gives every derivative with the values
@@ -482,11 +515,12 @@ def christoffel(g: MetricField, p) -> np.ndarray:
     at a point or along a batch of points."""
     rows, single = as_batch(p)
     gv, dg = g.value_and_derivative(rows)
-    for i, det in enumerate(np.linalg.det(gv).tolist()):
-        if not nondegenerate(gv[i], det):
-            raise DegenerateMetric(
-                f"metric degenerate at {rows[i]} (det {det:.3e})", point=rows[i]
-            )
+    dets = np.linalg.det(gv).tolist()
+    i = first_degenerate(gv, dets)
+    if i is not None:
+        raise DegenerateMetric(
+            f"metric degenerate at {rows[i]} (det {dets[i]:.3e})", point=rows[i]
+        )
     ginv = np.linalg.inv(gv)
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})
     term = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg

@@ -23,13 +23,13 @@ single trajectories meets first.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import LeftChart, StepFailure, ZeroVelocity
 from .fields import Chart, MetricField, SplitMix64, christoffel, in_point_order
+from .smallmat import dot_rows, frob_ratio_rows
 
 # Dormand-Prince 5(4) tableau; the geodesic right-hand side is autonomous,
 # so the nodes c_i are not needed
@@ -302,21 +302,20 @@ def _defect_reports(trajs: list, gbar: MetricField) -> list:
     n = trajs[0].dim
     samples = np.concatenate([traj.states for traj in trajs])
     xs, vs = samples[:, :n], samples[:, n:]
-    speeds = [float(v @ v) for v in vs]
+    # the dot products and norms of every sample by stacked @, each with
+    # the bits of its own 1-D product
+    speeds = dot_rows(vs, vs)
     # a zero velocity at sample i comes before any failure of Gamma_bar
     # after i
-    stop = next((i for i, s in enumerate(speeds) if s == 0.0), len(speeds))
+    stop = next((i for i, s in enumerate(speeds.tolist()) if s == 0.0), len(speeds))
     gammas = in_point_order(lambda x: christoffel(gbar, x), xs[:stop]) if stop else ()
     if stop < len(speeds):
         raise ZeroVelocity("zero velocity sample in trajectory")
-    accs = np.concatenate([traj.accelerations for traj in trajs])
-    defects = []
-    for a, v, vnorm2 in zip(accs + np.einsum("bijk,bj,bk->bi", gammas, vs, vs),
-                            vs, speeds):
-        normal = a - (a @ v) / vnorm2 * v
-        # Euclidean norms: the sqrt of the dot product, as np.linalg.norm
-        # takes it, without its overhead
-        defects.append(math.sqrt(normal @ normal) / (1.0 + math.sqrt(a @ a)))
+    a = np.concatenate([traj.accelerations for traj in trajs])
+    a = a + np.einsum("bijk,bj,bk->bi", gammas, vs, vs)
+    normal = a - (dot_rows(a, vs) / speeds)[:, None] * vs
+    # Euclidean norms: the sqrt of the dot product, as np.linalg.norm takes it
+    defects = frob_ratio_rows(normal, a).tolist()
     reports, off = [], 0
     for traj in trajs:
         own = defects[off:off + len(traj.states)]

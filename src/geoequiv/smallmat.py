@@ -54,6 +54,33 @@ def frob(a) -> float:
     return math.sqrt(x.dot(x))
 
 
+def dot_rows(a, b) -> np.ndarray:
+    """Dot product of each row of two real (m, k) stacks, by one stacked
+    ``@``: row i has the bits of ``a[i] @ b[i]`` when the rows are
+    contiguous (the same BLAS dot runs), where ``einsum`` sums in
+    another order."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def frob_rows(stack) -> np.ndarray:
+    """``frob`` of each entry of a real stack along its leading axis, with
+    the same bits: each entry is read in the order ``frob`` reads it
+    (memory order, ``ravel(order="K")``) and squared and summed by one
+    stacked ``@``."""
+    x = np.asarray(stack)
+    axes = sorted(range(1, x.ndim), key=lambda k: -abs(x.strides[k]))
+    rows = np.ascontiguousarray(x.transpose(0, *axes).reshape(len(x), -1))
+    return np.sqrt(dot_rows(rows, rows))
+
+
+def frob_ratio_rows(num, den, one=1.0) -> np.ndarray:
+    """``frob(num[i]) / (one + frob(den[i]))`` for each row, with the bits
+    of the per-row Python floats and their silence: inf / inf is NaN
+    without a warning."""
+    with np.errstate(invalid="ignore"):
+        return frob_rows(num) / (one + frob_rows(den))
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 

@@ -1,10 +1,13 @@
-"""Shared corpus of compatible pairs and negative controls, the Hermite
+"""Shared corpus of compatible pairs and negative controls, a metric
+pair that degenerates at two rows of a stack, the Hermite
 indicator the spectral projectors are tested against, closure-backed
 fixture fields, the central-difference stencil that exact jacobians are
-compared with, and the reference interpreter that compiled expression
-kernels are compared with."""
+compared with, the reference interpreter that compiled expression
+kernels are compared with, and the reference tokenizer that the parser's
+one-scan tokenizer is compared with."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,7 @@ from geoequiv.equiv import (
     SimpleEigenvalue,
     levi_civita_pair,
 )
-from geoequiv.errors import DomainError, UnknownSymbol
+from geoequiv.errors import DomainError, ExprSyntaxError, UnknownSymbol
 from geoequiv.exprdsl import Add, Call, Coord, Div, Mul, Neg, Num, Pow, Sub
 from geoequiv.fields import Chart, MetricField
 from geoequiv.smallmat import ScalarFunction
@@ -212,6 +215,17 @@ def scaled(field, factor):
     return type(field).from_function(field.chart, jac=jac)
 
 
+def degenerate_stack():
+    """g = diag(x0, 1) and gbar = diag(1 + x1, 1) on 7 rows: gbar
+    degenerates at row 2, g at row 5."""
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.5, 0.5))
+    g = MetricField.from_exprs(chart, [["x0", "0"], [None, "1"]])
+    gbar = MetricField.from_exprs(chart, [["1 + x1", "0"], [None, "1"]])
+    rows = np.array([[0.5, 0.2], [0.3, 0.1], [0.4, -1.0], [0.2, 0.3], [0.6, 0.1],
+                     [0.0, 0.1], [0.1, 0.1]])
+    return g, gbar, rows
+
+
 def build_pair(name):
     return levi_civita_pair(CORPUS_SPECS[name])
 
@@ -340,3 +354,34 @@ def eval_dual(e, p) -> DualScalar:
     p = np.asarray(p, dtype=float)
     v, g = _eval(e, p, len(p))
     return DualScalar(v, np.array(g))
+
+
+# ---------------------------------------------------------------------------
+# reference tokenizer: a match per token from the current offset, and an
+# error at the first character that starts none
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def reference_tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None or m.end() == m.start():
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}",
+                                  len(text) - len(stripped))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens

@@ -165,9 +165,26 @@ def test_check_accepts_small_constant_metrics(tmp_path, capsys, g_scale, gbar_sc
 
 def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     # 60 points: one call of Christoffel and of L's closure with its
-    # jacobian, not one per point; then L's value at the base point
+    # jacobian, not one per point; the spectrum at the base point reads
+    # the L that gave the sign flag, so the metric kernels run once at the
+    # base point (the scene load's degeneracy test; L's sign reads that
+    # batch) and once over the points, and the pair tensor runs once at
+    # each
     from geoequiv import cli, fields
-    from geoequiv.equiv import factorization, splitglue
+    from geoequiv.equiv import core, factorization, splitglue
+
+    kernel_rows, pair_tensors = [], []
+    real_kernel_rows, real_pair_tensor = fields._Backing._kernel_rows, core._pair_tensor
+    monkeypatch.setattr(fields._Backing, "_kernel_rows", lambda self, rows: (
+        kernel_rows.append(len(rows)) or real_kernel_rows(self, rows)))
+    monkeypatch.setattr(core, "_pair_tensor", lambda gv, gbv, rows, dgv=None, dgbv=None: (
+        pair_tensors.append((len(rows), dgv is not None))
+        or real_pair_tensor(gv, gbv, rows, dgv, dgbv)))
+    code, report = _run(capsys, ["check", REPO_LC3, "--points", "60"])
+    assert code == 0 and report["pass"] is True
+    assert kernel_rows == [1, 1, 60, 60]
+    assert pair_tensors == [(1, False), (60, True)]
+    monkeypatch.undo()
 
     jac_calls, christoffel_calls = [], []
     make_l = cli.l_tensor_field
@@ -186,7 +203,7 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
                         lambda g, p: christoffel_calls.append(1) or real_christoffel(g, p))
     code, report = _run(capsys, ["check", REPO_LC3, "--points", "60"])
     assert code == 0 and report["pass"] is True
-    assert jac_calls == [(60, True), (1, False)]
+    assert jac_calls == [(60, True)]
     assert len(christoffel_calls) == 1
 
     # split: h, hbar and the projectors share one closure and one batch,
@@ -220,9 +237,9 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     assert code == 0 and chunked == report
     assert closure_calls == [(31, False), (4, True), (2, True)]
 
-    # ts: the pair closure runs once for its 21 probe points, once at the
-    # base point (the sign of L), then once, with its jacobian, per chunk
-    # of sample points
+    # ts: the pair closure runs once for its 21 probe points, whose last
+    # row, the base point, serves the sign of L, then once, with its
+    # jacobian, per chunk of sample points
     from geoequiv.equiv import core
     pair_calls = []
     make_pair = core.stacked_fields
@@ -234,7 +251,7 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     monkeypatch.setattr(core, "stacked_fields", counted_pair)
     code, report = _run(capsys, ["ts", REPO_LC3, "--f", "exp", "--points", "6"])
     assert code == 0 and report["pass"] is True
-    assert pair_calls == [(21, False), (1, False), (4, True), (2, True)]
+    assert pair_calls == [(21, False), (4, True), (2, True)]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: check samples points "
@@ -870,9 +887,10 @@ def test_fuzz_generate_keeps_the_cli_contract(tmp_path_factory, simple):
 def _fuzz_scenes(draw, boxes):
     n = draw(st.integers(1, 3))
     box = draw(st.sampled_from(boxes))
+    trees = _expr_strategy(n)  # built once: building it per entry took most of the time
 
     def metric():
-        return [[to_text(draw(_expr_strategy(n))) if j >= i else None for j in range(n)]
+        return [[to_text(draw(trees)) if j >= i else None for j in range(n)]
                 for i in range(n)]
 
     return {"dim": n, "box": [list(box)] * n, "base_point": [0.5 * sum(box)] * n,
@@ -888,6 +906,15 @@ def _check_contract(tmp_path_factory, scene):
 @given(_fuzz_scenes(_BOXES))
 def test_fuzz_check_keeps_the_cli_contract(tmp_path_factory, scene):
     _check_contract(tmp_path_factory, scene)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_fuzz_scenes(_BOXES))
+def test_fuzz_ts_and_oracle_keep_the_cli_contract(tmp_path_factory, scene):
+    # the pair checks of a rescaled pair and the geodesic defect
+    scene = _write(tmp_path_factory.getbasetemp(), "fuzz-scene.json", scene)
+    _contract(["ts", scene, "--f", "exp", "--points", "3"])
+    _contract(["oracle", scene, "--trajectories", "2"])
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning,

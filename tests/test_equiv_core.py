@@ -16,7 +16,7 @@ from geoequiv.equiv import (
     shift_to_nondegenerate,
     topalov_sinjukov,
 )
-from geoequiv.errors import SingularL, ZeroInImage
+from geoequiv.errors import DegenerateMetric, SingularL, ZeroInImage
 from geoequiv.fields import (
     Chart,
     MetricField,
@@ -28,7 +28,7 @@ from geoequiv.fields import (
 )
 from geoequiv.smallmat import ScalarFunction, frob
 
-from conftest import central_difference, constant_metric
+from conftest import central_difference, constant_metric, degenerate_stack
 
 
 def euclidean_chart(n=2, half=0.5):
@@ -179,6 +179,28 @@ def test_batch_rows_match_batches_of_one(corpus, name, picks, seed):
         assert np.array_equal(lv[i], want_lv) and np.array_equal(dl[i], want_dl)
         want_res, want_resid = _reference_residual(g, want_lv, want_dl, p)
         assert res[i] == want_res and np.array_equal(resid[i], want_resid)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_pair_tensor_names_the_first_row_where_either_metric_degenerates(swap):
+    # gbar fails at row 2 and g at row 5 (or the other way round): the
+    # error names row 2 with both determinants, as a loop over the rows
+    # one at a time meets first
+    g, gbar, rows = degenerate_stack()
+    if swap:
+        g, gbar = gbar, g
+    L = l_tensor_field(g, gbar)
+    dets = (np.linalg.det(g.value(rows[2])), np.linalg.det(gbar.value(rows[2])))
+    want = f"metric degenerate at {rows[2]} (dets {dets[0]:.3e}, {dets[1]:.3e})"
+    for read in (L.value, L.value_and_derivative):
+        with pytest.raises(DegenerateMetric) as err:
+            read(rows)
+        assert str(err.value) == want
+        assert np.array_equal(err.value.point, rows[2])
+    with pytest.raises(DegenerateMetric) as err:
+        for i in range(len(rows)):
+            l_tensor_field(g, gbar).value(rows[i:i + 1])
+    assert str(err.value) == want
 
 
 def test_pair_tensor_jacobian_matches_the_three_factor_form(corpus):

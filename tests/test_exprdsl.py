@@ -1,6 +1,7 @@
 """Expression parsing, printing round-trips and dual-number gradients: the
 compiled kernels against the reference interpreter of ``conftest``."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from geoequiv.exprdsl import (
     Num,
     Pow,
     Sub,
+    _tokenize,
     compile_dual,
     diff,
     parse,
@@ -31,7 +33,7 @@ from geoequiv.exprdsl import (
     to_text,
 )
 
-from conftest import _eval, eval_dual
+from conftest import _eval, eval_dual, reference_tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,25 @@ def test_parse_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("1 + * 2", 1)
     assert exc.value.offset == 4
+
+
+# the grammar's characters, whitespace (unicode included), digits that
+# are not ASCII, and junk
+_TEXT_PIECES = st.sampled_from(
+    list("x0123456789+-*/^()._eE \t\n") + ["sin", "exp", "x12", "1e-3", "\u00a0",
+                                             "\x1c", "\u0663", "\u00e9", "#", "$", "'"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_TEXT_PIECES, max_size=20).map("".join), st.text(max_size=12)))
+def test_tokenizer_matches_the_reference_scan(text):
+    def outcome(tokenize):
+        try:
+            return tokenize(text)
+        except ExprSyntaxError as exc:
+            return type(exc), str(exc), exc.offset
+
+    assert outcome(_tokenize) == outcome(reference_tokenize)
 
 
 def test_parse_precedence():
@@ -360,6 +381,24 @@ def _signed_expr_strategy(dim):
         )
 
     return st.recursive(leaf, extend, max_leaves=8)
+
+
+def _dataclass_repr(e):
+    """The repr ``dataclass`` generates, built from the fields."""
+    if not dataclasses.is_dataclass(e):
+        return repr(e)
+    return f"{type(e).__qualname__}(" + ", ".join(
+        f"{f.name}={_dataclass_repr(getattr(e, f.name))}" for f in dataclasses.fields(e)) + ")"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_expr_strategy(3), _signed_expr_strategy(3)))
+@example(Num(-0.0))
+@example(Pow(Neg(Num(-0.0)), -3))
+@example(Call("exp", Div(Coord(2), Num(1e-300))))
+def test_node_reprs_are_the_dataclass_strings(e):
+    # the kernel cache keys on the reprs
+    assert repr(e) == _dataclass_repr(e)
 
 
 def _eval_or_error(e, p):

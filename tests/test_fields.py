@@ -13,6 +13,7 @@ from geoequiv.fields import (
     Chart,
     MetricField,
     OperatorField,
+    SplitMix64,
     VectorField,
     christoffel,
     covariant_derivative_op,
@@ -24,7 +25,7 @@ from geoequiv.fields import (
 )
 from geoequiv.smallmat import frob
 
-from conftest import central_difference
+from conftest import central_difference, degenerate_stack
 
 
 def euclidean(n=2, half=1.0):
@@ -42,6 +43,22 @@ def test_sample_points_deterministic_and_in_box():
     assert np.all(a[:, 1] >= 0.0) and np.all(a[:, 1] <= 2.0)
     c = sample_points(chart, 50, seed=7)
     assert not np.array_equal(a, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 42, -5, 2**64 + 3]), st.integers(1, 1000), st.integers(1, 8))
+def test_sample_points_match_the_scalar_stream(seed, count, dim):
+    # the block draw gives the floats of the scalar loop, and leaves the
+    # stream where the loop leaves it
+    chart = Chart(dim, tuple((-1.0 - 0.3 * k, 0.5 + 2.0 ** k) for k in range(dim)),
+                  (0.0,) * dim)
+    rng = SplitMix64(seed)
+    want = np.array([[lo + (hi - lo) * rng.uniform() for lo, hi in chart.box]
+                     for _ in range(count)])
+    assert sample_points(chart, count, seed).tobytes() == want.tobytes()
+    block = SplitMix64(seed)
+    block.uniforms(count * dim)
+    assert block.state == rng.state
 
 
 def test_chart_validation():
@@ -98,6 +115,15 @@ def test_christoffel_metric_compatibility_identity():
             "skj,is->kij", gamma, gv
         )
         assert frob(dg - recon) <= 1e-9 * (1 + frob(dg))
+
+
+def test_christoffel_names_the_first_degenerate_row_of_a_stack():
+    g, gbar, rows = degenerate_stack()
+    for metric, row, det in ((g, 5, "0.000e+00"), (gbar, 2, "0.000e+00")):
+        with pytest.raises(DegenerateMetric) as err:
+            christoffel(metric, rows)
+        assert str(err.value) == f"metric degenerate at {rows[row]} (det {det})"
+        assert np.array_equal(err.value.point, rows[row])
 
 
 def test_christoffel_degenerate_raises():
@@ -417,6 +443,25 @@ def test_values_at_a_kept_derivative_batch_make_no_closure_call():
     g.value(rows)
     g.value_and_derivative(rows)
     assert [(len(r), d) for r, d in calls[2:]] == [(5, False), (5, True)]
+
+
+def test_the_last_rows_of_a_kept_batch_make_no_closure_call():
+    # a probe batch ends at the base point, which a construction reads next
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (0.0, 0.0))
+    g_expr = MetricField.from_exprs(
+        chart, [["2 + sin(x0)", "x0*x1"], [None, "3 + x1^2"]])
+    calls = []
+    g = MetricField.from_function(chart, jac=_counted(
+        calls, lambda rows, derivative: (g_expr.value_and_derivative(rows)
+                                         if derivative else g_expr.value(rows))))
+    rows = sample_points(chart, 5, seed=33)
+    vals = g.value(rows)
+    assert g.value(rows[3:]).tobytes() == vals[3:].tobytes()
+    assert g.value(rows[-1]).tobytes() == vals[-1].tobytes()
+    assert g.value(rows[:0]).shape == (0, 2, 2)
+    assert len(calls) == 1
+    g.value(rows[:2])  # not the last rows: evaluated again
+    assert len(calls) == 2
 
 
 def test_finite_difference_backing_keeps_one_batch():

@@ -18,8 +18,10 @@ from geoequiv.smallmat import (
     ScalarFunction,
     Spectrum,
     char_poly,
+    dot_rows,
     eigen,
     frob,
+    frob_rows,
     matrix_function,
     unpaired_conjugate,
 )
@@ -50,6 +52,64 @@ def test_frob_has_the_bits_of_numpy_norm(scale):
                 got = frob(x)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (shape, x)
+
+
+# ---------------------------------------------------------------------------
+# stacked @: each row of a stacked product runs the BLAS call a single row
+# runs, so stacked norms and products keep every row's own bits (einsum
+# sums in another order).  The batched checks rely on it; a numpy or BLAS
+# release that breaks it fails here.
+
+
+@st.composite
+def _stacks(draw):
+    """Stacks of m rows of n^2 or n^3 entries at scales 1e-200 to 1e200,
+    some NaN or infinite, as C-contiguous, transposed, strided, reversed or
+    interleaved (rows strided by m) arrays."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    shape = (m,) + (n,) * draw(st.sampled_from([2, 3]))
+    x = 10.0 ** draw(st.integers(-200, 200)) * _rng(draw(st.integers(0, 2**32 - 1))) \
+        .standard_normal(shape)
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+        x.flat[draw(st.integers(0, x.size - 1))] = value
+    view = draw(st.sampled_from(["c", "transposed", "strided", "reversed", "interleaved"]))
+    if view == "transposed":
+        return x.swapaxes(-1, -2)
+    if view == "strided":
+        return x[..., ::2]
+    if view == "reversed":
+        return x[:, ::-1]
+    if view == "interleaved":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks())
+def test_frob_rows_has_the_bits_of_frob_per_row(x):
+    with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow at 1e200
+        got = frob_rows(x)
+        want = np.array([frob(row) for row in x])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 8), st.integers(-200, 200),
+       st.integers(0, 2**32 - 1))
+def test_stacked_products_have_the_bits_of_each_row(m, n, exponent, seed):
+    rng = _rng(seed)
+    a = 10.0 ** exponent * rng.standard_normal((m, n, n))
+    # vectors of n and n^2 entries, one of them the second half of a wider
+    # stack's rows, as the oracle's velocities are
+    states = rng.standard_normal((m, 2 * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v, w in ((states[:, n:], states[:, :n]),
+                     (rng.standard_normal((m, n * n)), a.reshape(m, -1))):
+            want = np.array([vi @ wi for vi, wi in zip(v, w)])
+            assert np.array_equal(dot_rows(v, w), want, equal_nan=True)
+        v = states[:, n:]
+        want = np.array([ai @ vi for ai, vi in zip(a, v)])
+        assert np.array_equal((a @ v[..., None])[..., 0], want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
