@@ -7,9 +7,11 @@ chi_j (W_1 = chi_2, W_2 = chi_1 for k = 2), into local-product metrics
     h    = g    (W_1(L) + ... + W_k(L))^{-1}
     hbar = gbar (W_1(L)/W_1(0) + ... + W_k(L)/W_k(0))^{-1}
 
-whose blocks restrict to geodesically equivalent factor pairs.  Gluing is
-the pointwise inverse: from factor pairs with disjoint operator spectra it
-assembles
+whose blocks restrict to geodesically equivalent factor pairs; the
+iterated decomposition takes its factors as those restrictions to the
+leaves of an adapted chart.  Gluing is the pointwise inverse: from factor
+pairs whose operator spectra are disjoint (checked on every pair of probe
+points of the two factors) it assembles
 
     g    = diag(h1 chi2(L1),            h2 chi1(L2))
     gbar = diag(hbar1 chi2(L1)/chi2(0), hbar2 chi1(L2)/chi1(0))
@@ -20,7 +22,6 @@ the factors' derivatives and forward-mode chi and Horner evaluations.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,8 @@ from .factorization import (
     FactorizationResult,
     _paired_eigvals,
     admissible_factorization,
-    cofactors,
-    factors_and_derivatives,
     gap_tolerance,
     inverse_and_derivative,
-    projectors,
     spectral_pieces,
 )
 
@@ -86,15 +84,32 @@ class SplitResult:
 def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> SplitResult:
     """Splitting construction (see the module docstring) for a compatible
     pair and an admissible factorization into k >= 2 groups, each chi_j(0)
-    away from zero.  h, hbar and the k projectors share one batch closure
-    over ``spectral_pieces`` with an exact jacobian: forward mode through
-    the factor derivatives, ``eval_matrix``, d(S^-1) = -S^-1 dS S^-1 and
-    the quotient rule for the 1/W_i(0) factors.  Its values have the same
-    bits with or without the jacobian, and its checks run in the same
-    order: h's symmetry, every chi_j(0), then hbar's symmetry.  The
-    closure tracks the groups of its whole batch before its per-row loop,
-    and h and hbar are probed for degeneracy on one batch of probe points,
-    whose errors come out in point order."""
+    away from zero: the fields of ``_split_fields``, with h and hbar
+    probed for degeneracy on one batch of probe points, whose errors come
+    out in point order."""
+    h, hbar, *projs = _split_fields(g, gbar, fact)
+
+    def probe(rows):
+        for p, hv, hbv in zip(rows, h.value(rows), hbar.value(rows)):
+            for name, m in (("h", hv), ("hbar", hbv)):
+                if not nondegenerate(m):
+                    raise DegenerateMetric(
+                        f"split metric {name} degenerate at {p}", point=p
+                    )
+
+    in_point_order(probe, probe_points(g.chart, 30))
+    return SplitResult(h, hbar, tuple(projs), fact)
+
+
+def _split_fields(g: MetricField, gbar: MetricField, fact: FactorizationResult):
+    """h, hbar and the k projectors of the splitting, built lazily: one
+    batch closure over ``spectral_pieces`` with an exact jacobian, forward
+    mode through the factor derivatives, ``eval_matrix``,
+    d(S^-1) = -S^-1 dS S^-1 and the quotient rule for the 1/W_i(0)
+    factors.  Its values have the same bits with or without the jacobian,
+    and its checks run in the same order: h's symmetry, every chi_j(0),
+    then hbar's symmetry.  The closure tracks the groups of its whole
+    batch before its per-row loop."""
     chart = g.chart
     L = fact.lfield
     n, k = chart.dim, int(fact.base_labels.max()) + 1
@@ -119,19 +134,7 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
             vals[i, 2:], derivs[i, :, 2:] = projs
         return (vals, derivs) if derivative else vals
 
-    h, hbar, *projs = stacked_fields((MetricField,) * 2 + (OperatorField,) * k,
-                                     chart, jac=stack)
-
-    def probe(rows):
-        for p, hv, hbv in zip(rows, h.value(rows), hbar.value(rows)):
-            for name, m in (("h", hv), ("hbar", hbv)):
-                if not nondegenerate(m):
-                    raise DegenerateMetric(
-                        f"split metric {name} degenerate at {p}", point=p
-                    )
-
-    in_point_order(probe, probe_points(chart, 30))
-    return SplitResult(h, hbar, tuple(projs), fact)
+    return stacked_fields((MetricField,) * 2 + (OperatorField,) * k, chart, jac=stack)
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +203,19 @@ class GlueInput:
 
     def check_disjoint(self):
         """Verify the factor spectra stay disjoint over sampled points:
-        probe point i of each factor against probe points i and 0 of the
-        other, each factor's eigenvalues computed once per probe point,
-        when a pair first needs them."""
+        every probe point of one factor against every probe point of the
+        other, from one stacked eigenvalue call per factor over its probe
+        batch; the first failing pair in row-major order raises."""
         pts = (probe_points(self.chart1, 30),
                probe_points(self.chart2, 30, PROBE_SEED + 1))
-        eigvals = functools.cache(lambda side, i: np.linalg.eigvals(
-            (self.L1, self.L2)[side].value(pts[side][i])))
-        for i in range(len(pts[0])):
-            for a, b in ((0, i), (i, i), (i, 0)):
-                _check_separated(eigvals(0, a), eigvals(1, b), self.eps_gap,
-                                 np.concatenate([pts[0][a], pts[1][b]]))
+        w1, w2 = (np.linalg.eigvals(in_point_order(f.value, rows))
+                  for f, rows in zip((self.L1, self.L2), pts))
+        gaps = np.abs(w1[:, None, :, None] - w2[None, :, None, :]).min(axis=(2, 3))
+        bad = np.argwhere(gaps < self.eps_gap)
+        if len(bad):
+            a, b = bad[0]
+            _check_separated(w1[a], w2[b], self.eps_gap,
+                             np.concatenate([pts[0][a], pts[1][b]]))
 
 
 def _check_separated(w1, w2, eps_gap, p):
@@ -391,17 +396,17 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
     eigenvalue or a single conjugate pair.
 
     The base-point eigenvalue clusters of L are the groups of one
-    ``admissible_factorization``, whose ``projectors`` must be coordinate
+    ``admissible_factorization``, whose projectors must be coordinate
     projections at the base point (normal-form corpus pairs and glue
     outputs are block-adapted so).  Factor i lives on the leaf of its
-    coordinates through the base point, with ``l_block = restrict(L,
-    coords, base point)``, the fields
+    coordinates through the base point: its fields are ``split``'s h and
+    hbar restricted there, ``l_block = restrict(L, coords, base point)``,
+    and its residual is the compatibility residual of the factor pair
+    sampled on the leaf.  On an adapted chart S = sum_j W_j(L) is
+    block-diagonal with block i equal to W_i(L_i), so the factor pair is
 
         h_i    = g_i  W_i(L_i)^{-1}
-        hbar_i = W_i(0) * gbar_i  W_i(L_i)^{-1},   W_i = prod_{j != i} chi_j
-
-    from the ``cofactors`` of the tracked factors, and the compatibility
-    residual of the factor pair sampled on the leaf.
+        hbar_i = W_i(0) * gbar_i  W_i(L_i)^{-1},   W_i = prod_{j != i} chi_j.
     """
     chart = g.chart
     L = l_tensor_field(g, gbar)
@@ -424,9 +429,9 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
         return [sub]
 
     fact = admissible_factorization(L, clusters)
+    pvs = spectral_pieces(fact, p0, lv0, np.zeros((0,) + lv0.shape))[3][0]
     coord_sets = []
-    for ci, proj in enumerate(projectors(L, fact)):
-        pv = proj.value(p0)
+    for ci, pv in enumerate(pvs):
         diag = np.diag(pv)
         coords = tuple(k for k in range(chart.dim) if diag[k] > 0.5)
         off = pv - np.diag(diag)
@@ -438,16 +443,15 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
             )
         coord_sets.append(coords)
 
+    h, hbar, *_ = _split_fields(g, gbar, fact)
     factors = []
     for ci, coords in enumerate(coord_sets):
-        idx = np.array(coords)
         l_block = restrict(L, coords, p0)
-        h, hbar = _factor_pair(g, gbar, L, fact, ci, idx, l_block.chart)
         sub = DecompositionFactor(
             coords=coords,
             chart=l_block.chart,
-            h=h,
-            hbar=hbar,
+            h=restrict(h, coords, p0),
+            hbar=restrict(hbar, coords, p0),
             l_block=l_block,
             base_eigenvalues=tuple(values[list(clusters[ci])]),
         )
@@ -456,47 +460,8 @@ def full_decompose(g: MetricField, gbar: MetricField, residual_points: int = 20)
     return factors
 
 
-def _factor_pair(g, gbar, L, fact, ci, idx, leaf):
-    """Factor pair ``ci`` of ``full_decompose`` on the leaf chart of the
-    coordinates ``idx`` through the base point, with an exact batch
-    jacobian along the leaf coordinates: L's derivative is sliced as in
-    ``restrict``, the factor derivatives come from the whole L along
-    those directions, and its values have the same bits with or without
-    the jacobian."""
-    p0 = np.asarray(g.chart.base_point)
-    block = np.ix_(idx, idx)
-    dblock = (slice(None),) + block
-
-    def pair(rows, derivative):
-        qs = np.repeat(p0[None], len(rows), axis=0)
-        qs[:, idx] = rows
-        fs = [_along_product(f, qs, 0, len(p0), derivative) for f in (L, g, gbar)]
-        if derivative:
-            fs = [(v, d[:, idx]) for v, d in fs]
-        vals = np.zeros((len(rows), 2, len(idx), len(idx)))
-        derivs = np.zeros((len(rows), len(idx) if derivative else 0) + vals.shape[1:])
-        fact.track_rows(qs)
-        for i, (x, q) in enumerate(zip(rows, qs)):
-            (lv, dl), (gv, dg), (gbv, dgb) = ((v[i], d[i]) for v, d in fs)
-            ws, dws = cofactors(*factors_and_derivatives(fact, q, lv, dl))
-            w, dw = ws[ci], dws[ci]
-            winv = inverse_and_derivative(*w.eval_matrix(lv[block], dl[dblock], dw), x)
-            vals[i, 0], derivs[i, :, 0] = _sym_product(
-                gv[block], dg[dblock], *winv, x, "decomposition factor h")
-            w0, dw0 = w(0.0), dw[:, 0, None, None]
-            vals[i, 1], derivs[i, :, 1] = _sym_product(
-                w0 * gbv[block], dw0 * gbv[block] + w0 * dgb[dblock],
-                *winv, x, "decomposition factor hbar")
-        return (vals, derivs) if derivative else vals
-
-    return stacked_fields((MetricField,) * 2, leaf, jac=pair)
-
-
 def _factor_residual(factor: DecompositionFactor, points: int) -> float:
     lf = l_tensor_field(factor.h, factor.hbar)
     res = in_point_order(lambda rows: compatibility_residual(factor.h, lf, rows)[0],
                          probe_points(factor.chart, points))
-    worst = 0.0
-    for r in res.tolist():
-        worst = max(worst, r)
-    return worst
+    return float(np.max(res))

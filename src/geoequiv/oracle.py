@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LeftChart, StepFailure, ZeroVelocity
-from .fields import Chart, MetricField, SplitMix64, christoffel, in_point_order
+from .fields import MetricField, SplitMix64, christoffel, in_point_order
 from .smallmat import dot_rows, frob_ratio_rows
 
 # Dormand-Prince 5(4) tableau; the geodesic right-hand side is autonomous,

@@ -212,9 +212,8 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     # points, where every read after the first hits the kept batch
     runs = []
     real_factors = factorization.factors_and_derivatives
-    for module in (factorization, splitglue):
-        monkeypatch.setattr(module, "factors_and_derivatives",
-                            lambda *args: runs.append(1) or real_factors(*args))
+    monkeypatch.setattr(factorization, "factors_and_derivatives",
+                        lambda *args: runs.append(1) or real_factors(*args))
     # and the split closure runs once for the probe scan and once, with
     # its jacobian, per chunk of CHECK_BATCH sample points
     closure_calls = []

@@ -1,7 +1,8 @@
 """Dead-code guard: every module-level function and class in the package,
 every non-dunder method of its classes and every non-dunder name assigned
 at module level is loaded by name somewhere in ``src/`` or ``tests/``;
-every error class is raised or subclassed in ``src/``."""
+every error class is raised or subclassed in ``src/``; every name a
+module imports is loaded in that module or listed in its ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -88,4 +89,29 @@ def test_every_error_class_is_raised_or_subclassed():
         for node in errors.body
         if isinstance(node, ast.ClassDef) and node.name not in raised | based
     ]
+    assert unused == []
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path, tree in _trees(PACKAGE):
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        loaded |= _all_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []

@@ -82,21 +82,29 @@ def test_split_three_constant_groups():
 
 
 def test_four_group_split_restricts_to_the_decomposition_factors(corpus):
-    g, gbar = corpus["lc4_simple"]
-    L = l_tensor_field(g, gbar)
-    sr = split(g, gbar, admissible_factorization(L, ((0,), (1,), (2,), (3,))))
-    p0 = np.array(g.chart.base_point)
-    factors = full_decompose(g, gbar, residual_points=2)
-    assert sorted(len(f.coords) for f in factors) == [1, 1, 1, 1]
-    for f in factors:
-        idx = np.array(f.coords)
-        block = np.ix_(idx, idx)
-        for x in sample_points(f.chart, 4, seed=24):
-            q = p0.copy()
-            q[idx] = x
-            for whole, leaf in ((sr.h, f.h), (sr.hbar, f.hbar)):
-                want = leaf.value(x)
-                assert frob(whole.value(q)[block] - want) <= 1e-12 * frob(want)
+    # the factor pairs are split's (h, hbar) restricted to the leaves, bit
+    # for bit, with the grouping full_decompose takes from its clusters:
+    # four simple eigenvalues, a 2-D block, and cofactors that move along
+    # their own leaves
+    cases = ((corpus["lc4_simple"], ((0,), (1,), (2,), (3,))),
+             (corpus["lc3_mixed"], ((0,), (1, 2))),
+             (_cross_dependent_pair(), ((0,), (1,), (2,))))
+    for (g, gbar), grouping in cases:
+        L = l_tensor_field(g, gbar)
+        sr = split(g, gbar, admissible_factorization(L, grouping))
+        p0 = np.array(g.chart.base_point)
+        factors = full_decompose(g, gbar, residual_points=2)
+        assert [len(f.coords) for f in factors] == [len(grp) for grp in grouping]
+        for f in factors:
+            idx = np.array(f.coords)
+            for x in sample_points(f.chart, 4, seed=24):
+                q = p0.copy()
+                q[idx] = x
+                for whole, leaf in ((sr.h, f.h), (sr.hbar, f.hbar)):
+                    v, d = whole.value_and_derivative(q)
+                    want, dwant = leaf.value_and_derivative(x)
+                    assert np.array_equal(v[np.ix_(idx, idx)], want)
+                    assert np.array_equal(d[np.ix_(idx, idx, idx)], dwant)
 
 
 def test_split_local_product_structure(corpus):
@@ -322,24 +330,25 @@ def test_glue_errors_same_through_value_and_jacobian(error, inp, bad):
 
 
 def test_check_disjoint_computes_eigenvalues_once_per_probe_point(monkeypatch):
-    # 31 probe points per factor, 93 checked pairs
+    # one stacked call per factor, over its 31 probe points
     inp = _scene_factors()
     calls = []
     real = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real(a))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
     inp.check_disjoint()
-    assert len(calls) == 62
+    r, s = inp.chart1.dim, inp.chart2.dim
+    assert calls == [(31, r, r), (31, s, s)]
 
 
 def _disjoint_reference(inp):
-    # every checked pair computes both spectra afresh
+    # every pair of probe points in row-major order, both spectra afresh
     pts1 = fields.probe_points(inp.chart1, 30)
     pts2 = fields.probe_points(inp.chart2, 30, fields.PROBE_SEED + 1)
-    for x, y in zip(pts1, pts2):
-        for xx, yy in ((pts1[0], y), (x, y), (x, pts2[0])):
+    for x in pts1:
+        for y in pts2:
             splitglue._check_separated(
-                np.linalg.eigvals(inp.L1.value(xx)), np.linalg.eigvals(inp.L2.value(yy)),
-                inp.eps_gap, np.concatenate([xx, yy]))
+                np.linalg.eigvals(inp.L1.value(x)), np.linalg.eigvals(inp.L2.value(y)),
+                inp.eps_gap, np.concatenate([x, y]))
 
 
 def test_check_disjoint_raises_the_first_overlap_of_the_pair_loop():
@@ -552,6 +561,23 @@ def test_factor_residual_is_the_max_of_the_per_point_loop(name):
         for p in probe_points(f.chart, 7):
             worst = max(worst, compatibility_residual(f.h, lf, p)[0])
         assert f.residual_max == worst and type(f.residual_max) is type(worst)
+
+
+def test_factor_residual_keeps_a_nan_row(monkeypatch):
+    # a NaN residual on one probe row is the factor's residual_max, not
+    # dropped by the fold
+    real = splitglue.compatibility_residual
+
+    def nan_row(g, lf, rows):
+        res, *rest = real(g, lf, rows)
+        res = res.copy()
+        res[len(res) // 2] = np.nan
+        return (res, *rest)
+
+    monkeypatch.setattr(splitglue, "compatibility_residual", nan_row)
+    factors = full_decompose(*build_pair("lc3_mixed"), residual_points=7)
+    assert len(factors) == 2
+    assert all(np.isnan(f.residual_max) for f in factors)
 
 
 def test_full_decompose_not_adapted():
