@@ -35,7 +35,7 @@ from .equiv import (
 )
 from .errors import ExprError, GeoequivError
 from .fields import (Chart, MetricField, covariant_derivative_op, in_point_order,
-                     nijenhuis, nondegenerate, sample_points)
+                     nijenhuis, sample_points)
 from .oracle import geodesic_defect_report
 from .smallmat import ScalarFunction, char_poly, eigen, frob, frob_ratio_rows, frob_rows
 
@@ -133,7 +133,7 @@ def load_scene(path):
     g = MetricField.from_exprs(chart, _expr_matrix(data["g"], dim, "g"))
     gbar = MetricField.from_exprs(chart, _expr_matrix(data["gbar"], dim, "gbar"))
     for key, fld in (("g", g), ("gbar", gbar)):
-        if not nondegenerate(fld.value(chart.base_point)):
+        if fld.jet(np.array([chart.base_point])).degenerate is not None:
             raise SceneError("metric degenerate at the base point", key)
     return chart, g, gbar
 

@@ -28,7 +28,6 @@ from ..fields import (
     first_degenerate,
     in_point_order,
     lie_derivative_metric,
-    nondegenerate,
     probe_points,
     stacked_fields,
 )
@@ -36,8 +35,8 @@ from ..smallmat import (ScalarFunction, char_poly, eigen, frob, frob_ratio_rows,
                         matrix_function)
 
 
-def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
-    """Pair tensor from stacked metric values at the points ``rows``:
+def _pair_tensor(jet, jet_bar, rows, dgv=None, dgbv=None):
+    """Pair tensor from the jets of g and gbar at the points ``rows``:
     ``(L, dL, flipped)``, each with a leading batch axis.
 
     The single implementation behind ``compute_L`` and the closure of
@@ -54,41 +53,31 @@ def _pair_tensor(gv, gbv, rows, dgv=None, dgbv=None):
     ratio, its root and the trace contractions are taken row by row, so
     each row has the bits of a batch of 1.
     """
-    n = gv.shape[-1]
-    dets, dets_bar = np.linalg.det(gv).tolist(), np.linalg.det(gbv).tolist()
-    failed = [i for i in (first_degenerate(gv, dets), first_degenerate(gbv, dets_bar))
-              if i is not None]
+    n = rows.shape[-1]
+    failed = [j.degenerate for j in (jet, jet_bar) if j.degenerate is not None]
     if failed:
         i = min(failed)
         raise DegenerateMetric(
-            f"metric degenerate at {rows[i]} (dets {dets[i]:.3e}, {dets_bar[i]:.3e})",
+            f"metric degenerate at {rows[i]} (dets {jet.dets[i]:.3e}, {jet_bar.dets[i]:.3e})",
             point=rows[i],
         )
     flipped, rho = [], []
-    for dg, dgb in zip(dets, dets_bar):
+    for dg, dgb in zip(jet.dets, jet_bar.dets):
         ratio = dgb / dg
-        flip = (n + 1) % 2 == 0 and ratio < 0.0
-        if flip:
-            dg, ratio = -dg, -ratio
-        flipped.append(flip)
+        flipped.append((n + 1) % 2 == 0 and ratio < 0.0)
+        # the sign-preserving root; on a flipped row, -rho times gbar^{-1} g
+        # is rho times gbar^{-1} (-g) to the bit, as negation is exact
         rho.append(np.sign(ratio) * abs(ratio) ** (1.0 / (n + 1)))
     rho = np.array(rho)
-    if any(flipped):
-        flip = np.array(flipped)[:, None, None]
-        gv = np.where(flip, -gv, gv)
-        if dgv is not None:
-            dgv = np.where(flip[..., None], -dgv, dgv)
-    gbinv = np.linalg.inv(gbv)
-    core = gbinv @ gv
+    core = jet_bar.inv() @ jet.values
     lv = rho[:, None, None] * core
     if dgv is None:
         return lv, None, flipped
-    # d ln |det A| = tr(A^{-1} dA)
-    tr = np.array([np.einsum("ij,kji->k", a, d)
-                   for a, d in zip(np.linalg.inv(gv), dgv)])
-    trb = np.array([np.einsum("ij,kji->k", a, d) for a, d in zip(gbinv, dgbv)])
+    # d ln |det A| = tr(A^{-1} dA), the one read of g's inverse
+    tr = np.array([np.einsum("ij,kji->k", a, d) for a, d in zip(jet.inv(), dgv)])
+    trb = np.array([np.einsum("ij,kji->k", a, d) for a, d in zip(jet_bar.inv(), dgbv)])
     drho = rho[:, None] * ((trb - tr) / (n + 1))
-    dcore = gbinv[:, None] @ (dgv - dgbv @ core[:, None])
+    dcore = jet_bar.inv()[:, None] @ (dgv - dgbv @ core[:, None])
     dl = np.einsum("bk,bij->bkij", drho, core) + rho[:, None, None, None] * dcore
     return lv, dl, flipped
 
@@ -101,8 +90,8 @@ def compute_L(g: MetricField, gbar: MetricField, p, return_flag: bool = False):
     replaced by -g first; ``return_flag=True`` also returns whether that
     flip happened.
     """
-    p = np.asarray(p, dtype=float)
-    lv, _, flipped = _pair_tensor(g.value(p)[None], gbar.value(p)[None], p[None])
+    rows = np.asarray(p, dtype=float)[None]
+    lv, _, flipped = _pair_tensor(g.jet(rows), gbar.jet(rows), rows)
     if return_flag:
         return lv[0], flipped[0]
     return lv[0]
@@ -121,10 +110,9 @@ def l_tensor_field(g: MetricField, gbar: MetricField) -> OperatorField:
 
     def jac(rows, derivative):
         if not derivative:
-            return _pair_tensor(g.value(rows), gbar.value(rows), rows)[0]
-        gv, dgv = g.value_and_derivative(rows)
-        gbv, dgbv = gbar.value_and_derivative(rows)
-        return _pair_tensor(gv, gbv, rows, dgv, dgbv)[:2]
+            return _pair_tensor(g.jet(rows), gbar.jet(rows), rows)[0]
+        dgv, dgbv = g.derivative(rows), gbar.derivative(rows)
+        return _pair_tensor(g.jet(rows), gbar.jet(rows), rows, dgv, dgbv)[:2]
 
     field = OperatorField.from_function(chart, jac=jac)
     field.base_value, field.sign_flipped = compute_L(g, gbar, chart.base_point,
@@ -137,7 +125,7 @@ def reconstruct_gbar(g: MetricField, L: OperatorField, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     lv = L.value(p)
     det = float(np.linalg.det(lv))
-    if not nondegenerate(lv, det):
+    if first_degenerate(lv[None], [det]) is not None:
         raise SingularL(f"operator singular at {p} (det {det:.3e})", point=p)
     gb = g.value(p) @ np.linalg.inv(lv) / det
     return 0.5 * (gb + gb.T)
@@ -156,15 +144,14 @@ def compatibility_residual(g: MetricField, L: OperatorField, p):
     lv, dl = L.value_and_derivative(rows)
     # l_q = d_q tr L
     l_cov = np.einsum("bkii->bk", dl)
-    gv = g.value(rows)
-    ginv = np.linalg.inv(gv)
+    jet = g.jet(rows)
     n = g.chart.dim
     eye = np.eye(n)
-    raised = (ginv @ l_cov[..., None])[..., 0]
+    raised = (jet.inv() @ l_cov[..., None])[..., 0]
     # 1/2 (delta^i_k l_j + g^{is} l_s g_{kj}); differentiation index k last
     rhs = 0.5 * (
         np.einsum("ik,bj->bijk", eye, l_cov)
-        + np.einsum("bi,bkj->bijk", raised, gv)
+        + np.einsum("bi,bkj->bijk", raised, jet.values)
     )
     resid = nabla - rhs
     scalar = frob_ratio_rows(resid, dl)
@@ -266,7 +253,7 @@ def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:
 
     def jac(rows, derivative):
         gv, dg = g.value_and_derivative(rows)
-        i = first_degenerate(gv, np.linalg.det(gv).tolist())
+        i = g.jet(rows).degenerate
         if i is not None:
             raise DegenerateMetric(f"metric degenerate at {rows[i]}", point=rows[i])
         hv, dh = h.value_and_derivative(rows)
@@ -282,14 +269,14 @@ def projective_deformation(v: VectorField, g: MetricField) -> OperatorField:
 def shift_to_nondegenerate(L: OperatorField):
     """Shift L by c * Id when it is singular somewhere on the samples.
 
-    L counts as singular where ``fields.nondegenerate`` with threshold
+    L counts as singular where ``fields.first_degenerate`` with threshold
     1e-6 fails on the probe set of 20 points.  Returns ``(shifted_field,
     c)`` with c = 0 when no shift was needed and c = 1 + max ||L||
     otherwise.  Compatibility with any metric is preserved under the shift.
     """
     chart = L.chart
-    values = [L.value(p) for p in probe_points(chart, 20)]
-    if all(nondegenerate(lv, tol=1e-6) for lv in values):
+    values = np.array([L.value(p) for p in probe_points(chart, 20)])
+    if first_degenerate(values, np.linalg.det(values).tolist(), 1e-6) is None:
         return L, 0.0
     c = 1.0 + max(frob(lv) for lv in values)
     n = chart.dim

@@ -34,7 +34,7 @@ from ..errors import (
     NonPositiveWeight,
 )
 from ..exprdsl import Div, Mul, Neg, Num, Pow, Sub
-from ..fields import Chart, MetricField, nondegenerate, probe_points
+from ..fields import Chart, MetricField, probe_points
 
 # eigenvalues closer than this, relative to 1 + their largest magnitude,
 # collide; one closer than this to 0 vanishes
@@ -294,7 +294,7 @@ def levi_civita_pair(spec: LeviCivitaSpec):
     g_weight_values = values(g_weights)
     for p in pts:
         for name, fld in (("g", g), ("gbar", gbar)):
-            if not nondegenerate(fld.value(p)):
+            if fld.jet(p[None]).degenerate is not None:
                 raise DegenerateMetric(f"{name} degenerate at {p}", point=p)
         gw = g_weight_values(p)
         if np.any(np.sign(gw) != np.array(signs, dtype=float)):

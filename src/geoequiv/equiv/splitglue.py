@@ -34,7 +34,7 @@ from ..errors import (
     ZeroChiAtZero,
 )
 from ..fields import (PROBE_SEED, Chart, MetricField, OperatorField, as_batch,
-                      in_point_order, nondegenerate, probe_points, restrict,
+                      first_degenerate, in_point_order, probe_points, restrict,
                       stacked_fields)
 from ..smallmat import MonicPoly, char_poly, cluster_indices as _base_clusters, frob
 from .core import compatibility_residual, l_tensor_field
@@ -90,12 +90,11 @@ def split(g: MetricField, gbar: MetricField, fact: FactorizationResult) -> Split
     h, hbar, *projs = _split_fields(g, gbar, fact)
 
     def probe(rows):
-        for p, hv, hbv in zip(rows, h.value(rows), hbar.value(rows)):
-            for name, m in (("h", hv), ("hbar", hbv)):
-                if not nondegenerate(m):
-                    raise DegenerateMetric(
-                        f"split metric {name} degenerate at {p}", point=p
-                    )
+        for name, m in (("h", h), ("hbar", hbar)):
+            i = m.jet(rows).degenerate
+            if i is not None:
+                raise DegenerateMetric(f"split metric {name} degenerate at {rows[i]}",
+                                       point=rows[i])
 
     in_point_order(probe, probe_points(g.chart, 30))
     return SplitResult(h, hbar, tuple(projs), fact)
@@ -149,7 +148,7 @@ def _orientation_sign(h: MetricField, hbar: MetricField, L: OperatorField) -> fl
     hbv = hbar.value(p0)
     lv = L.value(p0)
     det = float(np.linalg.det(lv))
-    if not nondegenerate(lv, det):
+    if first_degenerate(lv[None], [det]) is not None:
         raise ZeroChiAtZero(
             "factor tensor singular at its base point; shift it by c * Id",
             point=p0,

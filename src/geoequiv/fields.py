@@ -42,9 +42,9 @@ row the same bits as a batch of 1.  Norms and products go through a
 stacked ``@`` (``smallmat.frob_rows`` and ``dot_rows``), which runs each
 row's own BLAS call, where ``einsum`` and ``np.linalg.norm`` sum in
 another order; the pair tensor's trace contraction has no stacked form
-with its bits and stays per row.  ``first_degenerate`` tests a stack in
-one loop of Python floats: on batches of a few rows, as the oracle's
-stages are, numpy's per-call cost makes a vectorized test slower.
+with its bits and stays per row.  ``MetricField.jet`` keeps its last
+batch's determinants, ``first_degenerate`` test and, once read, inverses;
+nothing else takes the determinant or inverse of a metric batch.
 ``in_point_order`` turns an error raised by a batch into the one a
 per-point loop meets first.
 """
@@ -83,13 +83,22 @@ def first_degenerate(stack, dets, tol: float = DEG_TOL):
     return None
 
 
-def nondegenerate(m, det=None, tol: float = DEG_TOL) -> bool:
-    """``first_degenerate``'s test on one matrix; ``det`` may be passed when
-    the caller has it already."""
-    m = np.asarray(m, dtype=float)
-    if det is None:
-        det = np.linalg.det(m)
-    return first_degenerate(m[None], [det], tol) is None
+class MetricJet:
+    """A metric batch's ``values``, their determinants ``dets`` (a list),
+    the first row ``degenerate`` that fails ``first_degenerate`` (None if
+    every row passes) and ``inv()``, the inverses, taken on first call."""
+
+    _inv = None
+
+    def __init__(self, values):
+        self.values = values
+        self.dets = np.linalg.det(values).tolist()
+        self.degenerate = first_degenerate(values, self.dets)
+
+    def inv(self):
+        if self._inv is None:
+            self._inv = np.linalg.inv(self.values)
+        return self._inv
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +395,8 @@ class _Field:
 class MetricField(_Field):
     """Symmetric-matrix-valued field with first-derivative access."""
 
+    _jet = (None, None)  # rows key and jet of the last batch
+
     @classmethod
     def from_exprs(cls, chart: Chart, rows) -> "MetricField":
         """Build from an n x n matrix of expressions (strings or trees).
@@ -420,6 +431,15 @@ class MetricField(_Field):
             return v, d
         return (0.5 * (v + v.swapaxes(-1, -2)),
                 0.5 * (d + d.swapaxes(-1, -2)))
+
+    def jet(self, rows) -> MetricJet:
+        """The ``MetricJet`` at the (m, n) batch ``rows``; the last batch's
+        is kept.  It reads the values the backing keeps, so a reader that
+        needs derivatives asks for them first."""
+        key = rows.tobytes()
+        if self._jet[0] != key:
+            self._jet = key, MetricJet(self.value(rows))
+        return self._jet[1]
 
 
 def stacked_fields(classes, chart: Chart, jac):
@@ -514,18 +534,17 @@ def christoffel(g: MetricField, p) -> np.ndarray:
     """Levi-Civita connection coefficients; out[..., i, j, k] = Gamma^i_{jk}
     at a point or along a batch of points."""
     rows, single = as_batch(p)
-    gv, dg = g.value_and_derivative(rows)
-    dets = np.linalg.det(gv).tolist()
-    i = first_degenerate(gv, dets)
+    dg = g.derivative(rows)
+    jet = g.jet(rows)
+    i = jet.degenerate
     if i is not None:
         raise DegenerateMetric(
-            f"metric degenerate at {rows[i]} (det {dets[i]:.3e})", point=rows[i]
+            f"metric degenerate at {rows[i]} (det {jet.dets[i]:.3e})", point=rows[i]
         )
-    ginv = np.linalg.inv(gv)
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})
     term = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
     # einsum, not a BLAS matmul, which would sum in another order
-    out = 0.5 * np.einsum("bil,bljk->bijk", ginv, term)
+    out = 0.5 * np.einsum("bil,bljk->bijk", jet.inv(), term)
     return out[0] if single else out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionCap,
+    DomainError,
     DomainViolation,
     NoConvergence,
     NotConjugationClosed,
@@ -329,12 +330,14 @@ class ScalarFunction:
     _domain: Callable
 
     def value(self, z) -> complex:
-        return complex(self._value(complex(z)))
+        return self.deriv(z, 0)
 
     def deriv(self, z, k: int) -> complex:
-        if k == 0:
-            return self.value(z)
-        return complex(self._deriv(complex(z), int(k)))
+        """The k-th derivative at z; an overflow raises ``DomainError``."""
+        try:
+            return complex(self._deriv(complex(z), int(k)) if k else self._value(complex(z)))
+        except OverflowError as exc:
+            raise DomainError(f"{self.name} overflows at eigenvalue {z} ({exc})") from None
 
     def domain_ok(self, z) -> bool:
         return bool(self._domain(complex(z)))

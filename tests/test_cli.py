@@ -1,5 +1,6 @@
 """Command-line front end: scenes, reports, exit codes, determinism."""
 
+import collections
 import contextlib
 import io
 import json
@@ -64,6 +65,15 @@ ONE_D_SCENE_B = {
     "base_point": [0.0],
     "g": [["1"]],
     "gbar": [["1/((3 + 0.1*x0)^2)"]],
+}
+
+# L = 1/sqrt(1.4e-6), about 845, whose exp overflows a float
+EXP_OVERFLOW_SCENE = {
+    "dim": 1,
+    "box": [[-0.4, 0.4]],
+    "base_point": [0.0],
+    "g": [["1"]],
+    "gbar": [["1.4e-6"]],
 }
 
 REPO_SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -251,6 +261,73 @@ def test_check_runs_its_points_as_one_batch(monkeypatch, capsys):
     code, report = _run(capsys, ["ts", REPO_LC3, "--f", "exp", "--points", "6"])
     assert code == 0 and report["pass"] is True
     assert pair_calls == [(21, False), (4, True), (2, True)]
+
+
+def _linalg_calls(monkeypatch, argv):
+    """Calls of ``np.linalg.det``, ``np.linalg.inv`` and
+    ``fields.first_degenerate`` in one passing CLI run, keyed by name and
+    the number of matrices in the stack."""
+    from geoequiv import fields
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(a, *args):
+            calls[name, len(a) if np.ndim(a) == 3 else 1] += 1
+            return fn(a, *args)
+        return wrapper
+
+    for owner, name in ((np.linalg, "det"), (np.linalg, "inv"),
+                        (fields, "first_degenerate")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    monkeypatch.undo()
+    assert code == 0
+    return calls
+
+
+def _batch_calls(calls, rows):
+    return tuple(calls[name, rows] for name in ("det", "inv", "first_degenerate"))
+
+
+@pytest.mark.parametrize("argv, rows, metrics", [
+    # g and gbar
+    (["check", REPO_LC3, "--points", "60"], 60, 2),
+    # the scene's pair under L and the rescaled pair
+    (["ts", REPO_LC3, "--f", "exp", "--points", "60"], 60, 4),
+    # the glued pair and each factor's pair along the batch
+    (["glue", REPO_FACTOR_A, REPO_FACTOR_B, "--points", "50"], 50, 6),
+], ids=["check", "ts", "glue"])
+def test_each_metric_batch_takes_one_det_test_and_inverse(monkeypatch, argv, rows, metrics):
+    # every reader of a metric at the batch (Christoffel, the pair tensor,
+    # the compatibility residual) reads its one jet
+    calls = _linalg_calls(monkeypatch, argv)
+    assert _batch_calls(calls, rows) == (metrics,) * 3
+
+
+def test_split_and_oracle_metric_batches_keep_their_counts(monkeypatch):
+    from geoequiv import oracle
+    calls = _linalg_calls(monkeypatch, ["split", REPO_LC3, "--groups", "0|1,2",
+                                        "--points", "60"])
+    # the tracker's value-only pair tensor: 16 batches of 30 path rows,
+    # each inverting gbar alone
+    assert _batch_calls(calls, 30) == (32, 16, 32)
+    # the 31 probe points: the pair at L's values, then one stacked test
+    # of h and of hbar; a single matrix is tested only by the scene load,
+    # at the base point, whose jets serve L there
+    assert _batch_calls(calls, 31) == (4, 1, 4)
+    assert calls["first_degenerate", 1] == 2
+
+    # the oracle: one det, inverse and test per Christoffel batch, besides
+    # the scene load's tests of g and gbar at the base point
+    gammas = []
+    real = oracle.christoffel
+    monkeypatch.setattr(oracle, "christoffel", lambda g, p: gammas.append(1) or real(g, p))
+    calls = _linalg_calls(monkeypatch, ["oracle", REPO_LC3])
+    total = [sum(v for (name, _), v in calls.items() if name == key)
+             for key in ("det", "inv", "first_degenerate")]
+    assert total == [len(gammas) + 2, len(gammas), len(gammas) + 2]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: check samples points "
@@ -742,6 +819,15 @@ TS = ["ts", "--f", "exp", "--points", "20"]
 ORACLE = ["oracle", "--trajectories", "2"]
 
 
+def test_ts_exp_of_an_overflowing_eigenvalue_exits_3(tmp_path, capsys):
+    scene = _write(tmp_path, "exp-overflow.json", EXP_OVERFLOW_SCENE)
+    code = main(["ts", scene, "--f", "exp", "--points", "3"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: DomainError: exp overflows at eigenvalue (845.15")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("entry, command, error", [
     pytest.param(SIN, CHECK, "DomainError", id="check-sin-of-inf"),
     pytest.param(SIN, TS, "DomainError", id="ts-sin-of-inf"),
@@ -909,6 +995,7 @@ def test_fuzz_check_keeps_the_cli_contract(tmp_path_factory, scene):
 
 @settings(max_examples=20, deadline=None)
 @given(_fuzz_scenes(_BOXES))
+@example(EXP_OVERFLOW_SCENE)
 def test_fuzz_ts_and_oracle_keep_the_cli_contract(tmp_path_factory, scene):
     # the pair checks of a rescaled pair and the geodesic defect
     scene = _write(tmp_path_factory.getbasetemp(), "fuzz-scene.json", scene)

@@ -203,6 +203,41 @@ def test_pair_tensor_names_the_first_row_where_either_metric_degenerates(swap):
     assert str(err.value) == want
 
 
+def test_a_flipped_row_keeps_the_bits_of_the_reference_that_negates_g():
+    # where n + 1 is even and the determinant ratio negative, the reference
+    # replaces g, dg and the ratio by their negatives; the pair tensor
+    # takes the sign-preserving root of the ratio instead and contracts
+    # inv(g) with dg.  Negation is exact: inv(-g) = -inv(g),
+    # gbar^-1 (-g) = -(gbar^-1 g), and inv(-g) with -dg has the bits of
+    # inv(g) with dg, so L and dL have the reference's bits
+    rng = np.random.default_rng(27)
+    for n in range(1, 9):
+        a, b = rng.standard_normal((2, 200, n, n))
+        da = rng.standard_normal((200, n, n, n))
+        inv = np.linalg.inv(a)
+        assert np.linalg.inv(-a).tobytes() == (-inv).tobytes()
+        assert (b @ -a).tobytes() == (-(b @ a)).tobytes()
+        for i in range(len(a)):
+            got = np.einsum("ij,kji->k", np.linalg.inv(-a[i]), -da[i])
+            assert got.tobytes() == np.einsum("ij,kji->k", inv[i], da[i]).tobytes()
+    chart = Chart(3, ((-0.4, 0.4),) * 3, (0.0, 0.0, 0.0))
+    g = MetricField.from_exprs(chart, [["1 + 0.1*x0", "0.1*x1", "0"],
+                                       [None, "1", "0.2*x2"],
+                                       [None, None, "1 + 0.1*x0*x1"]])
+    gbar = MetricField.from_exprs(chart, [["-1 - 0.3*x2", "0", "0.1"],
+                                          [None, "2 + x0", "0"],
+                                          [None, None, "3 + x1"]])
+    L = l_tensor_field(g, gbar)
+    assert L.sign_flipped
+    rows = sample_points(chart, 20, seed=4)
+    lv, dl = L.value_and_derivative(rows)
+    for i, p in enumerate(rows):
+        want_lv, want_dl = _reference_pair_tensor(g.value(p), gbar.value(p),
+                                                  g.derivative(p), gbar.derivative(p))
+        assert lv[i].tobytes() == want_lv.tobytes()
+        assert dl[i].tobytes() == want_dl.tobytes()
+
+
 def test_pair_tensor_jacobian_matches_the_three_factor_form(corpus):
     # d(gbar^-1 g) = gbar^-1 (dg - dgbar gbar^-1 g) agrees with the product
     # rule through d(gbar^-1) = -gbar^-1 dgbar gbar^-1 to rounding

@@ -23,7 +23,7 @@ from geoequiv.equiv import (
     projectors,
     split,
 )
-from geoequiv.errors import NotAdapted, SpectraOverlap, ZeroChiAtZero
+from geoequiv.errors import DegenerateMetric, NotAdapted, SpectraOverlap, ZeroChiAtZero
 from geoequiv.fields import (
     Chart,
     MetricField,
@@ -57,6 +57,28 @@ def test_split_worked_example():
     assert np.allclose(sr.h.value(p0), np.diag([-1.0 / 3.0, 1.0 / 3.0]))
     assert np.allclose(sr.hbar.value(p0), np.diag([1.0 / 12.0, -1.0 / 75.0]))
     assert np.allclose(sr.projectors[0].value(p0) + sr.projectors[1].value(p0), np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("h_row, hbar_row, name", [
+    (9, 4, "hbar"), (4, 9, "h"), (4, 4, "h")])
+def test_split_names_the_first_probe_point_where_h_or_hbar_degenerates(
+        monkeypatch, h_row, hbar_row, name):
+    # each of h and hbar is tested once over the probe batch; the first
+    # failing point is named, and h before hbar at the same point
+    chart = Chart(2, ((-1.0, 1.0),) * 2, (0.0, 0.0))
+    pts = probe_points(chart, 30)
+
+    def vanishing_at(row):
+        entry = f"x0 - ({float(pts[row][0])!r})"
+        return MetricField.from_exprs(chart, [[entry, "0"], [None, "1"]])
+
+    monkeypatch.setattr(splitglue, "_split_fields",
+                        lambda g, gbar, fact: (vanishing_at(h_row), vanishing_at(hbar_row)))
+    row = min(h_row, hbar_row)
+    with pytest.raises(DegenerateMetric) as err:
+        split(constant_metric(chart, np.eye(2)), None, None)
+    assert str(err.value) == f"split metric {name} degenerate at {pts[row]}"
+    assert np.array_equal(err.value.point, pts[row])
 
 
 def test_split_three_constant_groups():
